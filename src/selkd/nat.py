@@ -19,6 +19,19 @@ blank-interleaved extended label sequence, in double precision. The
 deliberately tiny architecture keeps a full train/score/select cycle in
 seconds while leaving every quantity exact enough for finite-difference
 and enumeration checks.
+
+Training runs a batch as a few groups, not pair by pair. The feasible
+pairs are stable-sorted by source length and cut into groups. Each group
+makes one forward over the frames of all its pairs, packed row-wise (pair
+b owns T_b consecutive rows). It then runs CTC over a padded, time-major
+(T_max, B, S_max) lattice, where padded frames and states read -inf, and
+one backprop over the packed rows. The DP loops cost one numpy step per
+frame whatever B is, so a group pays the Python overhead once for all its
+pairs. Padding costs memory: a group's padded DP cells B * T_max * S_max
+stay within ``_GROUP_CELLS``. Sorting by length keeps that padding small,
+and the bound keeps the working set small on long lattices. A lattice's
+loss and gradient do not depend on what it is padded with or next to, and
+``forward`` and ``ctc_loss_and_grad`` are the same code at B = 1.
 """
 
 from __future__ import annotations
@@ -126,6 +139,22 @@ class GreedyDecode:
     is_empty: bool
 
 
+def param_shapes(config: ModelConfig, src_vocab_size: int, tgt_vocab_size: int) -> dict[str, tuple[int, ...]]:
+    """Shape of every parameter, in ``PARAM_NAMES`` order."""
+    e, h = config.embed_dim, config.hidden_dim
+    # center embedding + window average + phase one-hot + position
+    feat = 2 * e + config.upsample + 1
+    return {
+        "emb": (src_vocab_size, e),
+        "w1": (feat, h),
+        "b1": (h,),
+        "w2": (h, h),
+        "b2": (h,),
+        "w_out": (h, tgt_vocab_size),
+        "b_out": (tgt_vocab_size,),
+    }
+
+
 class NatModel:
     """Parameter container; forward passes are pure functions of it."""
 
@@ -142,21 +171,9 @@ class NatModel:
     @classmethod
     def initialize(cls, config: ModelConfig, src_vocab: Vocabulary, tgt_vocab: Vocabulary) -> "NatModel":
         rng = Rng(config.seed)
-        e, h = config.embed_dim, config.hidden_dim
-        # center embedding + window average + phase one-hot + position
-        feat = 2 * e + config.upsample + 1
         vs, vt = len(src_vocab), len(tgt_vocab)
-        shapes = {
-            "emb": (vs, e),
-            "w1": (feat, h),
-            "b1": (h,),
-            "w2": (h, h),
-            "b2": (h,),
-            "w_out": (h, vt),
-            "b_out": (vt,),
-        }
         params = {}
-        for name, shape in shapes.items():
+        for name, shape in param_shapes(config, vs, vt).items():
             if name.startswith("b"):
                 params[name] = np.zeros(shape, dtype=np.float64)
                 continue
@@ -182,52 +199,62 @@ def _logsumexp_rows(m: np.ndarray) -> np.ndarray:
     return (mx + np.log(np.exp(m - mx).sum(axis=1, keepdims=True))).ravel()
 
 
-def _window_bounds(source_len: int, frames: int, window: int):
-    centers = (np.arange(frames) * source_len) // frames
-    lo = np.maximum(centers - window, 0)
-    hi = np.minimum(centers + window, source_len - 1) + 1
-    return centers, lo, hi
+def _forward_packed(model: NatModel, sources: list[Sentence], frames: np.ndarray) -> dict:
+    """Decoder forward over the frames of several sources at once.
 
-
-def _forward_cached(model: NatModel, source: Sentence, frames: int | None = None) -> dict:
+    Frame rows are packed: pair b owns ``frames[b]`` consecutive rows.
+    Source ids are padded to (B, N_max) so that each pair keeps its own
+    prefix sum, and each pair's rows hold the numbers its lone forward
+    gives.
+    """
     cfg = model.config
-    n = len(source)
-    if n == 0:
-        raise ValueError("cannot run the decoder on an empty source")
-    t_frames = cfg.upsample * n if frames is None else frames
-    if t_frames < 1:
-        raise ValueError(f"frame count must be >= 1, got {t_frames}")
-    ids = np.array([tok if 0 <= tok < model.src_vocab_size else UNK_ID for tok in source], dtype=np.int64)
     p = model.params
-    emb_rows = p["emb"][ids]
-    prefix = np.vstack([np.zeros((1, cfg.embed_dim)), np.cumsum(emb_rows, axis=0)])
-    centers, lo, hi = _window_bounds(n, t_frames, cfg.window)
+    lengths = np.array([len(s) for s in sources], dtype=np.int64)
+    ids = np.full((len(sources), lengths.max()), UNK_ID, dtype=np.int64)
+    for b, source in enumerate(sources):
+        ids[b, :len(source)] = source
+    ids[(ids < 0) | (ids >= model.src_vocab_size)] = UNK_ID
+    pair = np.repeat(np.arange(len(sources)), frames)
+    t = np.arange(len(pair)) - (np.cumsum(frames) - frames)[pair]
+    n, t_count = lengths[pair], frames[pair]
+    centers = (t * n) // t_count
+    lo = np.maximum(centers - cfg.window, 0)
+    hi = np.minimum(centers + cfg.window, n - 1) + 1
     widths = (hi - lo).astype(np.float64)
-    avg = (prefix[hi] - prefix[lo]) / widths[:, None]
-    phase = np.zeros((t_frames, cfg.upsample))
-    phase[np.arange(t_frames), np.arange(t_frames) % cfg.upsample] = 1.0
-    pos = (np.arange(t_frames) / max(t_frames - 1, 1))[:, None]
-    ctx = np.hstack([emb_rows[centers], avg, phase, pos])
+    emb_rows = p["emb"][ids]
+    prefix = np.zeros((len(sources), ids.shape[1] + 1, cfg.embed_dim))
+    np.cumsum(emb_rows, axis=1, out=prefix[:, 1:])
+    avg = (prefix[pair, hi] - prefix[pair, lo]) / widths[:, None]
+    phase = np.zeros((len(pair), cfg.upsample))
+    phase[np.arange(len(pair)), t % cfg.upsample] = 1.0
+    pos = (t / np.maximum(t_count - 1, 1))[:, None]
+    ctx = np.hstack([emb_rows[pair, centers], avg, phase, pos])
     h1 = np.tanh(ctx @ p["w1"] + p["b1"])
     h2 = np.tanh(h1 @ p["w2"] + p["b2"])
     logits = h2 @ p["w_out"] + p["b_out"]
     logp = logits - _logsumexp_rows(logits)[:, None]
     return {
-        "ids": ids, "centers": centers, "lo": lo, "hi": hi, "widths": widths,
+        "ids": ids, "pair": pair, "centers": centers, "lo": lo, "hi": hi, "widths": widths,
         "ctx": ctx, "h1": h1, "h2": h2, "logp": logp,
-        "source_len": n,
     }
 
 
 def forward(model: NatModel, source: Sentence, frames: int | None = None) -> EmissionMatrix:
     """Emission lattice for a source sentence; T = upsample * |source|
     unless an explicit frame count is requested."""
-    cache = _forward_cached(model, source, frames)
-    return EmissionMatrix(log_probs=cache["logp"], source_len=cache["source_len"])
+    n = len(source)
+    if n == 0:
+        raise ValueError("cannot run the decoder on an empty source")
+    t_frames = model.config.upsample * n if frames is None else frames
+    if t_frames < 1:
+        raise ValueError(f"frame count must be >= 1, got {t_frames}")
+    cache = _forward_packed(model, [source], np.array([t_frames]))
+    return EmissionMatrix(log_probs=cache["logp"], source_len=n)
 
 
-def _backprop(model: NatModel, cache: dict, dlogp: np.ndarray) -> dict[str, np.ndarray]:
-    """Gradients of a scalar loss w.r.t. parameters, given dL/dlogp."""
+def _backprop_packed(model: NatModel, cache: dict, dlogp: np.ndarray) -> dict[str, np.ndarray]:
+    """Gradients of a scalar loss w.r.t. parameters, given dL/dlogp over
+    the packed frame rows of ``_forward_packed``."""
     p = model.params
     probs = np.exp(cache["logp"])
     dlogits = dlogp - probs * dlogp.sum(axis=1, keepdims=True)
@@ -244,14 +271,16 @@ def _backprop(model: NatModel, cache: dict, dlogp: np.ndarray) -> dict[str, np.n
     grads["b1"] = dpre1.sum(axis=0)
     dctx = dpre1 @ p["w1"].T
     e = model.config.embed_dim
-    dcenter = dctx[:, :e]
-    davg = dctx[:, e:2 * e]  # phase/position features are constants
+    ids, pair, lo, hi = cache["ids"], cache["pair"], cache["lo"], cache["hi"]
     demb = np.zeros_like(p["emb"])
-    ids, centers = cache["ids"], cache["centers"]
-    lo, hi, widths = cache["lo"], cache["hi"], cache["widths"]
-    np.add.at(demb, ids[centers], dcenter)
-    for t in range(davg.shape[0]):
-        np.add.at(demb, ids[lo[t]:hi[t]], davg[t] / widths[t])
+    np.add.at(demb, ids[pair, cache["centers"]], dctx[:, :e])
+    # The window average spreads its gradient evenly over the window: one
+    # scatter per window offset. Phase/position features are constants.
+    davg = dctx[:, e:2 * e] / cache["widths"][:, None]
+    for offset in range(2 * model.config.window + 1):
+        at = lo + offset
+        inside = at < hi
+        np.add.at(demb, ids[pair[inside], at[inside]], davg[inside])
     grads["emb"] = demb
     return grads
 
@@ -310,54 +339,86 @@ def ctc_loss_and_grad(emissions, target: Sentence) -> tuple[float, np.ndarray]:
     t emits v on a path collapsing to the target.
     """
     e = _unwrap(emissions)
-    t_frames = e.shape[0]
     target = tuple(target)
-    _check_feasible(t_frames, target)
-    ext = extend_with_blanks(target)
-    s_count = len(ext)
-    skip = _skip_mask(ext)
-    em_ext = e[:, ext]  # (T, S)
-
-    alpha = np.full((t_frames, s_count), NEG_INF)
-    alpha[0, 0] = em_ext[0, 0]
-    if s_count > 1:
-        alpha[0, 1] = em_ext[0, 1]
-    for t in range(1, t_frames):
-        prev = alpha[t - 1]
-        stay = prev
-        step = np.concatenate(([NEG_INF], prev[:-1]))
-        jump = np.concatenate(([NEG_INF, NEG_INF], prev[:-2]))
-        jump = np.where(skip, jump, NEG_INF)
-        alpha[t] = np.logaddexp(np.logaddexp(stay, step), jump) + em_ext[t]
-
-    log_p = np.logaddexp(alpha[t_frames - 1, s_count - 1],
-                         alpha[t_frames - 1, s_count - 2] if s_count > 1 else NEG_INF)
-    if log_p == NEG_INF:
+    _check_feasible(e.shape[0], target)
+    losses, grad = _ctc_packed(e, np.array([e.shape[0]]), [target])
+    if losses[0] == np.inf:
         raise CtcInfeasibleError("no feasible path despite frame-count check")
-    loss = -float(log_p)
+    return float(losses[0]), grad
+
+
+def _ctc_packed(logp: np.ndarray, frames: np.ndarray, targets: list[Sentence]) -> tuple[np.ndarray, np.ndarray]:
+    """CTC losses and gradients of B lattices packed row-wise in ``logp``.
+
+    Lattice b owns ``frames[b]`` consecutive rows. The recursions run over
+    a padded, time-major (T_max, B, S_max) array. Padded frames and states
+    read -inf, and no transition leads from a padded cell into a real one,
+    so every lattice gets the numbers it would get alone. Only alpha is
+    kept for every frame; beta and the posteriors live one frame at a time.
+    Returns the per-lattice losses (inf where no path exists) and dL/dlogp
+    in the packed layout. The caller checks feasibility.
+    """
+    rows, vocab = logp.shape
+    count = len(targets)
+    lanes = np.arange(count)
+    last = frames - 1
+    states = np.array([2 * len(target) + 1 for target in targets])
+    t_max, s_max = int(frames.max()), int(states.max())
+    # Padded states carry the label ``vocab``: an all -inf column, and a
+    # posterior bin that is dropped.
+    ext = np.full((count, s_max), vocab, dtype=np.int64)
+    skip = np.zeros((count, s_max), dtype=bool)
+    for b, target in enumerate(targets):
+        ext[b, :states[b]] = extend_with_blanks(target)
+        skip[b, :states[b]] = _skip_mask(ext[b, :states[b]])
+    back_skip = np.zeros_like(skip)  # s -> s+2 allowed
+    back_skip[:, :-2] = skip[:, 2:]
+    lattice = np.full((rows + 1, vocab + 1), NEG_INF)
+    lattice[:rows, :vocab] = logp
+    # Frame t of lattice b is packed row start_b + t; padded frames read
+    # (and write the gradient to) the extra row ``rows``.
+    t_index = np.arange(t_max)[:, None]
+    frame_rows = np.where(t_index < frames, np.cumsum(frames) - frames + t_index, rows)
+    em_ext = lattice[frame_rows[:, :, None], ext[None, :, :]]  # (T, B, S)
+
+    alpha = np.full((t_max, count, s_max), NEG_INF)
+    alpha[0, :, :2] = em_ext[0, :, :2]
+    step = np.full((count, s_max), NEG_INF)
+    jump = np.full((count, s_max), NEG_INF)
+    for t in range(1, t_max):
+        prev = alpha[t - 1]
+        step[:, 1:] = prev[:, :-1]
+        jump[:, 2:] = prev[:, :-2]
+        alpha[t] = np.logaddexp(np.logaddexp(prev, step), np.where(skip, jump, NEG_INF)) + em_ext[t]
+    final = alpha[last, lanes]
+    losses = -np.logaddexp(final[lanes, states - 1], final[lanes, states - 2])
 
     # beta excludes the emission at t, so alpha + beta is the log-mass of
     # all full paths through state s at time t.
-    beta = np.full((t_frames, s_count), NEG_INF)
-    beta[t_frames - 1, s_count - 1] = 0.0
-    if s_count > 1:
-        beta[t_frames - 1, s_count - 2] = 0.0
-    back_skip = np.concatenate((skip[2:], [False, False]))  # s -> s+2 allowed
-    for t in range(t_frames - 2, -1, -1):
-        nxt = beta[t + 1] + em_ext[t + 1]
-        stay = nxt
-        step = np.concatenate((nxt[1:], [NEG_INF]))
-        jump = np.concatenate((nxt[2:], [NEG_INF, NEG_INF]))
-        jump = np.where(back_skip, jump, NEG_INF)
-        beta[t] = np.logaddexp(np.logaddexp(stay, step), jump)
-
+    terminal = np.full((count, s_max), NEG_INF)
+    terminal[lanes, states - 1] = 0.0
+    terminal[lanes, states - 2] = 0.0
+    beta = np.full((count, s_max), NEG_INF)
+    step = np.full((count, s_max), NEG_INF)
+    jump = np.full((count, s_max), NEG_INF)
+    # Summing each frame's posteriors per label in state order gives every
+    # lattice the same bits as a per-state accumulation.
+    bins = (lanes[:, None] * (vocab + 1) + ext).ravel()
+    grad = np.zeros((rows + 1, vocab))
     with np.errstate(invalid="ignore"):
-        gamma = np.exp(alpha + beta + loss)
-    gamma = np.nan_to_num(gamma, nan=0.0, posinf=0.0, neginf=0.0)
-    grad = np.zeros_like(e)
-    for s in range(s_count):
-        grad[:, ext[s]] -= gamma[:, s]
-    return loss, grad
+        for t in range(t_max - 1, -1, -1):
+            if t < t_max - 1:
+                nxt = beta + em_ext[t + 1]
+                step[:, :-1] = nxt[:, 1:]
+                jump[:, :-2] = nxt[:, 2:]
+                beta = np.logaddexp(np.logaddexp(nxt, step), np.where(back_skip, jump, NEG_INF))
+            ending = last == t
+            beta[ending] = terminal[ending]
+            gamma = np.exp(alpha[t] + beta + losses[:, None])
+            gamma[~np.isfinite(gamma)] = 0.0
+            posterior = np.bincount(bins, weights=gamma.ravel(), minlength=count * (vocab + 1))
+            grad[frame_rows[t]] = -posterior.reshape(count, vocab + 1)[:, :vocab]
+    return losses, grad[:rows]
 
 
 def viterbi_align(emissions, target: Sentence) -> FramePath:
@@ -449,10 +510,39 @@ class TrainResult:
 
 
 def sentence_loss_and_grads(model: NatModel, source: Sentence, target: Sentence):
-    """CTC loss of one pair plus parameter gradients."""
-    cache = _forward_cached(model, source)
+    """CTC loss of one pair plus parameter gradients: the grouped training
+    path at B = 1, kept as the per-pair reference."""
+    if len(source) == 0:
+        raise ValueError("cannot run the decoder on an empty source")
+    cache = _forward_packed(model, [source], np.array([model.config.upsample * len(source)]))
     loss, dlogp = ctc_loss_and_grad(cache["logp"], target)
-    return loss, _backprop(model, cache, dlogp)
+    return loss, _backprop_packed(model, cache, dlogp)
+
+
+# Padded DP cells (B * T_max * S_max) allowed in one training group. The
+# DP loops cost per frame, not per cell, so bigger groups amortize them
+# over more pairs; the bound keeps the (T, B, S) working set of a batch of
+# long lattices small. A default-size batch of short pairs fits in one.
+_GROUP_CELLS = 65_536
+
+
+def _length_groups(batch: list[tuple[Sentence, Sentence]], indices: list[int],
+                   upsample: int) -> list[list[int]]:
+    """``indices`` into ``batch``, stable-sorted by source length and cut
+    into groups whose padded DP lattice stays within ``_GROUP_CELLS``. A
+    pair over the bound on its own gets a group of its own."""
+    groups: list[list[int]] = []
+    s_max = 0
+    for i in sorted(indices, key=lambda i: len(batch[i][0])):
+        source, target = batch[i]
+        t_max = upsample * len(source)  # sorted, so the group's longest
+        states = 2 * len(target) + 1
+        if not groups or (len(groups[-1]) + 1) * t_max * max(s_max, states) > _GROUP_CELLS:
+            groups.append([])
+            s_max = 0
+        groups[-1].append(i)
+        s_max = max(s_max, states)
+    return groups
 
 
 def batch_step(model: NatModel, batch: list[tuple[Sentence, Sentence]],
@@ -460,22 +550,32 @@ def batch_step(model: NatModel, batch: list[tuple[Sentence, Sentence]],
     """One SGD update on the mean loss over the feasible pairs of a batch.
 
     Returns (mean loss, number of skipped infeasible pairs). When every
-    pair is infeasible no update happens and the loss is None.
+    pair is infeasible no update happens and the loss is None. The
+    feasible pairs run in length-sorted groups (see ``_length_groups``),
+    each through one forward, one CTC pass and one backprop.
     """
+    upsample = model.config.upsample
+    feasible = []
+    for i, (source, target) in enumerate(batch):
+        if len(source) == 0:
+            raise ValueError("cannot run the decoder on an empty source")
+        if len(target) == 0:
+            raise ValueError("CTC target must be nonempty")
+        if min_frames(target) <= upsample * len(source):
+            feasible.append(i)
+    losses = np.full(len(batch), np.inf)
     total = {name: np.zeros_like(p) for name, p in model.params.items()}
-    loss_sum = 0.0
-    counted = 0
-    skipped = 0
-    for source, target in batch:
-        try:
-            loss, grads = sentence_loss_and_grads(model, source, target)
-        except CtcInfeasibleError:
-            skipped += 1
-            continue
-        loss_sum += loss
-        counted += 1
+    for group in _length_groups(batch, feasible, upsample):
+        frames = upsample * np.array([len(batch[i][0]) for i in group])
+        cache = _forward_packed(model, [batch[i][0] for i in group], frames)
+        group_losses, dlogp = _ctc_packed(cache["logp"], frames, [batch[i][1] for i in group])
+        losses[group] = group_losses
+        grads = _backprop_packed(model, cache, dlogp)
         for name in total:
             total[name] += grads[name]
+    kept = losses != np.inf
+    counted = int(kept.sum())
+    skipped = len(batch) - counted
     if counted == 0:
         return None, skipped
     norm_sq = 0.0
@@ -488,7 +588,7 @@ def batch_step(model: NatModel, batch: list[tuple[Sentence, Sentence]],
         p -= learning_rate * scale * total[name]
         if not np.all(np.isfinite(p)):
             raise TrainingError(f"parameter {name} became non-finite during an update")
-    return loss_sum / counted, skipped
+    return float(losses[kept].sum()) / counted, skipped
 
 
 def train(pairs: list[tuple[Sentence, Sentence]], config: ModelConfig,
@@ -573,8 +673,9 @@ def save_checkpoint(model: NatModel, path: str) -> None:
 
 def load_checkpoint(path: str, src_vocab: Vocabulary | None = None,
                     tgt_vocab: Vocabulary | None = None) -> NatModel:
-    """Load a checkpoint; vocabulary hashes must match when vocabularies
-    are supplied."""
+    """Load a checkpoint; vocabulary hashes and sizes must match when
+    vocabularies are supplied, and every parameter must have the shape
+    the config and the recorded vocabulary sizes imply."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != _CKPT_MAGIC:
@@ -584,26 +685,35 @@ def load_checkpoint(path: str, src_vocab: Vocabulary | None = None,
     config = None
     hashes: dict[str, tuple[str, int]] = {}
     params: dict[str, np.ndarray] = {}
-    for line in lines[1:-1]:
+    for lineno, line in enumerate(lines[1:-1], start=2):
         kind, _, rest = line.partition("\t")
-        if kind == "config":
-            config = ModelConfig(**json.loads(rest))
-        elif kind in ("src_vocab", "tgt_vocab"):
-            digest, size = rest.split("\t")
-            hashes[kind] = (digest, int(size))
-        elif kind == "param":
-            name, shape_s, values = rest.split("\t")
-            shape = tuple(int(d) for d in shape_s.split(","))
-            arr = np.array([float.fromhex(v) for v in values.split(" ")], dtype=np.float64)
-            params[name] = arr.reshape(shape)
-        else:
+        if kind not in ("config", "src_vocab", "tgt_vocab", "param"):
             raise CheckpointError(f"{path}: unknown record {kind!r}")
+        try:
+            if kind == "config":
+                config = ModelConfig(**json.loads(rest))
+            elif kind == "param":
+                name, shape_s, values = rest.split("\t")
+                shape = tuple(int(d) for d in shape_s.split(","))
+                arr = np.array([float.fromhex(v) for v in values.split(" ")], dtype=np.float64)
+                params[name] = arr.reshape(shape)
+            else:
+                digest, size = rest.split("\t")
+                hashes[kind] = (digest, int(size))
+        except (ValueError, TypeError) as exc:
+            raise CheckpointError(f"{path}:{lineno}: malformed {kind} record: {exc}") from exc
     if config is None or set(params) != set(PARAM_NAMES) or set(hashes) != {"src_vocab", "tgt_vocab"}:
         raise CheckpointError(f"{path}: incomplete checkpoint")
-    if src_vocab is not None and src_vocab.content_hash() != hashes["src_vocab"][0]:
-        raise CheckpointError(f"{path}: source vocabulary hash mismatch")
-    if tgt_vocab is not None and tgt_vocab.content_hash() != hashes["tgt_vocab"][0]:
-        raise CheckpointError(f"{path}: target vocabulary hash mismatch")
+    for kind, side, vocab in (("src_vocab", "source", src_vocab), ("tgt_vocab", "target", tgt_vocab)):
+        if vocab is not None and (vocab.content_hash(), len(vocab)) != hashes[kind]:
+            raise CheckpointError(f"{path}: {side} vocabulary hash or size mismatch")
+    expected = param_shapes(config, hashes["src_vocab"][1], hashes["tgt_vocab"][1])
+    for name in PARAM_NAMES:
+        if params[name].shape != expected[name]:
+            raise CheckpointError(
+                f"{path}: parameter {name} has shape {params[name].shape}, but the config "
+                f"and vocabulary sizes need {expected[name]}"
+            )
     return NatModel(config, params,
                     hashes["src_vocab"][1], hashes["tgt_vocab"][1],
                     hashes["src_vocab"][0], hashes["tgt_vocab"][0])

@@ -138,6 +138,8 @@ def write_score_tsv(table: ScoreTable, path: str) -> None:
 
 
 def read_score_tsv(path: str, variant: str = "ctc") -> ScoreTable:
+    """Parse a ``write_score_tsv`` file; every score must be a number in
+    [0, 1]."""
     records = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -145,9 +147,15 @@ def read_score_tsv(path: str, variant: str = "ctc") -> ScoreTable:
             if len(parts) != 5:
                 raise ScoringError(f"{path}:{lineno}: expected 5 columns, got {len(parts)}")
             idx, score, dist, ref_len, frame_len = parts
-            records.append(ScoreRecord(index=int(idx), score=float(score), distance=int(dist),
-                                       ref_len=int(ref_len), frame_len=int(frame_len),
-                                       variant=variant))
+            try:
+                record = ScoreRecord(index=int(idx), score=float(score), distance=int(dist),
+                                     ref_len=int(ref_len), frame_len=int(frame_len),
+                                     variant=variant)
+            except ValueError as exc:
+                raise ScoringError(f"{path}:{lineno}: {exc}") from exc
+            if not 0.0 <= record.score <= 1.0:  # also rejects nan
+                raise ScoringError(f"{path}:{lineno}: score {score!r} is not a number in [0, 1]")
+            records.append(record)
     return ScoreTable(records=tuple(records), variant=variant)
 
 

@@ -196,6 +196,34 @@ def test_vocab_mismatch_checkpoint_rejected(tmp_path, synth_dir):
     assert code == EXIT_FORMAT
 
 
+def test_checkpoint_with_wrong_param_shape_rejected(tmp_path, synth_dir):
+    ev = tmp_path / "ev"
+    assert main(["train-evaluator", "--out", str(ev), *corpus_flags(synth_dir),
+                 *FAST_MODEL]) == EXIT_OK
+    # Cut 3 rows off the embedding, keeping the record self-consistent.
+    lines = (ev / "checkpoint.txt").read_text().splitlines()
+    for i, line in enumerate(lines):
+        if line.startswith("param\temb\t"):
+            _, name, shape, values = line.split("\t")
+            rows, cols = (int(d) for d in shape.split(","))
+            kept = values.split(" ")[:(rows - 3) * cols]
+            lines[i] = "\t".join(["param", name, f"{rows - 3},{cols}", " ".join(kept)])
+    cut = tmp_path / "cut.txt"
+    cut.write_text("\n".join(lines) + "\n")
+    code = main(["score", "--out", str(tmp_path / "s"), *corpus_flags(synth_dir),
+                 "--checkpoint", str(cut)])
+    assert code == EXIT_FORMAT
+
+
+def test_select_rejects_nan_score(tmp_path, synth_dir):
+    rows = [f"{i}\t{'nan' if i == 0 else '0.500000'}\t1\t4\t8" for i in range(40)]
+    scores = tmp_path / "scores.tsv"
+    scores.write_text("\n".join(rows) + "\n")
+    code = main(["select", "--out", str(tmp_path / "sel"), *corpus_flags(synth_dir),
+                 "--scores", str(scores), "--fixed-threshold", "0.0", "--updates", "10"])
+    assert code == EXIT_FORMAT
+
+
 def test_full_pipeline_small(tmp_path):
     out = tmp_path / "run"
     code = main(["full", "--out", str(out), "--n", "60", "--updates", "30",

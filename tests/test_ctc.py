@@ -8,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from selkd.corpus import BLANK_ID
-from selkd.nat import CtcInfeasibleError, collapse, ctc_loss, ctc_loss_and_grad, min_frames
+from selkd.nat import (
+    CtcInfeasibleError,
+    _ctc_packed,
+    collapse,
+    ctc_loss,
+    ctc_loss_and_grad,
+    min_frames,
+)
 
 from conftest import random_lattice
 from oracles import brute_total_prob, fd_gradient, valid_paths, valid_paths_product
@@ -84,6 +91,22 @@ def test_gradient_matches_finite_differences(np_rng):
             for v in range(vocab):
                 rel = abs(grad[t, v] - fd[t][v]) / max(abs(fd[t][v]), 1e-6)
                 assert rel <= 1e-4, (t, v, grad[t, v], fd[t][v])
+
+
+def test_padded_batch_matches_each_lattice_alone(np_rng):
+    # Mixed frame counts and target lengths, with repeats: padding and
+    # neighbors must not change a single bit of any lattice's result.
+    cases = ((7, (1, 2, 1)), (3, (2,)), (12, (3, 3, 1, 2)), (5, (1, 1)), (9, (2, 3, 1, 3, 2)))
+    lattices = [random_lattice(np_rng, frames, 4) for frames, _ in cases]
+    targets = [target for _, target in cases]
+    losses, grad = _ctc_packed(np.vstack(lattices), np.array([len(m) for m in lattices]), targets)
+    start = 0
+    for lattice, target, loss in zip(lattices, targets, losses):
+        alone_loss, alone_grad = ctc_loss_and_grad(lattice, target)
+        assert loss == alone_loss
+        np.testing.assert_array_equal(grad[start:start + len(lattice)], alone_grad)
+        start += len(lattice)
+    assert start == len(grad)
 
 
 def test_gradient_rows_are_posteriors(np_rng):

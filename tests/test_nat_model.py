@@ -8,12 +8,16 @@ from selkd.nat import (
     ModelConfig,
     NatModel,
     TrainingError,
+    batch_step,
+    ctc_loss,
     decode_greedy,
     decode_positional,
     forward,
     load_checkpoint,
+    min_frames,
     model_digest,
     save_checkpoint,
+    sentence_loss_and_grads,
     serialize_model,
     train,
 )
@@ -167,6 +171,51 @@ def test_train_snapshot_taken_at_requested_update():
         not np.array_equal(result.snapshot.params[n], result.model.params[n])
         for n in result.model.params
     )
+
+
+def test_batch_step_update_matches_finite_differences():
+    # One update at learning rate 1 with clipping off moves every parameter
+    # by minus the gradient of the mean CTC loss over the feasible pairs.
+    src = vocab_of([f"s{i}" for i in range(4)])
+    tgt = vocab_of([f"t{i}" for i in range(4)])
+    cfg = ModelConfig(embed_dim=3, hidden_dim=4, upsample=2, window=1, seed=5)
+    model = NatModel.initialize(cfg, src, tgt)
+    batch = [
+        ((2, 2, 3), (2, 3, 3)),  # repeated source token, repeated target token
+        ((4,), (2, 3, 4)),  # infeasible: 3 tokens on 2 frames
+        ((5, 99, 2, 3), (4, 5, 2)),  # 99 is out of vocabulary
+        ((3, 4), (5,)),
+    ]
+    feasible = [(s, t) for s, t in batch if min_frames(t) <= cfg.upsample * len(s)]
+    assert len(feasible) == 3
+
+    def mean_loss():
+        return sum(ctc_loss(forward(model, s), t) for s, t in feasible) / len(feasible)
+
+    updated = model.copy()
+    loss, skipped = batch_step(updated, batch, learning_rate=1.0, clip_norm=np.inf)
+    assert skipped == 1
+    assert loss == pytest.approx(mean_loss(), rel=1e-12)
+    # The grouped update sums the same terms as a per-pair loop, in
+    # another order.
+    per_pair = [sentence_loss_and_grads(model, s, t)[1] for s, t in feasible]
+    for name, value in model.params.items():
+        reference = sum(g[name] for g in per_pair) / len(feasible)
+        np.testing.assert_allclose(value - updated.params[name], reference, rtol=1e-12, atol=1e-14,
+                                   err_msg=name)
+    step = 1e-6
+    for name, value in model.params.items():
+        fd = np.zeros_like(value)
+        for idx in np.ndindex(value.shape):
+            orig = value[idx]
+            value[idx] = orig + step
+            plus = mean_loss()
+            value[idx] = orig - step
+            minus = mean_loss()
+            value[idx] = orig
+            fd[idx] = (plus - minus) / (2 * step)
+        np.testing.assert_allclose(value - updated.params[name], fd, rtol=1e-5, atol=1e-8,
+                                   err_msg=name)
 
 
 def test_checkpoint_round_trip(tiny_model, tmp_path):

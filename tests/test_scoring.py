@@ -159,6 +159,14 @@ def test_tsv_round_trip_and_determinism(memorized_setup, tmp_path):
     validate_table_covers(loaded, corpus)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "7.500000", "-0.100000", "x"])
+def test_read_score_tsv_rejects_scores_outside_unit_interval(tmp_path, bad):
+    p = tmp_path / "scores.tsv"
+    p.write_text(f"0\t0.500000\t1\t3\t6\n1\t{bad}\t1\t3\t6\n")
+    with pytest.raises(ScoringError, match=":2:"):
+        read_score_tsv(str(p))
+
+
 def test_validate_table_covers_rejects_gaps(memorized_setup):
     corpus, result = memorized_setup
     table = score_corpus(result.model, corpus)
