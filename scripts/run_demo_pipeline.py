@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run the default synthetic pipeline end to end and print the summary.
 
-Equivalent to `selkd full --out runs/demo`; takes about half a minute.
+Equivalent to `selkd full --out runs/demo`; takes 8-10 s on a 2-core x86 machine.
 """
 
 import sys

@@ -6,16 +6,8 @@ trained checkpoint). Every stage writes a ``manifest.json`` capturing
 the resolved configuration plus sha256 checksums of its inputs and
 outputs; reruns with the same manifest produce byte-identical artifacts,
 and consuming a file that no longer matches the manifest that produced
-it is an error.
-
-Exit codes:
-  0  success
-  1  unexpected internal error
-  2  invalid flags or configuration
-  3  missing input file
-  4  input checksum mismatch against a prior manifest
-  5  corpus/score/checkpoint format error
-  6  training or numeric failure
+it is an error. Exit codes are listed in ``EXIT_CODE_DOC``, which
+``selkd --help`` prints.
 """
 
 from __future__ import annotations
@@ -50,13 +42,9 @@ EXIT_CODE_DOC = """exit codes:
   2  invalid flags or configuration
   3  missing input file
   4  input checksum mismatch against a prior manifest
-  5  corpus/score/checkpoint format error
+  5  corpus/score/checkpoint/manifest format error
   6  training or numeric failure
 """
-
-
-class ChecksumError(RuntimeError):
-    pass
 
 
 class StageError(RuntimeError):
@@ -87,18 +75,28 @@ def _require_inputs(*paths: str) -> None:
         _verify_against_manifest(p)
 
 
+def _read_manifest(path: str) -> dict:
+    """Parse a stage manifest: a JSON object whose ``outputs``, if
+    present, maps file names to sha256 digests."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise StageError(f"unreadable manifest {path}: {exc}", EXIT_FORMAT) from exc
+    outputs = manifest.get("outputs", {}) if isinstance(manifest, dict) else None
+    if not isinstance(outputs, dict) or not all(isinstance(d, str) for d in outputs.values()):
+        raise StageError(f"malformed manifest {path}: expected a JSON object whose "
+                         "\"outputs\" maps file names to digests", EXIT_FORMAT)
+    return manifest
+
+
 def _verify_against_manifest(path: str) -> None:
     """If a sibling manifest lists this file as an output, its checksum
     must still match."""
     manifest_path = os.path.join(os.path.dirname(os.path.abspath(path)), "manifest.json")
     if not os.path.exists(manifest_path):
         return
-    try:
-        with open(manifest_path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except (OSError, json.JSONDecodeError):
-        return
-    recorded = manifest.get("outputs", {}).get(os.path.basename(path))
+    recorded = _read_manifest(manifest_path).get("outputs", {}).get(os.path.basename(path))
     if recorded is not None and recorded != _sha256(path):
         raise StageError(
             f"{path} no longer matches the checksum recorded in {manifest_path}", EXIT_CHECKSUM
@@ -122,8 +120,9 @@ def _write_manifest(out_dir: str, subcommand: str, config: dict,
 
 
 class Stage:
-    """Tracks a stage's output directory; on failure removes anything the
-    stage created and leaves an INCOMPLETE marker instead."""
+    """Tracks a stage's output directory. Used as a context manager: an
+    exception inside the block removes anything the stage created, leaves
+    an INCOMPLETE marker instead, and propagates."""
 
     def __init__(self, out_dir: str, subcommand: str):
         self.out_dir = out_dir
@@ -133,6 +132,13 @@ class Stage:
         marker = os.path.join(out_dir, "INCOMPLETE")
         if os.path.exists(marker):
             os.remove(marker)
+
+    def __enter__(self) -> "Stage":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if isinstance(exc, Exception):
+            self.abort(str(exc))
 
     def path(self, name: str) -> str:
         p = os.path.join(self.out_dir, name)
@@ -191,8 +197,7 @@ def _synth_spec(args) -> synth_mod.SynthTaskSpec:
 # ---------------------------------------------------------------------------
 
 def run_synth(args) -> int:
-    stage = Stage(args.out, "synth")
-    try:
+    with Stage(args.out, "synth") as stage:
         spec = _synth_spec(args)
         sc = synth_mod.generate(spec, args.n)
         corpus_mod.write_bitext(sc.corpus, "source", stage.path("src.txt"))
@@ -202,14 +207,10 @@ def run_synth(args) -> int:
         stage.finish(config={"n": args.n, "spec": spec.__dict__ | {"mode_probs": list(spec.mode_probs)}},
                      inputs=[])
         return EXIT_OK
-    except Exception as exc:
-        stage.abort(str(exc))
-        raise
 
 
 def run_train_evaluator(args) -> int:
-    stage = Stage(args.out, "train-evaluator")
-    try:
+    with Stage(args.out, "train-evaluator") as stage:
         corpus = _load_corpus_args(args)
         config = _model_config(args)
         pairs = [(ex.source, ex.distilled_target if args.target_side == "distilled" else ex.raw_target)
@@ -232,33 +233,25 @@ def run_train_evaluator(args) -> int:
                              "skipped_pairs": result.skipped, "updates": result.updates},
                      inputs=[args.src, args.raw, args.kd])
         return EXIT_OK
-    except Exception as exc:
-        stage.abort(str(exc))
-        raise
 
 
 def run_score(args) -> int:
-    stage = Stage(args.out, "score")
-    try:
+    with Stage(args.out, "score") as stage:
         _require_inputs(args.checkpoint)
         corpus = _load_corpus_args(args)
         model = nat.load_checkpoint(args.checkpoint, corpus.src_vocab, corpus.tgt_vocab)
-        table = scoring.score_corpus(model, corpus, variant=args.variant, threads=args.threads,
+        table = scoring.score_corpus(model, corpus, variant=args.variant,
                                      normalize_by_reference=args.normalize_by_reference)
         scoring.write_score_tsv(table, stage.path("scores.tsv"))
-        stage.finish(config={"variant": args.variant, "threads": args.threads,
+        stage.finish(config={"variant": args.variant,
                              "normalize_by_reference": args.normalize_by_reference,
                              "checkpoint_id": table.checkpoint_id},
                      inputs=[args.checkpoint, args.src, args.raw, args.kd])
         return EXIT_OK
-    except Exception as exc:
-        stage.abort(str(exc))
-        raise
 
 
 def run_select(args) -> int:
-    stage = Stage(args.out, "select")
-    try:
+    with Stage(args.out, "select") as stage:
         corpus = _load_corpus_args(args)
         _require_inputs(args.scores)
         table = scoring.read_score_tsv(args.scores)
@@ -274,14 +267,10 @@ def run_select(args) -> int:
                              "schedule": schedule.__dict__, "raw_ratio": raw_share},
                      inputs=[args.src, args.raw, args.kd, args.scores])
         return EXIT_OK
-    except Exception as exc:
-        stage.abort(str(exc))
-        raise
 
 
 def run_train_student(args) -> int:
-    stage = Stage(args.out, "train-student")
-    try:
+    with Stage(args.out, "train-student") as stage:
         corpus = _load_corpus_args(args)
         _require_inputs(args.scores)
         if args.init_checkpoint:
@@ -310,9 +299,6 @@ def run_train_student(args) -> int:
                      inputs=[args.src, args.raw, args.kd, args.scores,
                              args.init_checkpoint or None])
         return EXIT_OK
-    except Exception as exc:
-        stage.abort(str(exc))
-        raise
 
 
 def _report_row(label: str, threshold, ratio, report) -> str:
@@ -325,8 +311,7 @@ def _report_row(label: str, threshold, ratio, report) -> str:
 
 
 def run_metrics(args) -> int:
-    stage = Stage(args.out, "metrics")
-    try:
+    with Stage(args.out, "metrics") as stage:
         inputs = []
         if args.tgt:
             _require_inputs(args.src, args.tgt)
@@ -355,7 +340,7 @@ def run_metrics(args) -> int:
 
         rows = ["view\tthreshold\traw_ratio\tsentences\tuncertainty\tshift\trepetition_per_mille"]
         for label, view in views.items():
-            rep = metrics_mod.metric_report(view, model, label, threads=args.threads)
+            rep = metrics_mod.metric_report(view, model, label)
             rows.append(_report_row(label, None, None, rep))
         for t in thresholds:
             ratio = cur.raw_ratio(table, t)
@@ -365,7 +350,7 @@ def run_metrics(args) -> int:
                 ("mix", metrics_mod.view_training_mix(corpus, table, t)),
             ):
                 try:
-                    rep = metrics_mod.metric_report(view, model, label, threads=args.threads)
+                    rep = metrics_mod.metric_report(view, model, label)
                 except metrics_mod.MetricsError:
                     rep = None  # not enough data at this threshold; report a hole
                 rows.append(_report_row(label, t, ratio, rep))
@@ -384,17 +369,13 @@ def run_metrics(args) -> int:
                 fh.write("\n".join(bucket_rows) + "\n")
 
         if args.dump_links:
-            links = [align_mod.align_pair(model, s, t) for s, t in train_bitext]
-            align_mod.write_pharaoh(links, stage.path("links.txt"))
+            align_mod.write_pharaoh(metrics_mod.align_bitext(train_bitext, model),
+                                    stage.path("links.txt"))
 
         stage.finish(config={"thresholds": thresholds, "align_iterations": args.align_iterations,
-                             "tension": args.tension, "null_prob": args.null_prob,
-                             "threads": args.threads},
+                             "tension": args.tension, "null_prob": args.null_prob},
                      inputs=[p for p in inputs if p])
         return EXIT_OK
-    except Exception as exc:
-        stage.abort(str(exc))
-        raise
 
 
 def _quantiles(values: list[float]) -> list[tuple[int, float]]:
@@ -409,8 +390,7 @@ def _quantiles(values: list[float]) -> list[tuple[int, float]]:
 
 
 def run_report(args) -> int:
-    stage = Stage(args.out, "report")
-    try:
+    with Stage(args.out, "report") as stage:
         run_dir = args.run
         if not os.path.isdir(run_dir):
             raise StageError(f"missing run directory: {run_dir}", EXIT_MISSING_INPUT)
@@ -424,10 +404,9 @@ def run_report(args) -> int:
                 lines.append(f"[{sub}] {status}")
                 continue
             inputs.append(manifest)
-            with open(manifest, "r", encoding="utf-8") as fh:
-                m = json.load(fh)
-            lines.append(f"[{sub}] ok ({len(m.get('outputs', {}))} artifacts)")
-            for name, digest in sorted(m.get("outputs", {}).items()):
+            outputs = _read_manifest(manifest).get("outputs", {})
+            lines.append(f"[{sub}] ok ({len(outputs)} artifacts)")
+            for name, digest in sorted(outputs.items()):
                 lines.append(f"  {name}  sha256:{digest[:16]}")
         score_path = os.path.join(run_dir, "scores", "scores.tsv")
         if os.path.exists(score_path):
@@ -446,79 +425,38 @@ def run_report(args) -> int:
             fh.write("\n".join(lines) + "\n")
         stage.finish(config={"run": run_dir}, inputs=inputs)
         return EXIT_OK
-    except Exception as exc:
-        stage.abort(str(exc))
-        raise
+
+
+def _stage_args(args, out: str, **overrides) -> argparse.Namespace:
+    return argparse.Namespace(**(vars(args) | {"out": out} | overrides))
 
 
 def run_full(args) -> int:
     """Chain every stage under one output directory."""
     out = args.out
-    ns = argparse.Namespace(**vars(args))
+    run_synth(_stage_args(args, os.path.join(out, "synth")))
+    files = {name: os.path.join(out, "synth", f"{name}.txt") for name in ("src", "raw", "kd")}
 
-    ns.out = os.path.join(out, "synth")
-    code = run_synth(ns)
-    if code != EXIT_OK:
-        return code
-    src = os.path.join(out, "synth", "src.txt")
-    raw = os.path.join(out, "synth", "raw.txt")
-    kd = os.path.join(out, "synth", "kd.txt")
-
-    ns = argparse.Namespace(**vars(args))
-    ns.out = os.path.join(out, "evaluator")
-    ns.src, ns.raw, ns.kd = src, raw, kd
-    ns.target_side = "distilled"
-    ns.snapshot_updates = max(1, math.ceil(args.updates / 12))
-    code = run_train_evaluator(ns)
-    if code != EXIT_OK:
-        return code
+    run_train_evaluator(_stage_args(args, os.path.join(out, "evaluator"), **files,
+                                    target_side="distilled",
+                                    snapshot_updates=max(1, math.ceil(args.updates / 12))))
     checkpoint = os.path.join(out, "evaluator", "checkpoint.txt")
     snapshot = os.path.join(out, "evaluator", "snapshot.txt")
 
-    ns = argparse.Namespace(**vars(args))
-    ns.out = os.path.join(out, "scores")
-    ns.src, ns.raw, ns.kd = src, raw, kd
-    ns.checkpoint = checkpoint
-    ns.normalize_by_reference = False
-    code = run_score(ns)
-    if code != EXIT_OK:
-        return code
+    run_score(_stage_args(args, os.path.join(out, "scores"), **files,
+                          checkpoint=checkpoint, normalize_by_reference=False))
     scores = os.path.join(out, "scores", "scores.tsv")
 
-    ns = argparse.Namespace(**vars(args))
-    ns.out = os.path.join(out, "select")
-    ns.src, ns.raw, ns.kd, ns.scores = src, raw, kd, scores
-    ns.fixed_threshold = None
-    ns.k = args.updates // 2
-    code = run_select(ns)
-    if code != EXIT_OK:
-        return code
-
-    ns = argparse.Namespace(**vars(args))
-    ns.out = os.path.join(out, "student")
-    ns.src, ns.raw, ns.kd, ns.scores = src, raw, kd, scores
-    ns.fixed_threshold = None
-    ns.init_checkpoint = snapshot if os.path.exists(snapshot) else ""
-    ns.eval_every = max(1, args.updates // 10)
-    code = run_train_student(ns)
-    if code != EXIT_OK:
-        return code
-
-    ns = argparse.Namespace(**vars(args))
-    ns.out = os.path.join(out, "metrics")
-    ns.src, ns.raw, ns.kd, ns.scores = src, raw, kd, scores
-    ns.tgt = None
+    run_select(_stage_args(args, os.path.join(out, "select"), **files, scores=scores,
+                           fixed_threshold=None, k=args.updates // 2))
+    run_train_student(_stage_args(args, os.path.join(out, "student"), **files, scores=scores,
+                                  fixed_threshold=None,
+                                  init_checkpoint=snapshot if os.path.exists(snapshot) else "",
+                                  eval_every=max(1, args.updates // 10)))
     mid = (args.t0 + args.t1) / 2
-    ns.thresholds = f"{args.t0},{mid},{args.t1}"
-    ns.dump_links = False
-    code = run_metrics(ns)
-    if code != EXIT_OK:
-        return code
-
-    ns = argparse.Namespace(**vars(args))
-    ns.out = os.path.join(out, "report")
-    ns.run = out
-    return run_report(ns)
+    run_metrics(_stage_args(args, os.path.join(out, "metrics"), **files, scores=scores, tgt=None,
+                            thresholds=f"{args.t0},{mid},{args.t1}", dump_links=False))
+    return run_report(_stage_args(args, os.path.join(out, "report"), run=out))
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +536,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=scoring.VARIANTS, default="ctc")
     p.add_argument("--normalize-by-reference", action="store_true",
                    help="divide the frame distance by the reference length instead of the frame count")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=run_score)
 
     p = sub("select", "materialize the raw/distilled choice at one threshold")
@@ -630,7 +567,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--align-iterations", type=int, default=5)
     p.add_argument("--tension", type=float, default=align_mod.DEFAULT_TENSION)
     p.add_argument("--null-prob", type=float, default=align_mod.DEFAULT_NULL_PROB)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--dump-links", action="store_true", help="dump argmax links in i-j format")
     p.set_defaults(func=run_metrics)
 
@@ -643,7 +579,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(p)
     _add_schedule_flags(p)
     p.add_argument("--variant", choices=scoring.VARIANTS, default="ctc")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--align-iterations", type=int, default=5)
     p.add_argument("--tension", type=float, default=align_mod.DEFAULT_TENSION)
     p.add_argument("--null-prob", type=float, default=align_mod.DEFAULT_NULL_PROB)

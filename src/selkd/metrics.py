@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .align import NULL_LINK, AlignmentLinks, AlignmentModel, align_pair
@@ -53,22 +52,20 @@ class MetricReport:
     buckets: tuple[BucketRow, ...] = ()
 
 
-def _links_for(bitext: Bitext, model: AlignmentModel, threads: int = 1) -> list[AlignmentLinks]:
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda p: align_pair(model, p[0], p[1]), bitext))
+def align_bitext(bitext: Bitext, model: AlignmentModel) -> list[AlignmentLinks]:
+    """Argmax links of every pair, in bitext order."""
     return [align_pair(model, src, tgt) for src, tgt in bitext]
 
 
-def translation_uncertainty(bitext: Bitext, model: AlignmentModel, threads: int = 1) -> float:
+def translation_uncertainty(bitext: Bitext, links: list[AlignmentLinks]) -> float:
     """Mean entropy of aligned target types per source type, in nats.
 
     Source types that never receive a non-NULL link are left out of the
     mean rather than counted as zero-entropy evidence.
     """
     by_source: dict[int, Counter] = {}
-    for (src, tgt), links in zip(bitext, _links_for(bitext, model, threads)):
-        for j, i in enumerate(links):
+    for (src, tgt), pair_links in zip(bitext, links, strict=True):
+        for j, i in enumerate(pair_links):
             if i == NULL_LINK:
                 continue
             by_source.setdefault(src[i - 1], Counter())[tgt[j]] += 1
@@ -94,12 +91,12 @@ def alignment_shift_pair(src: Sentence, tgt: Sentence, links: AlignmentLinks) ->
     return acc / m
 
 
-def alignment_shift(bitext: Bitext, model: AlignmentModel, threads: int = 1) -> float:
+def alignment_shift(bitext: Bitext, links: list[AlignmentLinks]) -> float:
     """Corpus mean of the per-pair alignment shift."""
     if not bitext:
         raise MetricsError("empty bitext")
-    links = _links_for(bitext, model, threads)
-    return sum(alignment_shift_pair(s, t, l) for (s, t), l in zip(bitext, links)) / len(bitext)
+    pairs = zip(bitext, links, strict=True)
+    return sum(alignment_shift_pair(s, t, l) for (s, t), l in pairs) / len(bitext)
 
 
 def repetition_ratio(sentences: list[Sentence]) -> float:
@@ -209,17 +206,17 @@ def length_buckets(table: ScoreTable, schedule: ThresholdSchedule | None) -> tup
 
 def metric_report(bitext: Bitext, model: AlignmentModel, label: str,
                   table: ScoreTable | None = None,
-                  schedule: ThresholdSchedule | None = None,
-                  threads: int = 1) -> MetricReport:
-    """All metrics for one corpus view; errors on an empty view (there is
-    nothing meaningful to report)."""
+                  schedule: ThresholdSchedule | None = None) -> MetricReport:
+    """All metrics for one corpus view, from one alignment of each pair;
+    errors on an empty view (there is nothing meaningful to report)."""
     if not bitext:
         raise MetricsError(f"view {label!r} is empty")
     targets = [tgt for _, tgt in bitext]
+    links = align_bitext(bitext, model)
     return MetricReport(
         label=label,
-        uncertainty=translation_uncertainty(bitext, model, threads),
-        shift=alignment_shift(bitext, model, threads),
+        uncertainty=translation_uncertainty(bitext, links),
+        shift=alignment_shift(bitext, links),
         repetition_per_mille=repetition_ratio(targets),
         sentences=len(bitext),
         target_tokens=sum(len(t) for t in targets),

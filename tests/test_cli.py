@@ -58,7 +58,7 @@ def test_synth_rerun_is_byte_identical(tmp_path):
     assert dir_bytes(a) == dir_bytes(b)
 
 
-def test_pipeline_stages_and_thread_determinism(tmp_path, synth_dir):
+def test_pipeline_stages_and_rerun_determinism(tmp_path, synth_dir):
     ev = tmp_path / "ev"
     assert main(["train-evaluator", "--out", str(ev), *corpus_flags(synth_dir),
                  *FAST_MODEL, "--seed", "1"]) == EXIT_OK
@@ -66,13 +66,13 @@ def test_pipeline_stages_and_thread_determinism(tmp_path, synth_dir):
 
     s1, s4 = tmp_path / "s1", tmp_path / "s4"
     base = ["score", *corpus_flags(synth_dir), "--checkpoint", str(ev / "checkpoint.txt")]
-    assert main([*base, "--out", str(s1), "--threads", "1"]) == EXIT_OK
-    assert main([*base, "--out", str(s4), "--threads", "4"]) == EXIT_OK
+    assert main([*base, "--out", str(s1)]) == EXIT_OK
+    assert main([*base, "--out", str(s4)]) == EXIT_OK
     assert read_bytes(s1 / "scores.tsv") == read_bytes(s4 / "scores.tsv")
 
     # rerun in place: byte-identical artifacts including the manifest
     before = dir_bytes(s1)
-    assert main([*base, "--out", str(s1), "--threads", "2"]) == EXIT_OK
+    assert main([*base, "--out", str(s1)]) == EXIT_OK
     after = dir_bytes(s1)
     assert before["scores.tsv"] == after["scores.tsv"]
 
@@ -239,3 +239,19 @@ def test_full_pipeline_small(tmp_path):
 def test_report_requires_run_dir(tmp_path):
     code = main(["report", "--out", str(tmp_path / "r"), "--run", str(tmp_path / "missing")])
     assert code == EXIT_MISSING_INPUT
+
+
+@pytest.mark.parametrize("manifest", ["{not json", "[1, 2]", '{"outputs": ["raw.txt"]}',
+                                      '{"outputs": {"raw.txt": 5}}'],
+                         ids=["not-json", "not-object", "outputs-not-object", "digest-not-string"])
+@pytest.mark.parametrize("command", ["metrics", "report"])
+def test_malformed_manifest_is_format_error(tmp_path, synth_dir, command, manifest):
+    (synth_dir / "manifest.json").write_text(manifest)
+    out = tmp_path / "out"
+    if command == "metrics":
+        argv = ["metrics", "--out", str(out), *corpus_flags(synth_dir)]
+    else:
+        argv = ["report", "--out", str(out), "--run", str(synth_dir.parent)]
+    assert main(argv) == EXIT_FORMAT
+    assert (out / "INCOMPLETE").exists()
+

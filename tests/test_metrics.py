@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from selkd.align import NULL_LINK, NULL_TOKEN, AlignmentModel, em_train
+from selkd import metrics as metrics_mod
+from selkd.align import NULL_LINK, NULL_TOKEN, AlignmentModel, align_pair, em_train
 from selkd.curriculum import ThresholdSchedule
 from selkd.metrics import (
     MetricsError,
+    align_bitext,
     alignment_shift,
     alignment_shift_pair,
     corpus_bleu,
@@ -28,20 +30,22 @@ from test_align import bijective_bitext
 def test_uncertainty_zero_for_deterministic_mapping():
     bitext = bijective_bitext(300, seed=9)
     model = em_train(bitext, iterations=4)
-    assert translation_uncertainty(bitext, model) == 0.0
+    assert translation_uncertainty(bitext, align_bitext(bitext, model)) == 0.0
 
 
 def test_uncertainty_fifty_fifty_is_ln2():
     # One source type aligned to two target types with equal counts.
     model = AlignmentModel(trans={NULL_TOKEN: {8: 0.01, 9: 0.01}, 5: {8: 0.5, 9: 0.5}})
     bitext = [((5,), (8,))] * 50 + [((5,), (9,))] * 50
-    assert translation_uncertainty(bitext, model) == pytest.approx(math.log(2), rel=1e-12)
+    links = align_bitext(bitext, model)
+    assert translation_uncertainty(bitext, links) == pytest.approx(math.log(2), rel=1e-12)
 
 
 def test_uncertainty_errors_when_everything_null():
     model = AlignmentModel(trans={NULL_TOKEN: {8: 1.0}, 5: {}})
+    bitext = [((5,), (8,))]
     with pytest.raises(MetricsError):
-        translation_uncertainty([((5,), (8,))], model)
+        translation_uncertainty(bitext, align_bitext(bitext, model))
 
 
 def test_multimodal_raw_more_uncertain_than_distilled():
@@ -52,7 +56,8 @@ def test_multimodal_raw_more_uncertain_than_distilled():
     raw = view_raw(sc.corpus)
     kd = view_distilled(sc.corpus)
     model = em_train(raw, iterations=4)
-    assert translation_uncertainty(raw, model) > translation_uncertainty(kd, model)
+    assert translation_uncertainty(raw, align_bitext(raw, model)) > \
+        translation_uncertainty(kd, align_bitext(kd, model))
 
 
 def test_shift_pair_cases():
@@ -73,7 +78,7 @@ def test_shift_corpus_mean():
     model = AlignmentModel(trans={NULL_TOKEN: {}, 1: {7: 1.0}, 2: {8: 1.0}})
     # monotone pair tau=0 plus crossed pair tau=0.5 -> mean 0.25
     bitext = [((1, 2), (7, 8)), ((2, 1), (7, 8))]
-    assert alignment_shift(bitext, model) == pytest.approx(0.25)
+    assert alignment_shift(bitext, align_bitext(bitext, model)) == pytest.approx(0.25)
 
 
 def test_reversed_modes_shift_more():
@@ -85,7 +90,8 @@ def test_reversed_modes_shift_more():
     canonical = [(ex.source, ex.raw_target) for ex, m in pairs if m == 0]
     reversed_ = [(ex.source, ex.raw_target) for ex, m in pairs if m == 1]
     model = em_train(view_raw(sc.corpus), iterations=4)
-    assert alignment_shift(reversed_, model) > alignment_shift(canonical, model)
+    assert alignment_shift(reversed_, align_bitext(reversed_, model)) > \
+        alignment_shift(canonical, align_bitext(canonical, model))
 
 
 def test_repetition_examples():
@@ -173,6 +179,20 @@ def test_metric_report_single_mode_distilled_has_zero_uncertainty():
     assert rep.uncertainty == 0.0
     assert rep.sentences == 400
     assert rep.label == "distilled"
+
+
+def test_metric_report_aligns_each_pair_once(monkeypatch):
+    bitext = bijective_bitext(30, seed=4)
+    model = em_train(bitext, iterations=2)
+    calls = []
+
+    def counting_align_pair(model, src, tgt):
+        calls.append((src, tgt))
+        return align_pair(model, src, tgt)
+
+    monkeypatch.setattr(metrics_mod, "align_pair", counting_align_pair)
+    metric_report(bitext, model, "raw")
+    assert len(calls) == len(bitext)
 
 
 def test_metric_report_empty_view_errors():

@@ -127,13 +127,6 @@ def test_score_corpus_plain_variant(memorized_setup):
     assert all(r.score == 1.0 for r in table.records)  # memorized
 
 
-def test_score_corpus_threads_match_sequential(memorized_setup):
-    corpus, result = memorized_setup
-    seq = score_corpus(result.model, corpus, variant="ctc", threads=1)
-    par = score_corpus(result.model, corpus, variant="ctc", threads=4)
-    assert seq.records == par.records
-
-
 def test_score_corpus_rejects_wrong_vocab(memorized_setup):
     corpus, result = memorized_setup
     from conftest import make_corpus
