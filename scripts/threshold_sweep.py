@@ -3,7 +3,8 @@
 threshold, the raw ratio and the complexity (uncertainty / shift) of the
 selected-raw, replaced-raw and mixed training views.
 
-Trains a fresh evaluator, so expect ~20s with the defaults.
+Trains a fresh evaluator; with the defaults it takes 5-6 s on a 2-core
+x86 machine.
 
     python scripts/threshold_sweep.py [seed] [n]
 """

@@ -1,12 +1,18 @@
 """EM-trained word alignment with a diagonal position preference.
 
-A lexical translation table over co-occurring token pairs, reweighted by
-a fixed diagonal prior: the prior mass for linking target position j to
-source position i is proportional to exp(-tension * |i/N - j/L|) with a
-reserved share for the NULL link. Only the lexical table is re-estimated,
-so every EM iteration provably cannot decrease the corpus
-log-likelihood. Positions are 1-based in the distance ratios; NULL links
-are encoded as source position 0.
+A lexical translation table t(y | x), reweighted by a fixed diagonal
+prior: the prior mass for linking target position j to source position
+i is proportional to exp(-tension * |i/N - j/L|) with a reserved share
+for the NULL link. Only the lexical table is re-estimated, so every EM
+iteration provably cannot decrease the corpus log-likelihood. Positions
+are 1-based in the distance ratios; NULL links are encoded as source
+position 0.
+
+The table is one dense float64 array of shape (V_src + 1, V_tgt), V_src
+and V_tgt being one more than the largest source and target id in the
+training bitext, with the NULL row last (``trans[NULL_TOKEN]``) and 0 for
+pairs that never co-occur. It takes about 8 * (V_src + 1) * V_tgt bytes,
+twice that during EM.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ import numpy as np
 from .corpus import Sentence
 
 NULL_LINK = 0  # per-target link value meaning "aligned to nothing"
-NULL_TOKEN = -1  # key of the NULL source word in the lexical table
+NULL_TOKEN = -1  # row of the NULL source word in the lexical table (the last row)
 
 DEFAULT_TENSION = 4.0
 DEFAULT_NULL_PROB = 0.08
@@ -29,12 +35,16 @@ class AlignmentError(ValueError):
     pass
 
 
+class AlignmentConfigError(AlignmentError):
+    """An EM parameter is out of range."""
+
+
 AlignmentLinks = tuple[int, ...]  # one entry per target position: 0 or 1-based source position
 
 
 @dataclass
 class AlignmentModel:
-    trans: dict[int, dict[int, float]]  # source token id (or NULL_TOKEN) -> {target id: prob}
+    trans: np.ndarray  # t(y | x) at [x, y]; (V_src + 1, V_tgt), NULL row last, 0 where x, y never co-occur
     tension: float = DEFAULT_TENSION
     null_prob: float = DEFAULT_NULL_PROB
     log_likelihood: tuple[float, ...] = field(default_factory=tuple)
@@ -42,29 +52,35 @@ class AlignmentModel:
 
 
 @lru_cache(maxsize=4096)
-def _prior_row(n_src: int, j: int, tgt_len: int, tension: float, null_prob: float) -> np.ndarray:
-    """Prior over [NULL, 1..n_src] for target position j (1-based)."""
+def _prior(n_src: int, tgt_len: int, tension: float, null_prob: float) -> np.ndarray:
+    """Prior over [NULL, 1..n_src] for each target position: shape
+    (tgt_len, n_src + 1). Read-only, because the cache shares it."""
     i = np.arange(1, n_src + 1, dtype=np.float64)
+    j = np.arange(1, tgt_len + 1, dtype=np.float64)[:, None]
     delta = np.exp(-tension * np.abs(i / n_src - j / tgt_len))
-    row = np.empty(n_src + 1)
-    row[0] = null_prob
-    row[1:] = (1.0 - null_prob) * delta / delta.sum()
-    return row
+    prior = np.empty((tgt_len, n_src + 1))
+    prior[:, 0] = null_prob
+    prior[:, 1:] = (1.0 - null_prob) * delta / delta.sum(axis=1, keepdims=True)
+    prior.flags.writeable = False
+    return prior
 
 
-def _pair_trans_matrix(model: AlignmentModel, src: Sentence, tgt: Sentence) -> np.ndarray:
-    """t(y_j | x_i) with row 0 for NULL; shape (|src|+1, |tgt|)."""
-    mat = np.zeros((len(src) + 1, len(tgt)))
-    null_row = model.trans.get(NULL_TOKEN, {})
-    for j, y in enumerate(tgt):
-        mat[0, j] = null_row.get(y, 0.0)
-    for i, x in enumerate(src, start=1):
-        row = model.trans.get(x)
-        if row is None:
-            continue
-        for j, y in enumerate(tgt):
-            mat[i, j] = row.get(y, 0.0)
-    return mat
+def _weights(trans: np.ndarray, rows, cols, tension: float, null_prob: float) -> np.ndarray:
+    """prior * t(y_j | x_i) of one pair, given its table rows (NULL_TOKEN,
+    *src) and target ids: a row per target position, NULL in column 0, so
+    each row's sum runs over contiguous memory. Ids outside the table read 0."""
+    rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
+    j, i = np.nonzero(((cols >= 0) & (cols < trans.shape[1]))[:, None]
+                      & (rows >= NULL_TOKEN) & (rows < trans.shape[0] - 1))
+    lexical = np.zeros((len(cols), len(rows)))
+    lexical[j, i] = trans[rows[i], cols[j]]
+    return _prior(len(rows) - 1, len(cols), tension, null_prob) * lexical
+
+
+def _normalize_rows(m: np.ndarray) -> np.ndarray:
+    """Each row divided by its sum; rows without mass stay 0."""
+    totals = m.sum(axis=1, keepdims=True)
+    return np.divide(m, totals, out=np.zeros_like(m), where=totals > 0)
 
 
 def em_train(bitext: list[tuple[Sentence, Sentence]], iterations: int,
@@ -78,73 +94,53 @@ def em_train(bitext: list[tuple[Sentence, Sentence]], iterations: int,
     if not bitext:
         raise AlignmentError("empty bitext")
     if iterations < 1:
-        raise AlignmentError("iterations must be >= 1")
-    if tension < 0:
-        raise AlignmentError(f"tension must be >= 0, got {tension}")
+        raise AlignmentConfigError("iterations must be >= 1")
+    if not (np.isfinite(tension) and tension >= 0):
+        raise AlignmentConfigError(f"tension must be finite and >= 0, got {tension}")
     if not 0.0 <= null_prob < 1.0:
-        raise AlignmentError(f"null_prob must be in [0, 1), got {null_prob}")
+        raise AlignmentConfigError(f"null_prob must be in [0, 1), got {null_prob}")
+
+    pairs = [(np.array((NULL_TOKEN, *src), dtype=np.intp), np.array(tgt, dtype=np.intp))
+             for src, tgt in bitext]
+    src_ids = np.concatenate([rows[1:] for rows, _ in pairs])
+    tgt_ids = np.concatenate([cols for _, cols in pairs])
+    if src_ids.min(initial=0) < 0 or tgt_ids.min(initial=0) < 0:
+        raise AlignmentError("token ids must be >= 0")
+    shape = (int(src_ids.max(initial=-1)) + 2, int(tgt_ids.max(initial=-1)) + 1)
 
     # Uniform initialization over each source type's co-occurring targets;
     # NULL co-occurs with every target type.
-    support: dict[int, set[int]] = {NULL_TOKEN: set()}
-    for src, tgt in bitext:
-        support[NULL_TOKEN].update(tgt)
-        for x in src:
-            support.setdefault(x, set()).update(tgt)
-    trans = {x: {y: 1.0 / len(ys) for y in sorted(ys)} for x, ys in support.items()}
-    model = AlignmentModel(trans=trans, tension=tension, null_prob=null_prob)
+    support = np.zeros(shape)
+    for rows, cols in pairs:
+        support[rows[None, :], cols[:, None]] = 1.0
+    trans = _normalize_rows(support)
 
     lls = []
     for _ in range(iterations):
-        counts: dict[int, dict[int, float]] = {}
+        counts = np.zeros(shape)
         ll = 0.0
-        for src, tgt in bitext:
-            tmat = _pair_trans_matrix(model, src, tgt)
-            for j, y in enumerate(tgt):
-                prior = _prior_row(len(src), j + 1, len(tgt), tension, null_prob)
-                weights = prior * tmat[:, j]
-                z = weights.sum()
-                ll += np.log(z)
-                post = weights / z
-                counts.setdefault(NULL_TOKEN, {})
-                counts[NULL_TOKEN][y] = counts[NULL_TOKEN].get(y, 0.0) + post[0]
-                for i, x in enumerate(src, start=1):
-                    row = counts.setdefault(x, {})
-                    row[y] = row.get(y, 0.0) + post[i]
+        for rows, cols in pairs:
+            weights = _weights(trans, rows, cols, tension, null_prob)
+            z = weights.sum(axis=1, keepdims=True)
+            ll += np.log(z).sum()
+            np.add.at(counts, (rows[None, :], cols[:, None]), weights / z)
         lls.append(float(ll))
-        trans = {}
-        for x, row in counts.items():
-            total = sum(row.values())
-            trans[x] = {y: c / total for y, c in sorted(row.items())}
-        model = AlignmentModel(trans=trans, tension=tension, null_prob=null_prob)
+        trans = _normalize_rows(counts)
 
-    model.log_likelihood = tuple(lls)
-    return model
+    return AlignmentModel(trans, tension, null_prob, log_likelihood=tuple(lls))
 
 
 def align_pair(model: AlignmentModel, src: Sentence, tgt: Sentence) -> AlignmentLinks:
     """Argmax link (or NULL) for every target position.
 
-    Candidates are scanned NULL first, then source positions left to
-    right, replacing only on strictly greater posterior, so ties resolve
-    toward NULL and then the smaller position. Target tokens never seen
-    in training fall back to NULL and bump the model's fallback counter.
+    The first maximum of each target position's weights wins, so ties
+    resolve toward NULL and then the smaller source position. Target
+    tokens never seen in training fall back to NULL and bump the model's
+    fallback counter.
     """
-    links = []
-    tmat = _pair_trans_matrix(model, src, tgt)
-    for j, y in enumerate(tgt):
-        prior = _prior_row(len(src), j + 1, len(tgt), model.tension, model.null_prob)
-        weights = prior * tmat[:, j]
-        if weights.sum() == 0.0:
-            model.unseen_fallbacks += 1
-            links.append(NULL_LINK)
-            continue
-        best, best_w = NULL_LINK, weights[0]
-        for i in range(1, len(src) + 1):
-            if weights[i] > best_w:
-                best, best_w = i, weights[i]
-        links.append(best)
-    return tuple(links)
+    weights = _weights(model.trans, (NULL_TOKEN, *src), tgt, model.tension, model.null_prob)
+    model.unseen_fallbacks += int(np.count_nonzero(~weights.any(axis=1)))
+    return tuple(weights.argmax(axis=1).tolist())
 
 
 def write_pharaoh(links_per_pair: list[AlignmentLinks], path: str) -> None:

@@ -480,6 +480,12 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--clip-norm", type=float, default=5.0)
 
 
+def _add_align_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--align-iterations", type=int, default=5)
+    p.add_argument("--tension", type=float, default=align_mod.DEFAULT_TENSION)
+    p.add_argument("--null-prob", type=float, default=align_mod.DEFAULT_NULL_PROB)
+
+
 def _add_schedule_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--t0", type=float, default=0.4, help="starting threshold")
     p.add_argument("--t1", type=float, default=1.0, help="final threshold")
@@ -564,9 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t0", type=float, default=0.4)
     p.add_argument("--t1", type=float, default=1.0)
     p.add_argument("--updates", type=int, default=2000)
-    p.add_argument("--align-iterations", type=int, default=5)
-    p.add_argument("--tension", type=float, default=align_mod.DEFAULT_TENSION)
-    p.add_argument("--null-prob", type=float, default=align_mod.DEFAULT_NULL_PROB)
+    _add_align_flags(p)
     p.add_argument("--dump-links", action="store_true", help="dump argmax links in i-j format")
     p.set_defaults(func=run_metrics)
 
@@ -579,9 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(p)
     _add_schedule_flags(p)
     p.add_argument("--variant", choices=scoring.VARIANTS, default="ctc")
-    p.add_argument("--align-iterations", type=int, default=5)
-    p.add_argument("--tension", type=float, default=align_mod.DEFAULT_TENSION)
-    p.add_argument("--null-prob", type=float, default=align_mod.DEFAULT_NULL_PROB)
+    _add_align_flags(p)
     p.set_defaults(func=run_full)
 
     return parser
@@ -591,7 +593,7 @@ _ERROR_CODES = (
     (StageError, None),
     (FileNotFoundError, EXIT_MISSING_INPUT),
     ((nat.TrainingError, nat.CtcInfeasibleError), EXIT_TRAINING),
-    ((synth_mod.SynthConfigError, cur.ScheduleError), EXIT_CONFIG),
+    ((synth_mod.SynthConfigError, cur.ScheduleError, align_mod.AlignmentConfigError), EXIT_CONFIG),
     ((corpus_mod.CorpusFormatError, corpus_mod.VocabularyMismatchError,
       scoring.ScoringError, cur.SelectionError, align_mod.AlignmentError,
       metrics_mod.MetricsError, nat.CheckpointError), EXIT_FORMAT),

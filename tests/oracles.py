@@ -1,9 +1,10 @@
-"""Independent reference implementations used to check the DP code.
+"""Independent reference implementations used to check the DP and EM code.
 
 Nothing here shares logic with the package: paths are enumerated by a
 direct automaton walk over raw frame sequences (with exhaustive
-product enumeration as a cross-check on tiny instances), and gradients
-come from central finite differences.
+product enumeration as a cross-check on tiny instances), gradients
+come from central finite differences, and the word aligner is plain
+nested loops over a dict-of-dicts lexical table.
 """
 
 from __future__ import annotations
@@ -90,3 +91,53 @@ def fd_gradient(loss_fn, log_probs, step: float = 1e-5):
             minus[t][v] -= step
             grad[t][v] = (loss_fn(plus) - loss_fn(minus)) / (2 * step)
     return grad
+
+
+def _diagonal_prior(i, j, n_src, tgt_len, tension, null_prob) -> float:
+    """Prior of linking target position j to source position i (0 = NULL)."""
+    if i == 0:
+        return null_prob
+    norm = sum(math.exp(-tension * abs(k / n_src - j / tgt_len)) for k in range(1, n_src + 1))
+    return (1.0 - null_prob) * math.exp(-tension * abs(i / n_src - j / tgt_len)) / norm
+
+
+def em_reference(bitext, iterations, tension, null_prob, null_key):
+    """Diagonal-prior EM over {source id or null_key: {target id: prob}}.
+
+    Returns (table, log-likelihood per iteration, taken before its update).
+    """
+    support = {}
+    for src, tgt in bitext:
+        for x in (null_key, *src):
+            support.setdefault(x, set()).update(tgt)
+    table = {x: {y: 1.0 / len(ys) for y in ys} for x, ys in support.items()}
+    lls = []
+    for _ in range(iterations):
+        counts = {x: {} for x in table}
+        ll = 0.0
+        for src, tgt in bitext:
+            for j, y in enumerate(tgt, start=1):
+                weights = [_diagonal_prior(i, j, len(src), len(tgt), tension, null_prob)
+                           * table[x].get(y, 0.0)
+                           for i, x in enumerate((null_key, *src))]
+                z = sum(weights)
+                ll += math.log(z)
+                for x, w in zip((null_key, *src), weights):
+                    counts[x][y] = counts[x].get(y, 0.0) + w / z
+        lls.append(ll)
+        table = {x: {y: c / sum(row.values()) for y, c in row.items()} for x, row in counts.items()}
+    return table, lls
+
+
+def align_reference(table, src, tgt, tension, null_prob, null_key):
+    """Argmax source position (0 = NULL) per target position; a later
+    candidate wins only when strictly greater."""
+    links = []
+    for j, y in enumerate(tgt, start=1):
+        best, best_w = 0, -1.0
+        for i, x in enumerate((null_key, *src)):
+            w = _diagonal_prior(i, j, len(src), len(tgt), tension, null_prob) * table.get(x, {}).get(y, 0.0)
+            if w > best_w:
+                best, best_w = i, w
+        links.append(best)
+    return tuple(links)

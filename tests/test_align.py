@@ -1,14 +1,29 @@
+import numpy as np
 import pytest
 
+from oracles import align_reference, em_reference
 from selkd.align import (
     NULL_LINK,
     NULL_TOKEN,
     AlignmentError,
+    AlignmentModel,
     align_pair,
     em_train,
     write_pharaoh,
 )
 from selkd.rng import Rng
+
+
+def dense_table(rows):
+    """Lexical table array from {source id or NULL_TOKEN: {target id: prob}},
+    sized by the largest ids present."""
+    v_src = max((x for x in rows if x != NULL_TOKEN), default=-1) + 1
+    v_tgt = max((y for row in rows.values() for y in row), default=-1) + 1
+    trans = np.zeros((v_src + 1, v_tgt))
+    for x, row in rows.items():
+        for y, p in row.items():
+            trans[x, y] = p
+    return trans
 
 
 def bijective_bitext(n_pairs=1000, vocab=10, len_min=3, len_max=8, seed=2):
@@ -45,9 +60,9 @@ def test_single_pair_single_iteration():
 
 def test_rows_stochastic_after_each_m_step():
     model = em_train(noisy_bitext(50), iterations=3)
-    for x, row in model.trans.items():
-        assert abs(sum(row.values()) - 1.0) <= 1e-9
-        assert all(0.0 <= p <= 1.0 for p in row.values())
+    for row in model.trans[model.trans.sum(axis=1) > 0]:
+        assert abs(row.sum() - 1.0) <= 1e-9
+        assert all(0.0 <= p <= 1.0 for p in row)
 
 
 def test_log_likelihood_nondecreasing():
@@ -108,5 +123,56 @@ def test_pharaoh_dump(tmp_path):
 
 
 def test_null_token_key_present_in_table():
-    model = em_train(bijective_bitext(50), iterations=2)
-    assert NULL_TOKEN in model.trans
+    bitext = bijective_bitext(50)
+    model = em_train(bitext, iterations=2)
+    # one row per source id 0..max, then the NULL row
+    assert model.trans.shape[0] == max(x for src, _ in bitext for x in src) + 2
+    assert model.trans[NULL_TOKEN].sum() == pytest.approx(1.0)
+
+
+def test_negative_token_ids_rejected():
+    with pytest.raises(AlignmentError):
+        em_train([((1, -2), (3,))], iterations=1)
+    with pytest.raises(AlignmentError):
+        em_train([((1,), (-3,))], iterations=1)
+
+
+def test_em_matches_plain_loop_reference():
+    # the last pair repeats source and target tokens, so several cells get
+    # more than one posterior per target position
+    bitext = noisy_bitext(50) + [((3, 5, 3, 3), (103, 103, 105, 103, 103))]
+    tension, null_prob = 4.0, 0.08
+    model = em_train(bitext, iterations=3, tension=tension, null_prob=null_prob)
+    table, lls = em_reference(bitext, 3, tension, null_prob, null_key=NULL_TOKEN)
+
+    v_src, v_tgt = model.trans.shape[0] - 1, model.trans.shape[1]
+    for x in (*range(v_src), NULL_TOKEN):
+        for y in range(v_tgt):
+            assert abs(model.trans[x, y] - table.get(x, {}).get(y, 0.0)) <= 1e-12, (x, y)
+    assert all(y < v_tgt for row in table.values() for y in row)
+    assert set(table) <= {*range(v_src), NULL_TOKEN}
+    assert np.allclose(model.log_likelihood, lls, rtol=0.0, atol=1e-9)
+    for src, tgt in bitext:
+        assert align_pair(model, src, tgt) == align_reference(table, src, tgt, tension, null_prob,
+                                                              null_key=NULL_TOKEN)
+
+
+def test_align_pair_tie_prefers_null():
+    # one source position: its prior is 1 - null_prob = 0.5, equal to NULL's
+    model = AlignmentModel(trans=dense_table({NULL_TOKEN: {1: 0.5}, 2: {1: 0.5}}), null_prob=0.5)
+    assert align_pair(model, (2,), (1,)) == (NULL_LINK,)
+
+
+def test_align_pair_tie_between_positions_prefers_smaller():
+    # tension 0 makes the prior flat over source positions
+    model = AlignmentModel(trans=dense_table({NULL_TOKEN: {1: 0.1}, 2: {1: 0.5}, 3: {1: 0.5}}),
+                           tension=0.0)
+    assert align_pair(model, (3, 2), (1,)) == (1,)
+    assert align_pair(model, (2, 3), (1,)) == (1,)
+
+
+def test_align_pair_source_id_beyond_table_contributes_nothing():
+    model = AlignmentModel(trans=dense_table({NULL_TOKEN: {1: 0.1}, 2: {1: 0.5}}))
+    assert align_pair(model, (99, 2), (1,)) == (2,)
+    assert align_pair(model, (99,), (1,)) == (NULL_LINK,)
+    assert model.unseen_fallbacks == 0

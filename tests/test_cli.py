@@ -255,3 +255,13 @@ def test_malformed_manifest_is_format_error(tmp_path, synth_dir, command, manife
     assert main(argv) == EXIT_FORMAT
     assert (out / "INCOMPLETE").exists()
 
+
+
+@pytest.mark.parametrize("flag,value", [("--align-iterations", "0"), ("--tension", "-1"),
+                                        ("--tension", "nan"), ("--tension", "inf"),
+                                        ("--null-prob", "1.5"), ("--null-prob", "nan")])
+def test_bad_aligner_flag_is_config_error(tmp_path, synth_dir, flag, value):
+    out = tmp_path / "m"
+    code = main(["metrics", "--out", str(out), *corpus_flags(synth_dir), flag, value])
+    assert code == EXIT_CONFIG
+    assert (out / "INCOMPLETE").exists()

@@ -24,7 +24,7 @@ from selkd.metrics import (
 )
 from selkd import synth
 
-from test_align import bijective_bitext
+from test_align import bijective_bitext, dense_table
 
 
 def test_uncertainty_zero_for_deterministic_mapping():
@@ -35,14 +35,14 @@ def test_uncertainty_zero_for_deterministic_mapping():
 
 def test_uncertainty_fifty_fifty_is_ln2():
     # One source type aligned to two target types with equal counts.
-    model = AlignmentModel(trans={NULL_TOKEN: {8: 0.01, 9: 0.01}, 5: {8: 0.5, 9: 0.5}})
+    model = AlignmentModel(trans=dense_table({NULL_TOKEN: {8: 0.01, 9: 0.01}, 5: {8: 0.5, 9: 0.5}}))
     bitext = [((5,), (8,))] * 50 + [((5,), (9,))] * 50
     links = align_bitext(bitext, model)
     assert translation_uncertainty(bitext, links) == pytest.approx(math.log(2), rel=1e-12)
 
 
 def test_uncertainty_errors_when_everything_null():
-    model = AlignmentModel(trans={NULL_TOKEN: {8: 1.0}, 5: {}})
+    model = AlignmentModel(trans=dense_table({NULL_TOKEN: {8: 1.0}, 5: {}}))
     bitext = [((5,), (8,))]
     with pytest.raises(MetricsError):
         translation_uncertainty(bitext, align_bitext(bitext, model))
@@ -75,7 +75,7 @@ def test_shift_pair_rejects_partial_links():
 
 
 def test_shift_corpus_mean():
-    model = AlignmentModel(trans={NULL_TOKEN: {}, 1: {7: 1.0}, 2: {8: 1.0}})
+    model = AlignmentModel(trans=dense_table({NULL_TOKEN: {}, 1: {7: 1.0}, 2: {8: 1.0}}))
     # monotone pair tau=0 plus crossed pair tau=0.5 -> mean 0.25
     bitext = [((1, 2), (7, 8)), ((2, 1), (7, 8))]
     assert alignment_shift(bitext, align_bitext(bitext, model)) == pytest.approx(0.25)
@@ -196,7 +196,7 @@ def test_metric_report_aligns_each_pair_once(monkeypatch):
 
 
 def test_metric_report_empty_view_errors():
-    model = AlignmentModel(trans={NULL_TOKEN: {}})
+    model = AlignmentModel(trans=dense_table({NULL_TOKEN: {}}))
     with pytest.raises(MetricsError, match="empty"):
         metric_report([], model, "empty-view")
 

@@ -1,0 +1,27 @@
+"""Smoke tests of the scripts under scripts/: each runs and prints its header."""
+
+import runpy
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_main(name):
+    return runpy.run_path(str(SCRIPTS / name), run_name="script_under_test")["main"]
+
+
+def test_threshold_sweep_prints_views(capsys):
+    load_main("threshold_sweep.py")(7, 200)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "threshold\traw_ratio\tview\tsentences\tuncertainty\tshift"
+    assert len(lines) == 1 + 7 * 3  # one row per threshold and view
+
+
+def test_exposure_table_prints_buckets(tmp_path, capsys):
+    scores = tmp_path / "scores.tsv"
+    scores.write_text("0\t0.500000\t4\t8\t16\n1\t1.000000\t0\t12\t24\n")
+    load_main("exposure_table.py")(str(scores))
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["schedule: linear 0.4 -> 1.0", "length\tcount\tmean_score\texposure"]
+    assert lines[2] == "[0,10)\t1\t0.500\t16.7%"
+    assert lines[3] == "[10,20)\t1\t1.000\t100.0%"
