@@ -83,6 +83,16 @@ def _normalize_rows(m: np.ndarray) -> np.ndarray:
     return np.divide(m, totals, out=np.zeros_like(m), where=totals > 0)
 
 
+def check_em_params(iterations: int, tension: float, null_prob: float) -> None:
+    """Raise ``AlignmentConfigError`` for an EM parameter out of range."""
+    if iterations < 1:
+        raise AlignmentConfigError("iterations must be >= 1")
+    if not (np.isfinite(tension) and tension >= 0):
+        raise AlignmentConfigError(f"tension must be finite and >= 0, got {tension}")
+    if not 0.0 <= null_prob < 1.0:
+        raise AlignmentConfigError(f"null_prob must be in [0, 1), got {null_prob}")
+
+
 def em_train(bitext: list[tuple[Sentence, Sentence]], iterations: int,
              tension: float = DEFAULT_TENSION, null_prob: float = DEFAULT_NULL_PROB) -> AlignmentModel:
     """Estimate the lexical table by expectation-maximization.
@@ -93,12 +103,7 @@ def em_train(bitext: list[tuple[Sentence, Sentence]], iterations: int,
     """
     if not bitext:
         raise AlignmentError("empty bitext")
-    if iterations < 1:
-        raise AlignmentConfigError("iterations must be >= 1")
-    if not (np.isfinite(tension) and tension >= 0):
-        raise AlignmentConfigError(f"tension must be finite and >= 0, got {tension}")
-    if not 0.0 <= null_prob < 1.0:
-        raise AlignmentConfigError(f"null_prob must be in [0, 1), got {null_prob}")
+    check_em_params(iterations, tension, null_prob)
 
     pairs = [(np.array((NULL_TOKEN, *src), dtype=np.intp), np.array(tgt, dtype=np.intp))
              for src, tgt in bitext]

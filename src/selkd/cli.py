@@ -432,7 +432,9 @@ def _stage_args(args, out: str, **overrides) -> argparse.Namespace:
 
 
 def run_full(args) -> int:
-    """Chain every stage under one output directory."""
+    """Chain every stage under one output directory. The aligner flags are
+    checked first, so bad ones fail before any stage runs."""
+    align_mod.check_em_params(args.align_iterations, args.tension, args.null_prob)
     out = args.out
     run_synth(_stage_args(args, os.path.join(out, "synth")))
     files = {name: os.path.join(out, "synth", f"{name}.txt") for name in ("src", "raw", "kd")}

@@ -32,6 +32,18 @@ stay within ``_GROUP_CELLS``. Sorting by length keeps that padding small,
 and the bound keeps the working set small on long lattices. A lattice's
 loss and gradient do not depend on what it is padded with or next to, and
 ``forward`` and ``ctc_loss_and_grad`` are the same code at B = 1.
+
+Scoring (``scoring.score_corpus``) uses the same groups, cut to at most
+``batch_size`` pairs so that no forward outgrows a training step's. A ctc
+group runs one packed forward, one greedy argmax over the packed rows and
+one Viterbi pass (``_viterbi_packed``) over the same padded lattice. That
+pass keeps the scores of one frame, each lane's scores at its own last
+frame, and a (T_max, B, S_max) int8 array of back-pointer choices: 0 from
+state s-2, 1 from s-1, 2 from s. One backtrace then walks all lanes back
+together from their final states, a lane moving only at its real frames.
+A plain group runs one packed forward at |reference| frames per pair
+(``_positional_packed``). ``viterbi_align`` and ``decode_positional`` are
+that code at B = 1.
 """
 
 from __future__ import annotations
@@ -242,14 +254,18 @@ def _forward_packed(model: NatModel, sources: list[Sentence], frames: np.ndarray
 def forward(model: NatModel, source: Sentence, frames: int | None = None) -> EmissionMatrix:
     """Emission lattice for a source sentence; T = upsample * |source|
     unless an explicit frame count is requested."""
-    n = len(source)
-    if n == 0:
-        raise ValueError("cannot run the decoder on an empty source")
-    t_frames = model.config.upsample * n if frames is None else frames
-    if t_frames < 1:
-        raise ValueError(f"frame count must be >= 1, got {t_frames}")
+    t_frames = model.config.upsample * len(source) if frames is None else frames
+    _check_decoder_input(source, t_frames)
     cache = _forward_packed(model, [source], np.array([t_frames]))
-    return EmissionMatrix(log_probs=cache["logp"], source_len=n)
+    return EmissionMatrix(log_probs=cache["logp"], source_len=len(source))
+
+
+def _check_decoder_input(source: Sentence, frames: int) -> None:
+    """The decoder needs a nonempty source and at least one frame."""
+    if len(source) == 0:
+        raise ValueError("cannot run the decoder on an empty source")
+    if frames < 1:
+        raise ValueError(f"frame count must be >= 1, got {frames}")
 
 
 def _backprop_packed(model: NatModel, cache: dict, dlogp: np.ndarray) -> dict[str, np.ndarray]:
@@ -314,10 +330,8 @@ def _check_feasible(n_frames: int, target: Sentence) -> None:
 
 def _skip_mask(ext: np.ndarray) -> np.ndarray:
     """States reachable from s-2: label states whose previous label differs."""
-    s_count = len(ext)
-    mask = np.zeros(s_count, dtype=bool)
-    for s in range(3, s_count, 2):
-        mask[s] = ext[s] != ext[s - 2]
+    mask = np.zeros(len(ext), dtype=bool)
+    mask[3::2] = ext[3::2] != ext[1:-2:2]
     return mask
 
 
@@ -347,39 +361,51 @@ def ctc_loss_and_grad(emissions, target: Sentence) -> tuple[float, np.ndarray]:
     return float(losses[0]), grad
 
 
+def _padded_lattice(logp: np.ndarray, frames: np.ndarray, targets: list[Sentence]):
+    """The padded, time-major view of B lattices packed row-wise in ``logp``.
+
+    Lattice b owns ``frames[b]`` consecutive rows and target b has S_b =
+    2|y_b| + 1 extended states. Returns S_b per lattice, the extended
+    labels and skip masks (B, S_max), the packed row of each frame
+    (T_max, B) and the emissions of each extended state (T_max, B, S_max).
+    Padded states carry the label ``vocab`` and padded frames the row
+    ``rows``, both all -inf, so no path leads from a padded cell into a
+    real one.
+    """
+    rows, vocab = logp.shape
+    states = np.array([2 * len(target) + 1 for target in targets])
+    t_max, s_max = int(frames.max()), int(states.max())
+    ext = np.full((len(targets), s_max), vocab, dtype=np.int64)
+    skip = np.zeros((len(targets), s_max), dtype=bool)
+    for b, target in enumerate(targets):
+        ext[b, :states[b]] = extend_with_blanks(target)
+        skip[b, :states[b]] = _skip_mask(ext[b, :states[b]])
+    lattice = np.full((rows + 1, vocab + 1), NEG_INF)
+    lattice[:rows, :vocab] = logp
+    t_index = np.arange(t_max)[:, None]
+    frame_rows = np.where(t_index < frames, np.cumsum(frames) - frames + t_index, rows)
+    return states, ext, skip, frame_rows, lattice[frame_rows[:, :, None], ext[None, :, :]]
+
+
 def _ctc_packed(logp: np.ndarray, frames: np.ndarray, targets: list[Sentence]) -> tuple[np.ndarray, np.ndarray]:
     """CTC losses and gradients of B lattices packed row-wise in ``logp``.
 
     Lattice b owns ``frames[b]`` consecutive rows. The recursions run over
-    a padded, time-major (T_max, B, S_max) array. Padded frames and states
-    read -inf, and no transition leads from a padded cell into a real one,
-    so every lattice gets the numbers it would get alone. Only alpha is
-    kept for every frame; beta and the posteriors live one frame at a time.
+    the padded (T_max, B, S_max) array of ``_padded_lattice``, so every
+    lattice gets the numbers it would get alone; the posteriors of padded
+    frames and states land in an extra row and label column that are
+    dropped. Only alpha is kept for every frame; beta and the posteriors
+    live one frame at a time.
     Returns the per-lattice losses (inf where no path exists) and dL/dlogp
     in the packed layout. The caller checks feasibility.
     """
     rows, vocab = logp.shape
-    count = len(targets)
+    states, ext, skip, frame_rows, em_ext = _padded_lattice(logp, frames, targets)
+    t_max, count, s_max = em_ext.shape
     lanes = np.arange(count)
     last = frames - 1
-    states = np.array([2 * len(target) + 1 for target in targets])
-    t_max, s_max = int(frames.max()), int(states.max())
-    # Padded states carry the label ``vocab``: an all -inf column, and a
-    # posterior bin that is dropped.
-    ext = np.full((count, s_max), vocab, dtype=np.int64)
-    skip = np.zeros((count, s_max), dtype=bool)
-    for b, target in enumerate(targets):
-        ext[b, :states[b]] = extend_with_blanks(target)
-        skip[b, :states[b]] = _skip_mask(ext[b, :states[b]])
     back_skip = np.zeros_like(skip)  # s -> s+2 allowed
     back_skip[:, :-2] = skip[:, 2:]
-    lattice = np.full((rows + 1, vocab + 1), NEG_INF)
-    lattice[:rows, :vocab] = logp
-    # Frame t of lattice b is packed row start_b + t; padded frames read
-    # (and write the gradient to) the extra row ``rows``.
-    t_index = np.arange(t_max)[:, None]
-    frame_rows = np.where(t_index < frames, np.cumsum(frames) - frames + t_index, rows)
-    em_ext = lattice[frame_rows[:, :, None], ext[None, :, :]]  # (T, B, S)
 
     alpha = np.full((t_max, count, s_max), NEG_INF)
     alpha[0, :, :2] = em_ext[0, :, :2]
@@ -421,57 +447,63 @@ def _ctc_packed(logp: np.ndarray, frames: np.ndarray, targets: list[Sentence]) -
     return losses, grad[:rows]
 
 
+def _viterbi_packed(logp: np.ndarray, frames: np.ndarray,
+                    targets: list[Sentence]) -> tuple[np.ndarray, np.ndarray]:
+    """Best frame paths of B lattices packed row-wise in ``logp``.
+
+    The max-plus form of ``_ctc_packed``'s alpha recursion over the same
+    padded (T_max, B, S_max) lattice. Each cell stores an int8 back-pointer
+    choice among its predecessors, 0 = s-2 (jump), 1 = s-1 (step), 2 = s
+    (stay), and the first maximum wins. Each lattice ends at its own last
+    frame in S_b-2 (the last label) unless S_b-1 (the final blank) scores
+    higher, and one backtrace runs over all lanes at once. Returns the
+    labels of the best paths, packed like ``logp``'s rows, and whether
+    each lattice has a finite path at all (the labels of one without are
+    meaningless). The caller checks feasibility.
+    """
+    states, ext, skip, _, em_ext = _padded_lattice(logp, frames, targets)
+    t_max, count, s_max = em_ext.shape
+    lanes = np.arange(count)
+    last = frames - 1
+    score = np.full((count, s_max), NEG_INF)
+    score[:, :2] = em_ext[0, :, :2]
+    final = np.where((last == 0)[:, None], score, NEG_INF)
+    back = np.zeros((t_max, count, s_max), dtype=np.int8)
+    cands = np.full((3, count, s_max), NEG_INF)
+    for t in range(1, t_max):
+        np.copyto(cands[0, :, 2:], score[:, :-2], where=skip[:, 2:])
+        cands[1, :, 1:] = score[:, :-1]
+        cands[2] = score
+        back[t] = cands.argmax(axis=0)
+        np.add(cands.max(axis=0), em_ext[t], out=score)
+        ending = last == t
+        final[ending] = score[ending]
+
+    state = np.where(final[lanes, states - 2] >= final[lanes, states - 1], states - 2, states - 1)
+    found = final[lanes, state] != NEG_INF
+    path = np.empty((t_max, count), dtype=np.int64)
+    for t in range(t_max - 1, 0, -1):
+        path[t] = state
+        state = np.where(found & (last >= t), state - 2 + back[t, lanes, state], state)
+    path[0] = state
+    labels = ext[lanes, path].T  # (B, T_max)
+    return labels[np.arange(t_max) < frames[:, None]], found
+
+
 def viterbi_align(emissions, target: Sentence) -> FramePath:
     """Highest-log-probability frame path whose collapse equals the target.
 
-    Max-plus recursion over the extended sequence with backtrace. Ties
-    prefer the smaller extended-state index at every choice, which places
-    blanks at the earliest possible frames; the rule is deterministic.
+    ``_viterbi_packed`` at B = 1. Ties prefer the smaller extended-state
+    index at every choice, which places blanks at the earliest possible
+    frames; the rule is deterministic.
     """
     e = _unwrap(emissions)
-    t_frames = e.shape[0]
     target = tuple(target)
-    _check_feasible(t_frames, target)
-    ext = extend_with_blanks(target)
-    s_count = len(ext)
-    skip = _skip_mask(ext)
-    em_ext = e[:, ext]
-
-    score = np.full((t_frames, s_count), NEG_INF)
-    back = np.zeros((t_frames, s_count), dtype=np.int64)
-    score[0, 0] = em_ext[0, 0]
-    if s_count > 1:
-        score[0, 1] = em_ext[0, 1]
-    back[0, 0] = 0
-    if s_count > 1:
-        back[0, 1] = 1
-    for t in range(1, t_frames):
-        prev = score[t - 1]
-        jump = np.concatenate(([NEG_INF, NEG_INF], prev[:-2]))
-        jump = np.where(skip, jump, NEG_INF)
-        step = np.concatenate(([NEG_INF], prev[:-1]))
-        stay = prev
-        # Candidate rows ordered by predecessor index; argmax takes the
-        # first maximum, i.e. the smallest predecessor state on ties.
-        cands = np.stack([jump, step, stay])
-        choice = np.argmax(cands, axis=0)
-        best = cands[choice, np.arange(s_count)]
-        score[t] = best + em_ext[t]
-        back[t] = np.arange(s_count) - 2 + choice
-
-    if s_count > 1 and score[t_frames - 1, s_count - 2] >= score[t_frames - 1, s_count - 1]:
-        state = s_count - 2
-    else:
-        state = s_count - 1
-    if score[t_frames - 1, state] == NEG_INF:
+    _check_feasible(e.shape[0], target)
+    labels, found = _viterbi_packed(e, np.array([e.shape[0]]), [target])
+    if not found[0]:
         raise CtcInfeasibleError("no feasible alignment despite frame-count check")
-
-    states = np.empty(t_frames, dtype=np.int64)
-    states[t_frames - 1] = state
-    for t in range(t_frames - 1, 0, -1):
-        state = back[t, state]
-        states[t - 1] = state
-    return FramePath(frames=tuple(int(ext[s]) for s in states))
+    return FramePath(frames=tuple(labels.tolist()))
 
 
 def frame_path_logprob(emissions, path: FramePath) -> float:
@@ -487,13 +519,20 @@ def decode_greedy(emissions) -> GreedyDecode:
     return GreedyDecode(path=FramePath(frames=frame_labels), output=out, is_empty=len(out) == 0)
 
 
+def _positional_packed(model: NatModel, sources: list[Sentence], lengths: np.ndarray) -> np.ndarray:
+    """Best non-blank token per frame with source b decoded at exactly
+    ``lengths[b]`` frames, packed row-wise like ``_forward_packed``."""
+    logp = _forward_packed(model, sources, lengths)["logp"]
+    logp[:, BLANK_ID] = NEG_INF
+    return logp.argmax(axis=1)
+
+
 def decode_positional(model: NatModel, source: Sentence, length: int) -> Sentence:
     """Positional decode for the plain scoring variant: run the decoder at
-    exactly ``length`` frames and take the best non-blank token per frame."""
-    em = forward(model, source, frames=length)
-    logp = em.log_probs.copy()
-    logp[:, BLANK_ID] = NEG_INF
-    return tuple(int(v) for v in np.argmax(logp, axis=1))
+    exactly ``length`` frames and take the best non-blank token per frame
+    (``_positional_packed`` at B = 1)."""
+    _check_decoder_input(source, length)
+    return tuple(_positional_packed(model, [source], np.array([length])).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -519,10 +558,10 @@ def sentence_loss_and_grads(model: NatModel, source: Sentence, target: Sentence)
     return loss, _backprop_packed(model, cache, dlogp)
 
 
-# Padded DP cells (B * T_max * S_max) allowed in one training group. The
-# DP loops cost per frame, not per cell, so bigger groups amortize them
-# over more pairs; the bound keeps the (T, B, S) working set of a batch of
-# long lattices small. A default-size batch of short pairs fits in one.
+# Padded DP cells (B * T_max * S_max) allowed in one training or scoring
+# group. The DP loops cost per frame, not per cell, so bigger groups
+# amortize them over more pairs; the bound keeps the (T, B, S) working set
+# of long lattices small. A default-size batch of short pairs fits in one.
 _GROUP_CELLS = 65_536
 
 

@@ -265,3 +265,11 @@ def test_bad_aligner_flag_is_config_error(tmp_path, synth_dir, flag, value):
     code = main(["metrics", "--out", str(out), *corpus_flags(synth_dir), flag, value])
     assert code == EXIT_CONFIG
     assert (out / "INCOMPLETE").exists()
+
+
+@pytest.mark.parametrize("flag,value", [("--tension", "nan"), ("--align-iterations", "0")])
+def test_full_checks_aligner_flags_before_any_stage(tmp_path, flag, value):
+    out = tmp_path / "run"
+    code = main(["full", "--out", str(out), *SYNTH_ARGS, *FAST_MODEL, "--updates", "8", flag, value])
+    assert code == EXIT_CONFIG
+    assert not out.exists() or os.listdir(out) == []

@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from selkd.nat import decode_greedy
+from selkd import nat
+from selkd.nat import ModelConfig, NatModel, decode_greedy, decode_positional, forward, min_frames, viterbi_align
 from selkd.scoring import (
+    ScoreRecord,
     ScoringError,
     hamming_distance,
     read_score_tsv,
@@ -172,3 +174,50 @@ def test_unknown_variant_rejected(memorized_setup):
     corpus, result = memorized_setup
     with pytest.raises(ScoringError, match="variant"):
         score_corpus(result.model, corpus, variant="bleu")
+
+
+def _ctc_record_alone(model, index, source, reference):
+    em = forward(model, source)
+    frames = em.frames
+    if min_frames(reference) > frames:
+        return ScoreRecord(index, 0.0, frames, len(reference), frames, "ctc", infeasible=True)
+    aligned = viterbi_align(em, reference).frames
+    distance = sum(1 for a, g in zip(aligned, np.argmax(em.log_probs, axis=1)) if a != g)
+    return ScoreRecord(index, min(1.0, max(0.0, 1.0 - distance / frames)), distance,
+                       len(reference), frames, "ctc")
+
+
+def _plain_record_alone(model, index, source, reference):
+    decoded = decode_positional(model, source, len(reference))
+    return ScoreRecord(index, score_plain(reference, decoded), hamming_distance(reference, decoded),
+                       len(reference), 0, "plain")
+
+
+def test_padded_scoring_groups_match_each_pair_alone(monkeypatch):
+    # Mixed source lengths, a repeated reference token ("b b") and one
+    # reference too long for its 2 * 2 frames; a small group bound and a
+    # batch of 3 split the corpus into several padded groups.
+    from conftest import make_corpus
+
+    corpus = make_corpus([
+        ("p q r s t u", "a b c d e f", "a b c d e f"),
+        ("p q", "a b c d e", "a b"),
+        ("q r s", "b b c", "b c"),
+        ("s", "d", "d"),
+        ("u t s r q p p q", "f e d c b a a", "f e d"),
+        ("r s t", "c d", "c d e"),
+        ("t u", "e f", "e f"),
+    ])
+    model = NatModel.initialize(ModelConfig(embed_dim=6, hidden_dim=8, batch_size=3, seed=3),
+                                corpus.src_vocab, corpus.tgt_vocab)
+    for param in model.params.values():
+        param *= 4  # sharper emissions, so the greedy labels vary
+    monkeypatch.setattr(nat, "_GROUP_CELLS", 200)
+    pairs = [(ex.source, ex.raw_target) for ex in corpus.examples]
+    assert len(nat._length_groups(pairs, list(range(len(pairs))), 2)) >= 2
+    tables = {}
+    for variant, alone in (("ctc", _ctc_record_alone), ("plain", _plain_record_alone)):
+        tables[variant] = score_corpus(model, corpus, variant=variant).records
+        expected = [alone(model, ex.index, ex.source, ex.raw_target) for ex in corpus.examples]
+        assert list(tables[variant]) == expected
+    assert [r.infeasible for r in tables["ctc"]] == [i == 1 for i in range(len(corpus))]

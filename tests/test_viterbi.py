@@ -5,6 +5,7 @@ import pytest
 
 from selkd.nat import (
     CtcInfeasibleError,
+    _viterbi_packed,
     collapse,
     ctc_loss,
     frame_path_logprob,
@@ -85,3 +86,38 @@ def test_infeasible_raises():
     e = np.full((1, 3), np.log(1 / 3))
     with pytest.raises(CtcInfeasibleError):
         viterbi_align(e, (1, 2))
+
+
+def _packed_paths(lattices, targets):
+    frames = np.array([len(m) for m in lattices])
+    labels, found = _viterbi_packed(np.vstack(lattices), frames, targets)
+    return [tuple(part.tolist()) for part in np.split(labels, np.cumsum(frames)[:-1])], found
+
+
+def test_tie_rule_survives_padding(np_rng):
+    # Uniform lattices tie everywhere; padded next to a longer lattice (in
+    # front or behind) each must keep its lone path, blanks earliest.
+    uniform = np.full((3, 3), np.log(1 / 3))
+    uniform4 = np.full((4, 3), np.log(1 / 3))
+    longer = random_lattice(np_rng, 9, 3)
+    cases = [(uniform, (1,)), (longer, (1, 2, 2, 1)), (uniform4, (1, 2))]
+    for order in (cases, cases[::-1]):
+        lattices = [m for m, _ in order]
+        targets = [t for _, t in order]
+        paths, found = _packed_paths(lattices, targets)
+        assert found.all()
+        assert paths == [viterbi_align(m, t).frames for m, t in order]
+    assert viterbi_align(uniform, (1,)).frames == (0, 0, 1)
+    assert viterbi_align(uniform4, (1, 2)).frames == (0, 0, 1, 2)
+
+
+def test_lane_without_finite_path_leaves_neighbors_alone(np_rng):
+    # Label 2 is impossible in the first lattice: only that lane is flagged.
+    blocked = random_lattice(np_rng, 5, 3)
+    blocked[:, 2] = -np.inf
+    fine = random_lattice(np_rng, 7, 3)
+    paths, found = _packed_paths([blocked, fine], [(1, 2), (2, 1, 1)])
+    assert found.tolist() == [False, True]
+    assert paths[1] == viterbi_align(fine, (2, 1, 1)).frames
+    with pytest.raises(CtcInfeasibleError):
+        viterbi_align(blocked, (1, 2))
