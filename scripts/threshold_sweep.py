@@ -3,7 +3,7 @@
 threshold, the raw ratio and the complexity (uncertainty / shift) of the
 selected-raw, replaced-raw and mixed training views.
 
-Trains a fresh evaluator; with the defaults it takes 5-6 s on a 2-core
+Trains a fresh evaluator; with the defaults it takes 3-4 s on a 2-core
 x86 machine.
 
     python scripts/threshold_sweep.py [seed] [n]
@@ -16,11 +16,11 @@ from selkd.align import em_train
 from selkd.curriculum import raw_ratio
 from selkd.metrics import (
     MetricsError,
+    align_bitext,
     metric_report,
+    threshold_views,
+    view_distilled,
     view_raw,
-    view_replaced_raw,
-    view_selected_raw,
-    view_training_mix,
 )
 from selkd.nat import ModelConfig, train
 from selkd.scoring import score_corpus
@@ -43,15 +43,15 @@ def main(seed: int = 7, n: int = 4000) -> None:
     evaluator = train(pairs, config, corpus.src_vocab, corpus.tgt_vocab).model
     table = score_corpus(evaluator, corpus, variant="ctc")
     align_model = em_train(view_raw(corpus), iterations=5)
+    raw_links = align_bitext(view_raw(corpus), align_model)
+    distilled_links = align_bitext(view_distilled(corpus), align_model)
 
     print("threshold\traw_ratio\tview\tsentences\tuncertainty\tshift")
     for t in THRESHOLDS:
         ratio = raw_ratio(table, t)
-        for label, view in (("selected", view_selected_raw(corpus, table, t)),
-                            ("replaced", view_replaced_raw(corpus, table, t)),
-                            ("mix", view_training_mix(corpus, table, t))):
+        for label, view, links in threshold_views(corpus, table, t, raw_links, distilled_links):
             try:
-                rep = metric_report(view, align_model, label)
+                rep = metric_report(view, links, label)
                 print(f"{t:.2f}\t{ratio:.3f}\t{label}\t{rep.sentences}"
                       f"\t{rep.uncertainty:.4f}\t{rep.shift:.4f}")
             except MetricsError:

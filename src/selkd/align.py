@@ -11,8 +11,12 @@ position 0.
 The table is one dense float64 array of shape (V_src + 1, V_tgt), V_src
 and V_tgt being one more than the largest source and target id in the
 training bitext, with the NULL row last (``trans[NULL_TOKEN]``) and 0 for
-pairs that never co-occur. It takes about 8 * (V_src + 1) * V_tgt bytes,
-twice that during EM.
+pairs that never co-occur. It takes about 8 * (V_src + 1) * V_tgt bytes.
+EM keeps one table alive at a time: it frees the old table before it
+counts into the next one, which it normalises in place. Besides, EM holds
+two flat arrays with one entry per (target position, source position or
+NULL) cell of the training bitext: the cells' table indices and their
+posteriors.
 """
 
 from __future__ import annotations
@@ -78,9 +82,10 @@ def _weights(trans: np.ndarray, rows, cols, tension: float, null_prob: float) ->
 
 
 def _normalize_rows(m: np.ndarray) -> np.ndarray:
-    """Each row divided by its sum; rows without mass stay 0."""
+    """Divide each row of the nonnegative ``m`` by its sum, in place; rows
+    without mass stay 0."""
     totals = m.sum(axis=1, keepdims=True)
-    return np.divide(m, totals, out=np.zeros_like(m), where=totals > 0)
+    return np.divide(m, totals, out=m, where=totals > 0)
 
 
 def check_em_params(iterations: int, tension: float, null_prob: float) -> None:
@@ -100,6 +105,16 @@ def em_train(bitext: list[tuple[Sentence, Sentence]], iterations: int,
     The logged log-likelihood at iteration r is the corpus likelihood
     under the parameters entering that iteration; the sequence is
     nondecreasing up to renormalization noise.
+
+    The E-step runs once per shape block: all pairs of one (|src|, |tgt|)
+    form an unpadded (B, |tgt|, |src| + 1) array of prior * t(y | x),
+    whose rows are summed over the contiguous last axis, so each pair's
+    normalisers and log-likelihood get the bits it would get alone. The
+    posteriors go back into corpus order in one flat array, and one
+    ``bincount`` over the cells' flat table indices adds them up in
+    corpus order, target position by target position, as a per-pair
+    ``np.add.at`` would. The per-pair log-likelihoods are summed in
+    corpus order as well.
     """
     if not bitext:
         raise AlignmentError("empty bitext")
@@ -112,25 +127,47 @@ def em_train(bitext: list[tuple[Sentence, Sentence]], iterations: int,
     if src_ids.min(initial=0) < 0 or tgt_ids.min(initial=0) < 0:
         raise AlignmentError("token ids must be >= 0")
     shape = (int(src_ids.max(initial=-1)) + 2, int(tgt_ids.max(initial=-1)) + 1)
+    rows_of = [rows % shape[0] for rows, _ in pairs]  # NULL_TOKEN -> the last row
+
+    # Each pair's cells, target position by target position, in corpus order.
+    sizes = np.array([len(rows) * len(cols) for rows, cols in pairs])
+    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    cells = np.concatenate([(cols[:, None] + shape[1] * rows[None, :]).ravel()
+                            for rows, (_, cols) in zip(rows_of, pairs)])
+    by_shape: dict[tuple[int, int], list[int]] = {}
+    for k, (rows, cols) in enumerate(pairs):
+        by_shape.setdefault((len(rows) - 1, len(cols)), []).append(k)
+    blocks = [(np.array(members),
+               np.stack([rows_of[k] for k in members]),
+               np.stack([pairs[k][1] for k in members]),
+               _prior(n_src, tgt_len, tension, null_prob))
+              for (n_src, tgt_len), members in by_shape.items()]
 
     # Uniform initialization over each source type's co-occurring targets;
     # NULL co-occurs with every target type.
-    support = np.zeros(shape)
-    for rows, cols in pairs:
-        support[rows[None, :], cols[:, None]] = 1.0
-    trans = _normalize_rows(support)
+    trans = np.zeros(shape[0] * shape[1])
+    trans[cells] = 1.0
+    trans = _normalize_rows(trans.reshape(shape))
 
+    posteriors = np.empty(len(cells))
+    pair_ll = np.empty(len(pairs))
     lls = []
     for _ in range(iterations):
-        counts = np.zeros(shape)
+        for members, rows, cols, prior in blocks:
+            weights = trans[rows[:, None, :], cols[:, :, None]]
+            weights *= prior
+            z = weights.sum(axis=2)
+            pair_ll[members] = np.log(z).sum(axis=1)
+            weights /= z[:, :, None]
+            at = starts[members, None] + np.arange(weights[0].size)
+            posteriors[at] = weights.reshape(len(members), -1)
         ll = 0.0
-        for rows, cols in pairs:
-            weights = _weights(trans, rows, cols, tension, null_prob)
-            z = weights.sum(axis=1, keepdims=True)
-            ll += np.log(z).sum()
-            np.add.at(counts, (rows[None, :], cols[:, None]), weights / z)
-        lls.append(float(ll))
-        trans = _normalize_rows(counts)
+        for value in pair_ll.tolist():
+            ll += value
+        lls.append(ll)
+        del trans  # free the old table before counting into the next one
+        trans = _normalize_rows(np.bincount(cells, weights=posteriors,
+                                            minlength=shape[0] * shape[1]).reshape(shape))
 
     return AlignmentModel(trans, tension, null_prob, log_likelihood=tuple(lls))
 

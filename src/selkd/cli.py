@@ -312,45 +312,43 @@ def _report_row(label: str, threshold, ratio, report) -> str:
 
 def run_metrics(args) -> int:
     with Stage(args.out, "metrics") as stage:
-        inputs = []
+        table, thresholds = None, []
         if args.tgt:
             _require_inputs(args.src, args.tgt)
             # Single-view mode: the bitext itself is both corpus and view.
             corpus = corpus_mod.load_corpus(args.src, args.tgt, args.tgt)
-            views = {"bitext": metrics_mod.view_raw(corpus)}
-            table = None
-            thresholds = []
             inputs = [args.src, args.tgt]
         else:
             corpus = _load_corpus_args(args)
-            table = None
-            thresholds = []
             if args.scores:
                 _require_inputs(args.scores)
                 table = scoring.read_score_tsv(args.scores)
                 scoring.validate_table_covers(table, corpus)
                 thresholds = [float(x) for x in args.thresholds.split(",")] if args.thresholds else []
-            views = {"raw": metrics_mod.view_raw(corpus),
-                     "distilled": metrics_mod.view_distilled(corpus)}
             inputs = [args.src, args.raw, args.kd, args.scores or None]
 
-        train_bitext = views.get("raw", next(iter(views.values())))
-        model = align_mod.em_train(train_bitext, iterations=args.align_iterations,
+        raw = metrics_mod.view_raw(corpus)
+        model = align_mod.em_train(raw, iterations=args.align_iterations,
                                    tension=args.tension, null_prob=args.null_prob)
+        # Every view is a subset of the raw or the distilled pairs, so each
+        # distinct pair is aligned once and the views pick their links.
+        raw_links = metrics_mod.align_bitext(raw, model)
+        if args.tgt:
+            views = [("bitext", raw, raw_links)]
+        else:
+            distilled = metrics_mod.view_distilled(corpus)
+            distilled_links = metrics_mod.align_bitext(distilled, model)
+            views = [("raw", raw, raw_links), ("distilled", distilled, distilled_links)]
 
         rows = ["view\tthreshold\traw_ratio\tsentences\tuncertainty\tshift\trepetition_per_mille"]
-        for label, view in views.items():
-            rep = metrics_mod.metric_report(view, model, label)
-            rows.append(_report_row(label, None, None, rep))
+        for label, view, links in views:
+            rows.append(_report_row(label, None, None, metrics_mod.metric_report(view, links, label)))
         for t in thresholds:
             ratio = cur.raw_ratio(table, t)
-            for label, view in (
-                ("selected", metrics_mod.view_selected_raw(corpus, table, t)),
-                ("replaced", metrics_mod.view_replaced_raw(corpus, table, t)),
-                ("mix", metrics_mod.view_training_mix(corpus, table, t)),
-            ):
+            for label, view, links in metrics_mod.threshold_views(corpus, table, t, raw_links,
+                                                                  distilled_links):
                 try:
-                    rep = metrics_mod.metric_report(view, model, label)
+                    rep = metrics_mod.metric_report(view, links, label)
                 except metrics_mod.MetricsError:
                     rep = None  # not enough data at this threshold; report a hole
                 rows.append(_report_row(label, t, ratio, rep))
@@ -369,8 +367,7 @@ def run_metrics(args) -> int:
                 fh.write("\n".join(bucket_rows) + "\n")
 
         if args.dump_links:
-            align_mod.write_pharaoh(metrics_mod.align_bitext(train_bitext, model),
-                                    stage.path("links.txt"))
+            align_mod.write_pharaoh(raw_links, stage.path("links.txt"))
 
         stage.finish(config={"thresholds": thresholds, "align_iterations": args.align_iterations,
                              "tension": args.tension, "null_prob": args.null_prob},

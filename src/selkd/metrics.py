@@ -165,25 +165,26 @@ def view_distilled(corpus: Corpus) -> Bitext:
     return [(ex.source, ex.distilled_target) for ex in corpus.examples]
 
 
-def view_selected_raw(corpus: Corpus, table: ScoreTable, threshold: float) -> Bitext:
-    return [(ex.source, ex.raw_target) for ex in corpus.examples
-            if table.score_of(ex.index) >= threshold]
+def threshold_views(corpus: Corpus, table: ScoreTable, threshold: float,
+                    raw_links: list[AlignmentLinks], distilled_links: list[AlignmentLinks]
+                    ) -> list[tuple[str, Bitext, list[AlignmentLinks]]]:
+    """(label, view, links) of the selected, replaced and mix views at one
+    threshold, each pair's links picked by index from those of the raw and
+    distilled views, as aligned by ``align_bitext``.
 
-
-def view_replaced_raw(corpus: Corpus, table: ScoreTable, threshold: float) -> Bitext:
-    """Raw pairs that selection rejects (their raw side, pre-replacement)."""
-    return [(ex.source, ex.raw_target) for ex in corpus.examples
-            if table.score_of(ex.index) < threshold]
-
-
-def view_training_mix(corpus: Corpus, table: ScoreTable, threshold: float) -> Bitext:
-    """What the student actually sees: selected raw plus distilled
-    replacements, in corpus order."""
-    out = []
-    for ex in corpus.examples:
-        tgt = ex.raw_target if table.score_of(ex.index) >= threshold else ex.distilled_target
-        out.append((ex.source, tgt))
-    return out
+    A pair is selected when its score is >= threshold. Selected holds the
+    raw pairs selection keeps, replaced the raw pairs it rejects (their raw
+    side, before replacement), and mix what the student actually sees: the
+    selected raw pairs and the distilled replacements, in corpus order.
+    """
+    keep = [table.score_of(ex.index) >= threshold for ex in corpus.examples]
+    raw = list(zip(view_raw(corpus), raw_links, strict=True))
+    distilled = list(zip(view_distilled(corpus), distilled_links, strict=True))
+    picked = (("selected", [r for r, k in zip(raw, keep) if k]),
+              ("replaced", [r for r, k in zip(raw, keep) if not k]),
+              ("mix", [r if k else d for r, d, k in zip(raw, distilled, keep)]))
+    return [(label, [pair for pair, _ in items], [links for _, links in items])
+            for label, items in picked]
 
 
 def length_buckets(table: ScoreTable, schedule: ThresholdSchedule | None) -> tuple[BucketRow, ...]:
@@ -204,15 +205,14 @@ def length_buckets(table: ScoreTable, schedule: ThresholdSchedule | None) -> tup
     return tuple(rows)
 
 
-def metric_report(bitext: Bitext, model: AlignmentModel, label: str,
+def metric_report(bitext: Bitext, links: list[AlignmentLinks], label: str,
                   table: ScoreTable | None = None,
                   schedule: ThresholdSchedule | None = None) -> MetricReport:
-    """All metrics for one corpus view, from one alignment of each pair;
+    """All metrics for one corpus view and its links (one entry per pair);
     errors on an empty view (there is nothing meaningful to report)."""
     if not bitext:
         raise MetricsError(f"view {label!r} is empty")
     targets = [tgt for _, tgt in bitext]
-    links = align_bitext(bitext, model)
     return MetricReport(
         label=label,
         uncertainty=translation_uncertainty(bitext, links),

@@ -4,13 +4,17 @@ Nothing here shares logic with the package: paths are enumerated by a
 direct automaton walk over raw frame sequences (with exhaustive
 product enumeration as a cross-check on tiny instances), gradients
 come from central finite differences, and the word aligner is plain
-nested loops over a dict-of-dicts lexical table.
+nested loops over a dict-of-dicts lexical table. The one exception is
+``em_per_pair``, a per-pair numpy EM that takes the package's position
+prior so that its tables can be compared bit for bit.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+
+import numpy as np
 
 BLANK = 0
 
@@ -141,3 +145,37 @@ def align_reference(table, src, tgt, tension, null_prob, null_key):
                 best, best_w = i, w
         links.append(best)
     return tuple(links)
+
+
+def em_per_pair(bitext, iterations, tension, null_prob, prior):
+    """Dense-table EM, one pair at a time in corpus order: gather t(y | x)
+    with a row per target position and NULL in column 0, multiply by
+    ``prior(|src|, |tgt|, tension, null_prob)``, normalise each row by
+    ``w.sum(1)`` and scatter the posteriors with ``np.add.at``.
+
+    Returns (table with the NULL row last, log-likelihood per iteration).
+    """
+    pairs = [(np.array((-1, *src)), np.array(tgt)) for src, tgt in bitext]
+    shape = (max(max(src, default=-1) for src, _ in bitext) + 2,
+             max(max(tgt, default=-1) for _, tgt in bitext) + 1)
+
+    def normalize(m):
+        totals = m.sum(axis=1, keepdims=True)
+        return np.divide(m, totals, out=np.zeros(shape), where=totals > 0)
+
+    table = np.zeros(shape)
+    for rows, cols in pairs:
+        table[rows[None, :], cols[:, None]] = 1.0
+    table = normalize(table)
+    lls = []
+    for _ in range(iterations):
+        counts = np.zeros(shape)
+        ll = 0.0
+        for rows, cols in pairs:
+            w = prior(len(rows) - 1, len(cols), tension, null_prob) * table[rows[None, :], cols[:, None]]
+            z = w.sum(1)
+            ll += float(np.log(z).sum())
+            np.add.at(counts, (rows[None, :], cols[:, None]), w / z[:, None])
+        lls.append(ll)
+        table = normalize(counts)
+    return table, tuple(lls)

@@ -30,10 +30,10 @@ from selkd.metrics import (
     align_bitext,
     alignment_shift,
     repetition_ratio,
+    threshold_views,
     translation_uncertainty,
+    view_distilled,
     view_raw,
-    view_replaced_raw,
-    view_selected_raw,
 )
 from selkd.nat import (
     ModelConfig,
@@ -190,18 +190,18 @@ def _selection_complexity_seed(seed):
                      if 0.4 <= raw_ratio(table, t) <= 0.6)
     ratio = raw_ratio(table, threshold)
     align_model = em_train(view_raw(corpus), iterations=4)
-    selected = view_selected_raw(corpus, table, threshold)
-    replaced = view_replaced_raw(corpus, table, threshold)
-    selected_links = align_bitext(selected, align_model)
-    replaced_links = align_bitext(replaced, align_model)
+    raw_links = align_bitext(view_raw(corpus), align_model)
+    distilled_links = align_bitext(view_distilled(corpus), align_model)
+    views = {label: (view, links) for label, view, links
+             in threshold_views(corpus, table, threshold, raw_links, distilled_links)}
+    (selected, selected_links), (replaced, replaced_links) = views["selected"], views["replaced"]
     return {
         "ratio": ratio,
         "c_selected": translation_uncertainty(selected, selected_links),
         "c_replaced": translation_uncertainty(replaced, replaced_links),
         "s_selected": alignment_shift(selected, selected_links),
         "s_replaced": alignment_shift(replaced, replaced_links),
-        "c_all_raw": translation_uncertainty(view_raw(corpus),
-                                             align_bitext(view_raw(corpus), align_model)),
+        "c_all_raw": translation_uncertainty(view_raw(corpus), raw_links),
     }
 
 

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from oracles import align_reference, em_reference
+from oracles import align_reference, em_per_pair, em_reference
 from selkd.align import (
     NULL_LINK,
     NULL_TOKEN,
     AlignmentError,
     AlignmentModel,
+    _prior,
     align_pair,
     em_train,
     write_pharaoh,
@@ -155,6 +156,24 @@ def test_em_matches_plain_loop_reference():
     for src, tgt in bitext:
         assert align_pair(model, src, tgt) == align_reference(table, src, tgt, tension, null_prob,
                                                               null_key=NULL_TOKEN)
+
+
+def test_em_bit_identical_to_per_pair_loop():
+    # shapes interleave in corpus order (so shape blocks gather pairs from
+    # all over the corpus), and a small vocabulary repeats source and target
+    # tokens within and across pairs, so many cells sum several posteriors
+    rng = Rng(17)
+    bitext = []
+    for _ in range(120):
+        src = tuple(rng.randint(6) for _ in range(1 + rng.randint(7)))
+        tgt = tuple(rng.randint(8) for _ in range(1 + rng.randint(7)))
+        bitext.append((src, tgt))
+    bitext += noisy_bitext(40)
+    for tension, null_prob in ((4.0, 0.08), (1.5, 0.3)):
+        model = em_train(bitext, iterations=4, tension=tension, null_prob=null_prob)
+        table, lls = em_per_pair(bitext, 4, tension, null_prob, _prior)
+        assert np.array_equal(model.trans, table)
+        assert model.log_likelihood == lls
 
 
 def test_align_pair_tie_prefers_null():

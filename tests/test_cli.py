@@ -3,14 +3,20 @@ import os
 
 import pytest
 
+from selkd import metrics as metrics_mod
+from selkd.align import em_train, write_pharaoh
 from selkd.cli import (
     EXIT_CHECKSUM,
     EXIT_CONFIG,
     EXIT_FORMAT,
     EXIT_MISSING_INPUT,
     EXIT_OK,
+    _report_row,
     main,
 )
+from selkd.corpus import load_corpus
+from selkd.curriculum import raw_ratio
+from selkd.scoring import read_score_tsv
 
 
 def read_bytes(path):
@@ -125,6 +131,51 @@ def test_metrics_single_bitext_mode(tmp_path, synth_dir):
     report = (out / "report.tsv").read_text().splitlines()
     assert report[0].startswith("view\t")
     assert report[1].startswith("bitext\t")
+
+
+def test_metrics_aligns_each_distinct_pair_once(tmp_path, synth_dir, monkeypatch):
+    n, thresholds = 40, (0.0, 0.5, 1.01)
+    scores = tmp_path / "scores.tsv"
+    scores.write_text("".join(f"{i}\t{(i % 5) / 4:.6f}\t0\t4\t8\n" for i in range(n)))
+    calls = []
+    real_align_pair = metrics_mod.align_pair
+
+    def counting_align_pair(model, src, tgt):
+        calls.append((src, tgt))
+        return real_align_pair(model, src, tgt)
+
+    monkeypatch.setattr(metrics_mod, "align_pair", counting_align_pair)
+    out = tmp_path / "m"
+    assert main(["metrics", "--out", str(out), *corpus_flags(synth_dir),
+                 "--scores", str(scores), "--thresholds", ",".join(map(str, thresholds)),
+                 "--align-iterations", "2", "--dump-links"]) == EXIT_OK
+    assert len(calls) == 2 * n  # the raw and the distilled view, each pair once
+    monkeypatch.undo()
+
+    # The same rows and links from aligning every view on its own.
+    corpus = load_corpus(str(synth_dir / "src.txt"), str(synth_dir / "raw.txt"),
+                         str(synth_dir / "kd.txt"))
+    table = read_score_tsv(str(scores))
+    raw, distilled = metrics_mod.view_raw(corpus), metrics_mod.view_distilled(corpus)
+    model = em_train(raw, iterations=2)
+
+    def row(label, view, t=None):
+        try:
+            rep = metrics_mod.metric_report(view, metrics_mod.align_bitext(view, model), label)
+        except metrics_mod.MetricsError:
+            rep = None
+        return _report_row(label, t, None if t is None else raw_ratio(table, t), rep)
+
+    expected = [row("raw", raw), row("distilled", distilled)]
+    for t in thresholds:
+        keep = [r.score >= t for r in table.records]
+        expected += [row("selected", [p for p, k in zip(raw, keep) if k], t),
+                     row("replaced", [p for p, k in zip(raw, keep) if not k], t),
+                     row("mix", [p if k else d for p, d, k in zip(raw, distilled, keep)], t)]
+    assert (out / "report.tsv").read_text().splitlines()[1:] == expected
+    assert "\t-\t" in expected[3] and "\t-\t" in expected[-3]  # empty replaced, empty selected
+    write_pharaoh(metrics_mod.align_bitext(raw, model), str(tmp_path / "links.txt"))
+    assert read_bytes(out / "links.txt") == read_bytes(tmp_path / "links.txt")
 
 
 def test_metrics_threshold_sweep(tmp_path, synth_dir):

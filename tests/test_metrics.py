@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from selkd import metrics as metrics_mod
-from selkd.align import NULL_LINK, NULL_TOKEN, AlignmentModel, align_pair, em_train
+from selkd.align import NULL_LINK, NULL_TOKEN, AlignmentModel, em_train
 from selkd.curriculum import ThresholdSchedule
 from selkd.metrics import (
     MetricsError,
@@ -15,12 +14,10 @@ from selkd.metrics import (
     corpus_bleu,
     metric_report,
     repetition_ratio,
+    threshold_views,
     translation_uncertainty,
     view_distilled,
     view_raw,
-    view_replaced_raw,
-    view_selected_raw,
-    view_training_mix,
 )
 from selkd import synth
 
@@ -175,30 +172,16 @@ def test_metric_report_single_mode_distilled_has_zero_uncertainty():
     sc = synth.generate(spec, n=400)
     kd = view_distilled(sc.corpus)
     model = em_train(kd, iterations=4)
-    rep = metric_report(kd, model, "distilled")
+    rep = metric_report(kd, align_bitext(kd, model), "distilled")
     assert rep.uncertainty == 0.0
     assert rep.sentences == 400
     assert rep.label == "distilled"
 
 
-def test_metric_report_aligns_each_pair_once(monkeypatch):
-    bitext = bijective_bitext(30, seed=4)
-    model = em_train(bitext, iterations=2)
-    calls = []
-
-    def counting_align_pair(model, src, tgt):
-        calls.append((src, tgt))
-        return align_pair(model, src, tgt)
-
-    monkeypatch.setattr(metrics_mod, "align_pair", counting_align_pair)
-    metric_report(bitext, model, "raw")
-    assert len(calls) == len(bitext)
-
-
 def test_metric_report_empty_view_errors():
     model = AlignmentModel(trans=dense_table({NULL_TOKEN: {}}))
     with pytest.raises(MetricsError, match="empty"):
-        metric_report([], model, "empty-view")
+        metric_report([], align_bitext([], model), "empty-view")
 
 
 def test_views_partition_corpus(memorized_setup):
@@ -206,11 +189,16 @@ def test_views_partition_corpus(memorized_setup):
     from selkd.scoring import score_corpus
 
     table = score_corpus(result.model, corpus)
-    selected = view_selected_raw(corpus, table, 0.5)
-    replaced = view_replaced_raw(corpus, table, 0.5)
+    model = em_train(view_raw(corpus), iterations=2)
+    views = {label: (view, links) for label, view, links in threshold_views(
+        corpus, table, 0.5, align_bitext(view_raw(corpus), model),
+        align_bitext(view_distilled(corpus), model))}
+    selected, replaced, mix = (views[label][0] for label in ("selected", "replaced", "mix"))
     assert len(selected) + len(replaced) == len(corpus)
-    mix = view_training_mix(corpus, table, 0.5)
     assert len(mix) == len(corpus)
+    # links picked by index are the links of each view aligned on its own
+    for view, links in views.values():
+        assert links == align_bitext(view, model)
 
 
 def test_bucket_rows_present_with_scores(memorized_setup):
@@ -220,7 +208,8 @@ def test_bucket_rows_present_with_scores(memorized_setup):
     table = score_corpus(result.model, corpus)
     model = em_train(view_raw(corpus), iterations=2)
     sched = ThresholdSchedule(start=0.4, end=1.0, total_updates=100)
-    rep = metric_report(view_raw(corpus), model, "raw", table=table, schedule=sched)
+    rep = metric_report(view_raw(corpus), align_bitext(view_raw(corpus), model), "raw",
+                        table=table, schedule=sched)
     assert len(rep.buckets) == 7
     small = rep.buckets[0]
     assert small.count == len(corpus)  # all sentences shorter than 10

@@ -1,7 +1,10 @@
 import math
+import re
 
 import pytest
 
+from selkd.cli import _ERROR_CODES, EXIT_FORMAT
+from selkd.corpus import CorpusFormatError
 from selkd.rng import Rng
 from selkd.synth import SynthConfigError, SynthTaskSpec, generate, oracle_report, read_sidecar, write_sidecar
 
@@ -133,6 +136,20 @@ def test_sidecar_round_trip(tmp_path):
     modes, mistakes = read_sidecar(str(path))
     assert modes == sc.modes
     assert mistakes == sc.mistakes
+
+
+@pytest.mark.parametrize("body,lineno", [
+    ("0\t1\t0\n1\t0\n", 2),
+    ("0\tx\t0\n", 1),
+    ("0\t1\t0\n1\t0\t0.5\n", 2),
+], ids=["two-columns", "non-integer-mode", "non-integer-mistake"])
+def test_read_sidecar_rejects_malformed_line(tmp_path, body, lineno):
+    path = tmp_path / "modes.tsv"
+    path.write_text(body)
+    with pytest.raises(CorpusFormatError, match=f"^{re.escape(str(path))}:{lineno}: ") as info:
+        read_sidecar(str(path))
+    # the CLI reports it as a format error (exit 5)
+    assert next(code for types, code in _ERROR_CODES if isinstance(info.value, types)) == EXIT_FORMAT
 
 
 def test_spec_validation():
