@@ -6,8 +6,10 @@ trained checkpoint). Every stage writes a ``manifest.json`` capturing
 the resolved configuration plus sha256 checksums of its inputs and
 outputs; reruns with the same manifest produce byte-identical artifacts,
 and consuming a file that no longer matches the manifest that produced
-it is an error. Exit codes are listed in ``EXIT_CODE_DOC``, which
-``selkd --help`` prints.
+it is an error. ``Stage`` owns the manifest: a stage names each file it
+reads through ``Stage.input`` and each file it writes through
+``Stage.path``, and ``Stage.finish`` records exactly those. Exit codes
+are listed in ``EXIT_CODE_DOC``, which ``selkd --help`` prints.
 """
 
 from __future__ import annotations
@@ -66,15 +68,6 @@ def _default_out(subcommand: str) -> str:
     return os.path.join(root, subcommand)
 
 
-def _require_inputs(*paths: str) -> None:
-    for p in paths:
-        if p is None:
-            continue
-        if not os.path.exists(p):
-            raise StageError(f"missing input file: {p}", EXIT_MISSING_INPUT)
-        _verify_against_manifest(p)
-
-
 def _read_manifest(path: str) -> dict:
     """Parse a stage manifest: a JSON object whose ``outputs``, if
     present, maps file names to sha256 digests."""
@@ -90,43 +83,18 @@ def _read_manifest(path: str) -> dict:
     return manifest
 
 
-def _verify_against_manifest(path: str) -> None:
-    """If a sibling manifest lists this file as an output, its checksum
-    must still match."""
-    manifest_path = os.path.join(os.path.dirname(os.path.abspath(path)), "manifest.json")
-    if not os.path.exists(manifest_path):
-        return
-    recorded = _read_manifest(manifest_path).get("outputs", {}).get(os.path.basename(path))
-    if recorded is not None and recorded != _sha256(path):
-        raise StageError(
-            f"{path} no longer matches the checksum recorded in {manifest_path}", EXIT_CHECKSUM
-        )
-
-
-def _write_manifest(out_dir: str, subcommand: str, config: dict,
-                    inputs: list[str], outputs: list[str]) -> None:
-    manifest = {
-        "tool": "selkd",
-        "version": __version__,
-        "subcommand": subcommand,
-        "config": config,
-        "inputs": {p: _sha256(p) for p in inputs if p is not None},
-        "outputs": {os.path.basename(p): _sha256(p) for p in outputs},
-    }
-    path = os.path.join(out_dir, "manifest.json")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
 class Stage:
-    """Tracks a stage's output directory. Used as a context manager: an
-    exception inside the block removes anything the stage created, leaves
-    an INCOMPLETE marker instead, and propagates."""
+    """One run of a stage and the manifest it writes. ``input`` checks
+    and records each file the stage reads, ``path`` names each file it
+    writes, and ``finish`` writes ``manifest.json`` from both lists, so
+    every file is named once, where it is used. Used as a context
+    manager: an exception inside the block removes anything the stage
+    created, leaves an INCOMPLETE marker instead, and propagates."""
 
     def __init__(self, out_dir: str, subcommand: str):
         self.out_dir = out_dir
         self.subcommand = subcommand
+        self.inputs: list[str] = []
         self.outputs: list[str] = []
         os.makedirs(out_dir, exist_ok=True)
         marker = os.path.join(out_dir, "INCOMPLETE")
@@ -137,30 +105,54 @@ class Stage:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        if isinstance(exc, Exception):
-            self.abort(str(exc))
+        if not isinstance(exc, Exception):
+            return
+        for p in [*self.outputs, os.path.join(self.out_dir, "manifest.json")]:
+            if os.path.exists(p):
+                os.remove(p)
+        with open(os.path.join(self.out_dir, "INCOMPLETE"), "w", encoding="utf-8") as fh:
+            fh.write(f"{self.subcommand} failed: {exc}\n")
+
+    def input(self, *paths: str | None) -> None:
+        """Record each file the stage reads, skipping ``None``. The file
+        must exist, and if a sibling manifest lists it as an output, its
+        checksum must still match."""
+        for p in paths:
+            if p is None:
+                continue
+            if not os.path.exists(p):
+                raise StageError(f"missing input file: {p}", EXIT_MISSING_INPUT)
+            manifest = os.path.join(os.path.dirname(os.path.abspath(p)), "manifest.json")
+            if os.path.exists(manifest):
+                recorded = _read_manifest(manifest).get("outputs", {}).get(os.path.basename(p))
+                if recorded is not None and recorded != _sha256(p):
+                    raise StageError(
+                        f"{p} no longer matches the checksum recorded in {manifest}", EXIT_CHECKSUM
+                    )
+            self.inputs.append(p)
 
     def path(self, name: str) -> str:
         p = os.path.join(self.out_dir, name)
         self.outputs.append(p)
         return p
 
-    def finish(self, config: dict, inputs: list[str]) -> None:
-        _write_manifest(self.out_dir, self.subcommand, config, inputs, self.outputs)
+    def finish(self, config: dict) -> None:
+        manifest = {
+            "tool": "selkd",
+            "version": __version__,
+            "subcommand": self.subcommand,
+            "config": config,
+            "inputs": {p: _sha256(p) for p in self.inputs},
+            "outputs": {os.path.basename(p): _sha256(p) for p in self.outputs},
+        }
+        with open(os.path.join(self.out_dir, "manifest.json"), "w", encoding="utf-8",
+                  newline="\n") as fh:
+            json.dump(manifest, fh, sort_keys=True, indent=2)
+            fh.write("\n")
 
-    def abort(self, message: str) -> None:
-        for p in self.outputs:
-            if os.path.exists(p):
-                os.remove(p)
-        manifest = os.path.join(self.out_dir, "manifest.json")
-        if os.path.exists(manifest):
-            os.remove(manifest)
-        with open(os.path.join(self.out_dir, "INCOMPLETE"), "w", encoding="utf-8") as fh:
-            fh.write(f"{self.subcommand} failed: {message}\n")
 
-
-def _load_corpus_args(args) -> corpus_mod.Corpus:
-    _require_inputs(args.src, args.raw, args.kd)
+def _load_corpus_args(stage: Stage, args) -> corpus_mod.Corpus:
+    stage.input(args.src, args.raw, args.kd)
     return corpus_mod.load_corpus(args.src, args.raw, args.kd)
 
 
@@ -204,14 +196,13 @@ def run_synth(args) -> int:
         corpus_mod.write_bitext(sc.corpus, "raw", stage.path("raw.txt"))
         corpus_mod.write_bitext(sc.corpus, "distilled", stage.path("kd.txt"))
         synth_mod.write_sidecar(sc, stage.path("modes.tsv"))
-        stage.finish(config={"n": args.n, "spec": spec.__dict__ | {"mode_probs": list(spec.mode_probs)}},
-                     inputs=[])
+        stage.finish(config={"n": args.n, "spec": spec.__dict__ | {"mode_probs": list(spec.mode_probs)}})
         return EXIT_OK
 
 
 def run_train_evaluator(args) -> int:
     with Stage(args.out, "train-evaluator") as stage:
-        corpus = _load_corpus_args(args)
+        corpus = _load_corpus_args(stage, args)
         config = _model_config(args)
         pairs = [(ex.source, ex.distilled_target if args.target_side == "distilled" else ex.raw_target)
                  for ex in corpus.examples]
@@ -230,30 +221,28 @@ def run_train_evaluator(args) -> int:
             fh.write("\n".join(log_lines) + ("\n" if log_lines else ""))
         stage.finish(config={"model": config.__dict__, "target_side": args.target_side,
                              "snapshot_updates": args.snapshot_updates,
-                             "skipped_pairs": result.skipped, "updates": result.updates},
-                     inputs=[args.src, args.raw, args.kd])
+                             "skipped_pairs": result.skipped, "updates": result.updates})
         return EXIT_OK
 
 
 def run_score(args) -> int:
     with Stage(args.out, "score") as stage:
-        _require_inputs(args.checkpoint)
-        corpus = _load_corpus_args(args)
+        stage.input(args.checkpoint)
+        corpus = _load_corpus_args(stage, args)
         model = nat.load_checkpoint(args.checkpoint, corpus.src_vocab, corpus.tgt_vocab)
         table = scoring.score_corpus(model, corpus, variant=args.variant,
                                      normalize_by_reference=args.normalize_by_reference)
         scoring.write_score_tsv(table, stage.path("scores.tsv"))
         stage.finish(config={"variant": args.variant,
                              "normalize_by_reference": args.normalize_by_reference,
-                             "checkpoint_id": table.checkpoint_id},
-                     inputs=[args.checkpoint, args.src, args.raw, args.kd])
+                             "checkpoint_id": table.checkpoint_id})
         return EXIT_OK
 
 
 def run_select(args) -> int:
     with Stage(args.out, "select") as stage:
-        corpus = _load_corpus_args(args)
-        _require_inputs(args.scores)
+        corpus = _load_corpus_args(stage, args)
+        stage.input(args.scores)
         table = scoring.read_score_tsv(args.scores)
         schedule = _schedule(args)
         threshold = cur.threshold_at(schedule, args.k if args.k is not None else 0)
@@ -264,26 +253,22 @@ def run_select(args) -> int:
         cur.write_decisions_tsv(decisions, stage.path("decisions.tsv"))
         raw_share = sum(1 for d in decisions if d.choice is cur.Choice.RAW) / len(decisions) if decisions else 0.0
         stage.finish(config={"threshold": threshold, "k": args.k,
-                             "schedule": schedule.__dict__, "raw_ratio": raw_share},
-                     inputs=[args.src, args.raw, args.kd, args.scores])
+                             "schedule": schedule.__dict__, "raw_ratio": raw_share})
         return EXIT_OK
 
 
 def run_train_student(args) -> int:
     with Stage(args.out, "train-student") as stage:
-        corpus = _load_corpus_args(args)
-        _require_inputs(args.scores)
-        if args.init_checkpoint:
-            _require_inputs(args.init_checkpoint)
+        corpus = _load_corpus_args(stage, args)
+        init_checkpoint = args.init_checkpoint or None
+        stage.input(args.scores, init_checkpoint)
         table = scoring.read_score_tsv(args.scores)
         schedule = _schedule(args)
         config = _model_config(args)
-        student = cur.StudentConfig(model=config, updates=args.updates,
-                                    init_checkpoint=args.init_checkpoint or None,
-                                    eval_every=args.eval_every)
+        student = cur.StudentConfig(model=config, updates=args.updates, eval_every=args.eval_every)
         init_model = None
-        if student.init_checkpoint:
-            init_model = nat.load_checkpoint(student.init_checkpoint, corpus.src_vocab, corpus.tgt_vocab)
+        if init_checkpoint:
+            init_model = nat.load_checkpoint(init_checkpoint, corpus.src_vocab, corpus.tgt_vocab)
 
         def progress(row):
             print(f"update {row.update}: T={row.threshold:.4f} raw={row.raw_fraction:.3f} "
@@ -294,10 +279,8 @@ def run_train_student(args) -> int:
         nat.save_checkpoint(result.model, stage.path("checkpoint.txt"))
         cur.write_update_log(result.log, stage.path("train_log.tsv"))
         stage.finish(config={"model": config.__dict__, "schedule": schedule.__dict__,
-                             "init_checkpoint": student.init_checkpoint,
-                             "skipped_pairs": result.skipped},
-                     inputs=[args.src, args.raw, args.kd, args.scores,
-                             args.init_checkpoint or None])
+                             "init_checkpoint": init_checkpoint,
+                             "skipped_pairs": result.skipped})
         return EXIT_OK
 
 
@@ -314,18 +297,16 @@ def run_metrics(args) -> int:
     with Stage(args.out, "metrics") as stage:
         table, thresholds = None, []
         if args.tgt:
-            _require_inputs(args.src, args.tgt)
+            stage.input(args.src, args.tgt)
             # Single-view mode: the bitext itself is both corpus and view.
             corpus = corpus_mod.load_corpus(args.src, args.tgt, args.tgt)
-            inputs = [args.src, args.tgt]
         else:
-            corpus = _load_corpus_args(args)
+            corpus = _load_corpus_args(stage, args)
             if args.scores:
-                _require_inputs(args.scores)
+                stage.input(args.scores)
                 table = scoring.read_score_tsv(args.scores)
                 scoring.validate_table_covers(table, corpus)
                 thresholds = [float(x) for x in args.thresholds.split(",")] if args.thresholds else []
-            inputs = [args.src, args.raw, args.kd, args.scores or None]
 
         raw = metrics_mod.view_raw(corpus)
         model = align_mod.em_train(raw, iterations=args.align_iterations,
@@ -356,7 +337,8 @@ def run_metrics(args) -> int:
             fh.write("\n".join(rows) + "\n")
 
         if table is not None:
-            schedule = cur.ThresholdSchedule(start=args.t0, end=args.t1, total_updates=max(args.updates, 1))
+            # Exposure depends on the endpoints only, so one update suffices.
+            schedule = cur.ThresholdSchedule(start=args.t0, end=args.t1, total_updates=1)
             bucket_rows = ["bucket\tcount\tmean_score\tmean_exposure"]
             for b in metrics_mod.length_buckets(table, schedule):
                 hi = "inf" if b.hi is None else str(b.hi)
@@ -369,9 +351,9 @@ def run_metrics(args) -> int:
         if args.dump_links:
             align_mod.write_pharaoh(raw_links, stage.path("links.txt"))
 
-        stage.finish(config={"thresholds": thresholds, "align_iterations": args.align_iterations,
-                             "tension": args.tension, "null_prob": args.null_prob},
-                     inputs=[p for p in inputs if p])
+        stage.finish(config={"thresholds": thresholds, "t0": args.t0, "t1": args.t1,
+                             "align_iterations": args.align_iterations,
+                             "tension": args.tension, "null_prob": args.null_prob})
         return EXIT_OK
 
 
@@ -392,7 +374,6 @@ def run_report(args) -> int:
         if not os.path.isdir(run_dir):
             raise StageError(f"missing run directory: {run_dir}", EXIT_MISSING_INPUT)
         lines = [f"selkd run summary: {os.path.basename(os.path.normpath(run_dir))}", ""]
-        inputs = []
         for sub in ("synth", "evaluator", "scores", "select", "student", "metrics"):
             subdir = os.path.join(run_dir, sub)
             manifest = os.path.join(subdir, "manifest.json")
@@ -400,13 +381,14 @@ def run_report(args) -> int:
                 status = "absent" if not os.path.isdir(subdir) else "INCOMPLETE"
                 lines.append(f"[{sub}] {status}")
                 continue
-            inputs.append(manifest)
+            stage.input(manifest)
             outputs = _read_manifest(manifest).get("outputs", {})
             lines.append(f"[{sub}] ok ({len(outputs)} artifacts)")
             for name, digest in sorted(outputs.items()):
                 lines.append(f"  {name}  sha256:{digest[:16]}")
         score_path = os.path.join(run_dir, "scores", "scores.tsv")
         if os.path.exists(score_path):
+            stage.input(score_path)
             table = scoring.read_score_tsv(score_path)
             lines.append("")
             lines.append("score quantiles (for choosing a starting threshold):")
@@ -414,13 +396,14 @@ def run_report(args) -> int:
                 lines.append(f"  p{q:<3d} {v:.6f}")
         report_path = os.path.join(run_dir, "metrics", "report.tsv")
         if os.path.exists(report_path):
+            stage.input(report_path)
             lines.append("")
             lines.append("metrics report:")
             with open(report_path, "r", encoding="utf-8") as fh:
                 lines.extend("  " + ln for ln in fh.read().splitlines())
         with open(stage.path("summary.txt"), "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
-        stage.finish(config={"run": run_dir}, inputs=inputs)
+        stage.finish(config={"run": run_dir})
         return EXIT_OK
 
 
@@ -568,7 +551,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--thresholds", default="", help="comma-separated thresholds for the sweep")
     p.add_argument("--t0", type=float, default=0.4)
     p.add_argument("--t1", type=float, default=1.0)
-    p.add_argument("--updates", type=int, default=2000)
     _add_align_flags(p)
     p.add_argument("--dump-links", action="store_true", help="dump argmax links in i-j format")
     p.set_defaults(func=run_metrics)

@@ -122,7 +122,6 @@ def exposure_period(score: float, schedule: ThresholdSchedule) -> float:
 class StudentConfig:
     model: ModelConfig
     updates: int
-    init_checkpoint: str | None = None
     eval_every: int = 100
 
     def __post_init__(self):

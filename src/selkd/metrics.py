@@ -48,8 +48,6 @@ class MetricReport:
     shift: float
     repetition_per_mille: float
     sentences: int
-    target_tokens: int
-    buckets: tuple[BucketRow, ...] = ()
 
 
 def align_bitext(bitext: Bitext, model: AlignmentModel) -> list[AlignmentLinks]:
@@ -205,20 +203,15 @@ def length_buckets(table: ScoreTable, schedule: ThresholdSchedule | None) -> tup
     return tuple(rows)
 
 
-def metric_report(bitext: Bitext, links: list[AlignmentLinks], label: str,
-                  table: ScoreTable | None = None,
-                  schedule: ThresholdSchedule | None = None) -> MetricReport:
+def metric_report(bitext: Bitext, links: list[AlignmentLinks], label: str) -> MetricReport:
     """All metrics for one corpus view and its links (one entry per pair);
     errors on an empty view (there is nothing meaningful to report)."""
     if not bitext:
         raise MetricsError(f"view {label!r} is empty")
-    targets = [tgt for _, tgt in bitext]
     return MetricReport(
         label=label,
         uncertainty=translation_uncertainty(bitext, links),
         shift=alignment_shift(bitext, links),
-        repetition_per_mille=repetition_ratio(targets),
+        repetition_per_mille=repetition_ratio([tgt for _, tgt in bitext]),
         sentences=len(bitext),
-        target_tokens=sum(len(t) for t in targets),
-        buckets=length_buckets(table, schedule) if table is not None else (),
     )

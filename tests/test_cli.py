@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import pytest
 
@@ -285,6 +286,95 @@ def test_full_pipeline_small(tmp_path):
         assert (out / sub / "manifest.json").exists(), sub
     summary = (out / "report" / "summary.txt").read_text()
     assert "score quantiles" in summary
+
+
+FULL_ARGS = ["--n", "60", "--updates", "30", "--len-min", "3", "--len-max", "5", *FAST_MODEL]
+
+
+@pytest.fixture(scope="module")
+def full_run(tmp_path_factory):
+    """One small `selkd full` run, shared read-only by the tests below."""
+    out = tmp_path_factory.mktemp("full") / "run"
+    assert main(["full", "--out", str(out), *FULL_ARGS]) == EXIT_OK
+    return out
+
+
+def _tamper_score(path):
+    lines = path.read_text().splitlines()
+    fields = lines[0].split("\t")
+    fields[1] = "0.123456" if fields[1] != "0.123456" else "0.654321"
+    path.write_text("\n".join(["\t".join(fields), *lines[1:]]) + "\n")
+
+
+def _tamper_report(path):
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("raw\t-\t-\t1\t0.000000\t0.000000\t0.000000\n")
+
+
+@pytest.mark.parametrize("name,tamper", [("scores/scores.tsv", _tamper_score),
+                                         ("metrics/report.tsv", _tamper_report)],
+                         ids=["scores", "metrics-report"])
+def test_report_rejects_tampered_file(tmp_path, full_run, name, tamper):
+    run = tmp_path / "run"
+    shutil.copytree(full_run, run)
+    tamper(run / name)
+    out = tmp_path / "rep"
+    assert main(["report", "--out", str(out), "--run", str(run)]) == EXIT_CHECKSUM
+    assert (out / "INCOMPLETE").exists()
+    assert not (out / "summary.txt").exists()
+    assert not (out / "manifest.json").exists()
+
+
+def _manifest_case(name, run, out):
+    """argv of one stage run on `full_run`'s files, and the inputs it reads."""
+    synth = {k: str(run / "synth" / f"{k}.txt") for k in ("src", "raw", "kd")}
+    corpus = ["--src", synth["src"], "--raw", synth["raw"], "--kd", synth["kd"]]
+    scores = str(run / "scores" / "scores.tsv")
+    if name == "train-student":
+        ckpt = str(run / "evaluator" / "checkpoint.txt")
+        return (["train-student", "--out", out, *corpus, "--scores", scores, "--updates", "4",
+                 "--init-checkpoint", ckpt, *FAST_MODEL], {*synth.values(), scores, ckpt})
+    if name == "metrics-scores":
+        return (["metrics", "--out", out, *corpus, "--scores", scores, "--thresholds", "0.5",
+                 "--align-iterations", "1"], {*synth.values(), scores})
+    if name == "metrics":
+        return (["metrics", "--out", out, *corpus, "--align-iterations", "1"], set(synth.values()))
+    if name == "metrics-tgt":
+        return (["metrics", "--out", out, "--src", synth["src"], "--tgt", synth["raw"],
+                 "--align-iterations", "1"], {synth["src"], synth["raw"]})
+    subs = ("synth", "evaluator", "scores", "select", "student", "metrics")
+    return (["report", "--out", out, "--run", str(run)],
+            {str(run / sub / "manifest.json") for sub in subs}
+            | {scores, str(run / "metrics" / "report.tsv")})
+
+
+@pytest.mark.parametrize("name", ["train-student", "metrics-scores", "metrics", "metrics-tgt",
+                                  "report"])
+def test_manifest_records_exactly_the_files_read(tmp_path, full_run, name):
+    out = tmp_path / "out"
+    argv, expected = _manifest_case(name, full_run, str(out))
+    assert main(argv) == EXIT_OK
+    inputs = json.loads((out / "manifest.json").read_text())["inputs"]
+    assert set(inputs) == expected
+
+
+def test_metrics_manifest_records_bucket_schedule(tmp_path, full_run):
+    base = ["metrics", *corpus_flags(full_run / "synth"),
+            "--scores", str(full_run / "scores" / "scores.tsv"), "--align-iterations", "1"]
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main([*base, "--out", str(a)]) == EXIT_OK
+    assert main([*base, "--out", str(b), "--t0", "0.1"]) == EXIT_OK
+    config_a = json.loads((a / "manifest.json").read_text())["config"]
+    config_b = json.loads((b / "manifest.json").read_text())["config"]
+    assert (config_a["t0"], config_b["t0"]) == (0.4, 0.1)
+    assert config_a != config_b
+
+
+def test_metrics_has_no_updates_flag(tmp_path, synth_dir):
+    with pytest.raises(SystemExit) as exc:
+        main(["metrics", "--out", str(tmp_path / "m"), *corpus_flags(synth_dir),
+              "--updates", "5"])
+    assert exc.value.code == EXIT_CONFIG
 
 
 def test_report_requires_run_dir(tmp_path):
