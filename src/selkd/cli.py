@@ -165,7 +165,7 @@ def _model_config(args) -> nat.ModelConfig:
 
 
 def _schedule(args) -> cur.ThresholdSchedule:
-    if getattr(args, "fixed_threshold", None) is not None:
+    if args.fixed_threshold is not None:
         return cur.ThresholdSchedule.fixed(args.fixed_threshold, total_updates=args.updates)
     return cur.ThresholdSchedule(start=args.t0, end=args.t1, total_updates=args.updates)
 
@@ -215,7 +215,7 @@ def run_train_evaluator(args) -> int:
         result = nat.train(pairs, config, corpus.src_vocab, corpus.tgt_vocab,
                            snapshot_at=args.snapshot_updates, progress=progress)
         nat.save_checkpoint(result.model, stage.path("checkpoint.txt"))
-        if args.snapshot_updates is not None and result.snapshot is not None:
+        if args.snapshot_updates is not None:
             nat.save_checkpoint(result.snapshot, stage.path("snapshot.txt"))
         with open(stage.path("train_log.tsv"), "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(log_lines) + ("\n" if log_lines else ""))
@@ -260,26 +260,24 @@ def run_select(args) -> int:
 def run_train_student(args) -> int:
     with Stage(args.out, "train-student") as stage:
         corpus = _load_corpus_args(stage, args)
-        init_checkpoint = args.init_checkpoint or None
-        stage.input(args.scores, init_checkpoint)
+        stage.input(args.scores, args.init_checkpoint)
         table = scoring.read_score_tsv(args.scores)
         schedule = _schedule(args)
         config = _model_config(args)
-        student = cur.StudentConfig(model=config, updates=args.updates, eval_every=args.eval_every)
         init_model = None
-        if init_checkpoint:
-            init_model = nat.load_checkpoint(init_checkpoint, corpus.src_vocab, corpus.tgt_vocab)
+        if args.init_checkpoint is not None:
+            init_model = nat.load_checkpoint(args.init_checkpoint, corpus.src_vocab, corpus.tgt_vocab)
 
         def progress(row):
             print(f"update {row.update}: T={row.threshold:.4f} raw={row.raw_fraction:.3f} "
                   f"loss={row.loss:.4f}", file=sys.stderr)
 
-        result = cur.train_student(corpus, table, schedule, student,
+        result = cur.train_student(corpus, table, schedule, config,
                                    init_model=init_model, progress=progress)
         nat.save_checkpoint(result.model, stage.path("checkpoint.txt"))
         cur.write_update_log(result.log, stage.path("train_log.tsv"))
         stage.finish(config={"model": config.__dict__, "schedule": schedule.__dict__,
-                             "init_checkpoint": init_checkpoint,
+                             "init_checkpoint": args.init_checkpoint,
                              "skipped_pairs": result.skipped})
         return EXIT_OK
 
@@ -293,7 +291,23 @@ def _report_row(label: str, threshold, ratio, report) -> str:
             f"\t{report.shift:.6f}\t{report.repetition_per_mille:.6f}")
 
 
+def _check_metrics_flags(args) -> None:
+    """Reject flag combinations ``run_metrics`` would otherwise ignore,
+    before the stage creates its directory."""
+    if args.tgt:
+        ignored = [flag for flag, value in (("--raw", args.raw), ("--kd", args.kd),
+                                            ("--scores", args.scores),
+                                            ("--thresholds", args.thresholds)) if value]
+        if ignored:
+            raise StageError(f"--tgt cannot be combined with {', '.join(ignored)}", EXIT_CONFIG)
+    elif not (args.raw and args.kd):
+        raise StageError("--raw and --kd are required without --tgt", EXIT_CONFIG)
+    elif args.thresholds and not args.scores:
+        raise StageError("--thresholds needs --scores", EXIT_CONFIG)
+
+
 def run_metrics(args) -> int:
+    _check_metrics_flags(args)
     with Stage(args.out, "metrics") as stage:
         table, thresholds = None, []
         if args.tgt:
@@ -430,11 +444,9 @@ def run_full(args) -> int:
     scores = os.path.join(out, "scores", "scores.tsv")
 
     run_select(_stage_args(args, os.path.join(out, "select"), **files, scores=scores,
-                           fixed_threshold=None, k=args.updates // 2))
+                           k=args.updates // 2))
     run_train_student(_stage_args(args, os.path.join(out, "student"), **files, scores=scores,
-                                  fixed_threshold=None,
-                                  init_checkpoint=snapshot if os.path.exists(snapshot) else "",
-                                  eval_every=max(1, args.updates // 10)))
+                                  init_checkpoint=snapshot))
     mid = (args.t0 + args.t1) / 2
     run_metrics(_stage_args(args, os.path.join(out, "metrics"), **files, scores=scores, tgt=None,
                             thresholds=f"{args.t0},{mid},{args.t1}", dump_links=False))
@@ -538,8 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scores", required=True)
     _add_schedule_flags(p)
     _add_model_flags(p)
-    p.add_argument("--init-checkpoint", default="", help="warm-start from this checkpoint")
-    p.add_argument("--eval-every", type=int, default=100)
+    p.add_argument("--init-checkpoint", help="warm-start from this checkpoint")
     p.set_defaults(func=run_train_student)
 
     p = sub("metrics", "complexity/quality report over corpus views")

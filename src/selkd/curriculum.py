@@ -38,33 +38,29 @@ class Choice(str, Enum):
 
 @dataclass(frozen=True)
 class ThresholdSchedule:
+    """T_k moves linearly from ``start`` to ``end`` over ``total_updates``
+    updates; a fixed threshold has equal endpoints."""
+
     start: float
     end: float
     total_updates: int
-    mode: str = "linear"
 
     def __post_init__(self):
-        if self.mode not in ("linear", "fixed"):
-            raise ScheduleError(f"unknown schedule mode {self.mode!r}")
         for name, v in (("start", self.start), ("end", self.end)):
             if not 0.0 <= v <= MAX_THRESHOLD:
                 raise ScheduleError(f"{name} threshold {v} outside [0, {MAX_THRESHOLD}]")
-        if self.mode == "fixed" and self.start != self.end:
-            raise ScheduleError("fixed schedules require start == end")
         if self.total_updates < 1:
             raise ScheduleError("total_updates must be >= 1")
 
     @classmethod
     def fixed(cls, threshold: float, total_updates: int = 1) -> "ThresholdSchedule":
-        return cls(start=threshold, end=threshold, total_updates=total_updates, mode="fixed")
+        return cls(start=threshold, end=threshold, total_updates=total_updates)
 
 
 def threshold_at(schedule: ThresholdSchedule, k: int) -> float:
     """T_k by linear interpolation between the endpoints."""
     if not 0 <= k <= schedule.total_updates:
         raise ScheduleError(f"update index {k} outside [0, {schedule.total_updates}]")
-    if schedule.mode == "fixed":
-        return schedule.start
     return schedule.start + (k / schedule.total_updates) * (schedule.end - schedule.start)
 
 
@@ -85,7 +81,7 @@ def select_for_update(table: ScoreTable, corpus: Corpus, threshold: float) -> li
     validate_table_covers(table, corpus)
     decisions = []
     for ex in corpus.examples:
-        score = table.score_of(ex.index)
+        score = table.records[ex.index].score
         choice = Choice.RAW if score >= threshold else Choice.KD
         decisions.append(SelectionDecision(index=ex.index, choice=choice, score=score, threshold=threshold))
     return decisions
@@ -110,25 +106,12 @@ def exposure_period(score: float, schedule: ThresholdSchedule) -> float:
 
     For a rising linear schedule the threshold passes the score at
     k/K = (score - start)/(end - start); clamped to [0, 1]. Fixed (or
-    degenerate) schedules expose either always or never.
+    falling) schedules expose either always or never.
     """
-    if schedule.mode == "fixed" or schedule.end <= schedule.start:
+    if schedule.end <= schedule.start:
         return 1.0 if score >= schedule.start else 0.0
     frac = (score - schedule.start) / (schedule.end - schedule.start)
     return min(1.0, max(0.0, frac))
-
-
-@dataclass(frozen=True)
-class StudentConfig:
-    model: ModelConfig
-    updates: int
-    eval_every: int = 100
-
-    def __post_init__(self):
-        if self.updates < 1:
-            raise ScheduleError("updates must be >= 1")
-        if self.eval_every < 1:
-            raise ScheduleError("eval_every must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -147,9 +130,11 @@ class StudentResult:
 
 
 def train_student(corpus: Corpus, table: ScoreTable, schedule: ThresholdSchedule,
-                  student: StudentConfig, init_model: NatModel | None = None,
+                  config: ModelConfig, init_model: NatModel | None = None,
                   progress=None) -> StudentResult:
-    """Run the per-update selection loop for ``student.updates`` steps.
+    """Run the per-update selection loop for K = ``schedule.total_updates``
+    steps, calling ``progress`` with the log row of every max(1, K // 10)-th
+    update and of the last.
 
     The batch for update k walks round-robin over one seeded shuffle of
     the corpus; each example's target resolves lazily against T_k, which
@@ -157,13 +142,8 @@ def train_student(corpus: Corpus, table: ScoreTable, schedule: ThresholdSchedule
     without copying it. Infeasible pairs are skipped and counted.
     """
     validate_table_covers(table, corpus)
-    if schedule.total_updates != student.updates:
-        raise ScheduleError(
-            f"schedule covers {schedule.total_updates} updates but the student runs {student.updates}"
-        )
     if len(corpus) == 0:
         raise TrainingError("empty corpus")
-    cfg = student.model
     if init_model is not None:
         expect = (corpus.src_vocab.content_hash(), corpus.tgt_vocab.content_hash())
         got = (init_model.src_vocab_hash, init_model.tgt_vocab_hash)
@@ -171,40 +151,42 @@ def train_student(corpus: Corpus, table: ScoreTable, schedule: ThresholdSchedule
             raise TrainingError("init checkpoint vocabularies do not match the corpus")
         init_cfg = init_model.config
         arch = ("embed_dim", "hidden_dim", "upsample", "window")
-        if any(getattr(init_cfg, f) != getattr(cfg, f) for f in arch):
+        if any(getattr(init_cfg, f) != getattr(config, f) for f in arch):
             raise TrainingError(
                 "init checkpoint architecture differs from the student config "
-                f"({ {f: getattr(init_cfg, f) for f in arch} } vs { {f: getattr(cfg, f) for f in arch} })"
+                f"({ {f: getattr(init_cfg, f) for f in arch} } vs { {f: getattr(config, f) for f in arch} })"
             )
         model = init_model.copy()
     else:
-        model = NatModel.initialize(cfg, corpus.src_vocab, corpus.tgt_vocab)
-    if all(min_frames(ex.raw_target) > cfg.upsample * len(ex.source)
-           and min_frames(ex.distilled_target) > cfg.upsample * len(ex.source)
+        model = NatModel.initialize(config, corpus.src_vocab, corpus.tgt_vocab)
+    if all(min_frames(ex.raw_target) > config.upsample * len(ex.source)
+           and min_frames(ex.distilled_target) > config.upsample * len(ex.source)
            for ex in corpus.examples):
         raise TrainingError("every pair is infeasible for the configured upsample factor")
 
     order = list(range(len(corpus)))
-    Rng(cfg.seed ^ 0x57D).shuffle(order)
+    Rng(config.seed ^ 0x57D).shuffle(order)
     n = len(order)
     log: list[UpdateLogRow] = []
     skipped_total = 0
-    for k in range(student.updates):
+    updates = schedule.total_updates
+    every = max(1, updates // 10)
+    for k in range(updates):
         t_k = threshold_at(schedule, k)
         batch = []
         raw_count = 0
-        for i in range(cfg.batch_size):
-            ex = corpus.examples[order[(k * cfg.batch_size + i) % n]]
-            take_raw = table.score_of(ex.index) >= t_k
+        for i in range(config.batch_size):
+            ex = corpus.examples[order[(k * config.batch_size + i) % n]]
+            take_raw = table.records[ex.index].score >= t_k
             raw_count += int(take_raw)
             batch.append((ex.source, ex.raw_target if take_raw else ex.distilled_target))
-        loss, skipped = batch_step(model, batch, cfg.learning_rate, cfg.clip_norm)
+        loss, skipped = batch_step(model, batch, config.learning_rate, config.clip_norm)
         skipped_total += skipped
         row = UpdateLogRow(update=k, threshold=t_k,
-                           raw_fraction=raw_count / cfg.batch_size,
+                           raw_fraction=raw_count / config.batch_size,
                            loss=float("nan") if loss is None else loss)
         log.append(row)
-        if progress is not None and (k % student.eval_every == 0 or k == student.updates - 1):
+        if progress is not None and (k % every == 0 or k == updates - 1):
             progress(row)
     return StudentResult(model=model, log=tuple(log), skipped=skipped_total)
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .align import NULL_LINK, AlignmentLinks, AlignmentModel, align_pair
 from .corpus import Corpus, Sentence
 from .curriculum import ThresholdSchedule, exposure_period
-from .scoring import ScoreTable
+from .scoring import ScoreTable, validate_table_covers
 
 Bitext = list[tuple[Sentence, Sentence]]
 
@@ -175,7 +175,8 @@ def threshold_views(corpus: Corpus, table: ScoreTable, threshold: float,
     side, before replacement), and mix what the student actually sees: the
     selected raw pairs and the distilled replacements, in corpus order.
     """
-    keep = [table.score_of(ex.index) >= threshold for ex in corpus.examples]
+    validate_table_covers(table, corpus)
+    keep = [record.score >= threshold for record in table.records]
     raw = list(zip(view_raw(corpus), raw_links, strict=True))
     distilled = list(zip(view_distilled(corpus), distilled_links, strict=True))
     picked = (("selected", [r for r, k in zip(raw, keep) if k]),
@@ -185,7 +186,7 @@ def threshold_views(corpus: Corpus, table: ScoreTable, threshold: float,
             for label, items in picked]
 
 
-def length_buckets(table: ScoreTable, schedule: ThresholdSchedule | None) -> tuple[BucketRow, ...]:
+def length_buckets(table: ScoreTable, schedule: ThresholdSchedule) -> tuple[BucketRow, ...]:
     rows = []
     for lo, hi in LENGTH_BUCKETS:
         recs = [r for r in table.records if r.ref_len >= lo and (hi is None or r.ref_len < hi)]
@@ -194,10 +195,7 @@ def length_buckets(table: ScoreTable, schedule: ThresholdSchedule | None) -> tup
                                   mean_exposure=float("nan")))
             continue
         mean_score = sum(r.score for r in recs) / len(recs)
-        if schedule is None:
-            mean_exp = float("nan")
-        else:
-            mean_exp = sum(exposure_period(r.score, schedule) for r in recs) / len(recs)
+        mean_exp = sum(exposure_period(r.score, schedule) for r in recs) / len(recs)
         rows.append(BucketRow(lo=lo, hi=hi, count=len(recs), mean_score=mean_score,
                               mean_exposure=mean_exp))
     return tuple(rows)

@@ -65,12 +65,6 @@ class ScoreTable:
     def __len__(self) -> int:
         return len(self.records)
 
-    def score_of(self, index: int) -> float:
-        rec = self.records[index]
-        if rec.index != index:
-            raise ScoringError(f"score table is not index-aligned at {index}")
-        return rec.score
-
     def scores(self) -> np.ndarray:
         return np.array([r.score for r in self.records], dtype=np.float64)
 

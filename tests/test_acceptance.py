@@ -20,7 +20,6 @@ from selkd.cli import main as cli_main
 from selkd.curriculum import (
     Choice,
     ThresholdSchedule,
-    StudentConfig,
     exposure_period,
     raw_ratio,
     select_for_update,
@@ -205,6 +204,7 @@ def _selection_complexity_seed(seed):
     }
 
 
+@pytest.mark.slow
 @criterion(6, "selected raw is less complex than replaced raw (3 seeds)")
 def test_criterion_6_selected_vs_replaced_complexity():
     for seed in (101, 202, 303):
@@ -268,9 +268,7 @@ def _students_seed(seed, updates=1800, n=800):
     for name, schedule in (("selective", ThresholdSchedule(0.4, 1.0, updates)),
                            ("kd", ThresholdSchedule.fixed(1.01, updates)),
                            ("raw", ThresholdSchedule.fixed(0.0, updates))):
-        student = train_student(sc.corpus, table, schedule,
-                                StudentConfig(model=stu_cfg, updates=updates,
-                                              eval_every=10 ** 9)).model
+        student = train_student(sc.corpus, table, schedule, stu_cfg).model
         hyps = [decode_greedy(forward(student, src)).output for src in sources]
         nonempty = [h for h in hyps if h]
         assert nonempty, f"{name} student decoded nothing but blanks"
@@ -278,6 +276,7 @@ def _students_seed(seed, updates=1800, n=800):
     return out
 
 
+@pytest.mark.slow
 @criterion(8, "selective student repeats less than KD-only, scores >= raw-only (3-seed mean)")
 def test_criterion_8_repetition_and_accuracy():
     results = [_students_seed(seed) for seed in (11, 22, 33)]
@@ -351,6 +350,7 @@ def test_criterion_9_determinism(tmp_path):
 
 # -- 10 ---------------------------------------------------------------------
 
+@pytest.mark.slow
 @criterion(10, "default full pipeline finishes under 5 minutes")
 def test_criterion_10_end_to_end_smoke(tmp_path):
     out = tmp_path / "run"

@@ -377,6 +377,47 @@ def test_metrics_has_no_updates_flag(tmp_path, synth_dir):
     assert exc.value.code == EXIT_CONFIG
 
 
+def test_train_student_has_no_eval_every_flag(tmp_path, synth_dir):
+    with pytest.raises(SystemExit) as exc:
+        main(["train-student", "--out", str(tmp_path / "st"), *corpus_flags(synth_dir),
+              "--scores", str(tmp_path / "scores.tsv"), "--eval-every", "5"])
+    assert exc.value.code == EXIT_CONFIG
+
+
+def test_full_fixed_threshold_runs_the_kd_only_baseline(tmp_path):
+    out = tmp_path / "run"
+    assert main(["full", "--out", str(out), *SYNTH_ARGS, *FAST_MODEL, "--updates", "8",
+                 "--fixed-threshold", "1.01"]) == EXIT_OK
+    log = [line.split("\t") for line in (out / "student" / "train_log.tsv").read_text().splitlines()]
+    assert len(log) == 8
+    assert all(row[1:3] == ["1.010000", "0.000000"] for row in log)
+    decisions = [line.split("\t") for line in (out / "select" / "decisions.tsv").read_text().splitlines()]
+    assert all(row[1] == "KD" and row[3] == "1.010000" for row in decisions)
+
+
+_METRICS_FLAG_CASES = {
+    "no-tgt-no-raw": ["--kd", "kd.txt"],
+    "no-tgt-no-kd": ["--raw", "raw.txt"],
+    "tgt-with-raw": ["--tgt", "raw.txt", "--raw", "raw.txt"],
+    "tgt-with-kd": ["--tgt", "raw.txt", "--kd", "kd.txt"],
+    "tgt-with-scores": ["--tgt", "raw.txt", "--scores", "scores.tsv"],
+    "tgt-with-thresholds": ["--tgt", "raw.txt", "--thresholds", "0.5"],
+    "thresholds-without-scores": ["--raw", "raw.txt", "--kd", "kd.txt", "--thresholds", "0.5"],
+}
+
+
+@pytest.mark.parametrize("case", list(_METRICS_FLAG_CASES))
+def test_metrics_rejects_ignored_or_missing_flags(tmp_path, synth_dir, case):
+    (synth_dir / "scores.tsv").write_text("".join(f"{i}\t0.500000\t0\t4\t8\n" for i in range(40)))
+    flags = [str(synth_dir / arg) if arg.endswith((".txt", ".tsv")) else arg
+             for arg in _METRICS_FLAG_CASES[case]]
+    out = tmp_path / "m"
+    code = main(["metrics", "--out", str(out), "--src", str(synth_dir / "src.txt"), *flags,
+                 "--align-iterations", "1"])
+    assert code == EXIT_CONFIG
+    assert not out.exists()
+
+
 def test_report_requires_run_dir(tmp_path):
     code = main(["report", "--out", str(tmp_path / "r"), "--run", str(tmp_path / "missing")])
     assert code == EXIT_MISSING_INPUT

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from selkd.curriculum import (
     Choice,
     ScheduleError,
-    StudentConfig,
     ThresholdSchedule,
     exposure_period,
     raw_ratio,
@@ -38,9 +37,12 @@ def test_threshold_endpoints_and_midpoint():
     assert threshold_at(LINEAR, 150000) == pytest.approx(0.7)
 
 
-def test_threshold_fixed_mode():
-    sched = ThresholdSchedule.fixed(0.55, total_updates=10)
-    assert all(threshold_at(sched, k) == 0.55 for k in range(11))
+@pytest.mark.parametrize("total", [1, 7, 10, 300000])
+@pytest.mark.parametrize("t", [0.0, 0.55, 1.01])
+def test_threshold_fixed_mode(t, total):
+    sched = ThresholdSchedule.fixed(t, total_updates=total)
+    assert (sched.start, sched.end, sched.total_updates) == (t, t, total)
+    assert all(threshold_at(sched, k) == t for k in range(total + 1))
 
 
 def test_threshold_out_of_range():
@@ -55,8 +57,6 @@ def test_schedule_validation():
         ThresholdSchedule(start=-0.1, end=1.0, total_updates=10)
     with pytest.raises(ScheduleError):
         ThresholdSchedule(start=0.2, end=1.02, total_updates=10)
-    with pytest.raises(ScheduleError):
-        ThresholdSchedule(start=0.2, end=0.3, total_updates=10, mode="fixed")
     ThresholdSchedule.fixed(1.01, total_updates=5)  # the deselect-all sentinel is legal
 
 
@@ -154,10 +154,9 @@ def test_exposure_fixed_schedule_step():
     assert exposure_period(0.49, sched) == 0.0
 
 
-def student_config(updates, seed=5, batch_size=2):
-    cfg = ModelConfig(embed_dim=6, hidden_dim=8, upsample=2, window=1,
-                      learning_rate=0.2, epochs=1, batch_size=batch_size, seed=seed)
-    return StudentConfig(model=cfg, updates=updates, eval_every=50)
+def student_config(seed=5, batch_size=2):
+    return ModelConfig(embed_dim=6, hidden_dim=8, upsample=2, window=1,
+                       learning_rate=0.2, epochs=1, batch_size=batch_size, seed=seed)
 
 
 def replace_side(corpus, raw_from_distilled: bool):
@@ -185,9 +184,9 @@ def test_student_fixed_sentinel_equals_training_on_distilled():
     table = table_from_scores([0.5, 0.5, 0.5, 0.5])
     updates = 12
     r_sentinel = train_student(corpus, table, ThresholdSchedule.fixed(1.01, updates),
-                               student_config(updates))
+                               student_config())
     r_kd = train_student(kd_as_raw, table, ThresholdSchedule.fixed(0.0, updates),
-                         student_config(updates))
+                         student_config())
     assert [row.loss for row in r_sentinel.log] == [row.loss for row in r_kd.log]
     for name in r_sentinel.model.params:
         np.testing.assert_array_equal(r_sentinel.model.params[name], r_kd.model.params[name])
@@ -203,9 +202,9 @@ def test_student_fixed_zero_equals_training_on_raw():
     table = table_from_scores([0.7, 0.2])
     updates = 8
     r_zero = train_student(corpus, table, ThresholdSchedule.fixed(0.0, updates),
-                           student_config(updates))
+                           student_config())
     r_raw = train_student(raw_only, table, ThresholdSchedule.fixed(1.01, updates),
-                          student_config(updates))
+                          student_config())
     assert [row.loss for row in r_zero.log] == [row.loss for row in r_raw.log]
 
 
@@ -215,7 +214,7 @@ def test_student_linear_raw_ratio_nonincreasing():
     table = table_from_scores(scores)
     updates = 30
     sched = ThresholdSchedule(start=0.0, end=1.0, total_updates=updates)
-    result = train_student(corpus, table, sched, student_config(updates, batch_size=3))
+    result = train_student(corpus, table, sched, student_config(batch_size=3))
     # corpus-level raw ratio at each logged threshold is exactly nonincreasing
     ratios = [raw_ratio(table, row.threshold) for row in result.log]
     assert all(a >= b for a, b in zip(ratios, ratios[1:]))
@@ -229,8 +228,8 @@ def test_student_seed_determinism():
     table = table_from_scores([0.2, 0.4, 0.6, 0.8])
     updates = 10
     sched = ThresholdSchedule(start=0.2, end=0.9, total_updates=updates)
-    a = train_student(corpus, table, sched, student_config(updates))
-    b = train_student(corpus, table, sched, student_config(updates))
+    a = train_student(corpus, table, sched, student_config())
+    b = train_student(corpus, table, sched, student_config())
     assert a.log == b.log
     for name in a.model.params:
         np.testing.assert_array_equal(a.model.params[name], b.model.params[name])
@@ -243,10 +242,10 @@ def test_student_init_model_used():
     sched = ThresholdSchedule(start=0.2, end=0.9, total_updates=updates)
     from selkd.nat import NatModel
 
-    warm = NatModel.initialize(student_config(updates).model, corpus.src_vocab, corpus.tgt_vocab)
+    warm = NatModel.initialize(student_config(), corpus.src_vocab, corpus.tgt_vocab)
     warm.params["b_out"] += 0.25  # make the start recognizably different
-    res = train_student(corpus, table, sched, student_config(updates), init_model=warm.copy())
-    cold = train_student(corpus, table, sched, student_config(updates))
+    res = train_student(corpus, table, sched, student_config(), init_model=warm.copy())
+    cold = train_student(corpus, table, sched, student_config())
     assert not np.array_equal(res.model.params["b_out"], cold.model.params["b_out"])
 
 
@@ -260,7 +259,7 @@ def test_student_init_architecture_mismatch_rejected():
                             learning_rate=0.2, epochs=1, batch_size=2, seed=5)
     warm = NatModel.initialize(other_cfg, corpus.src_vocab, corpus.tgt_vocab)
     with pytest.raises(TrainingError, match="architecture"):
-        train_student(corpus, table, sched, student_config(4), init_model=warm)
+        train_student(corpus, table, sched, student_config(), init_model=warm)
 
 
 def test_student_init_wrong_vocab_rejected():
@@ -270,13 +269,7 @@ def test_student_init_wrong_vocab_rejected():
     sched = ThresholdSchedule.fixed(0.5, 4)
     from selkd.nat import NatModel, TrainingError
 
-    wrong = NatModel.initialize(student_config(4).model, other.src_vocab, other.tgt_vocab)
+    wrong = NatModel.initialize(student_config(), other.src_vocab, other.tgt_vocab)
     with pytest.raises(TrainingError):
-        train_student(corpus, table, sched, student_config(4), init_model=wrong)
+        train_student(corpus, table, sched, student_config(), init_model=wrong)
 
-
-def test_student_schedule_length_mismatch():
-    corpus = two_target_corpus(2)
-    table = table_from_scores([0.5, 0.5])
-    with pytest.raises(ScheduleError):
-        train_student(corpus, table, ThresholdSchedule.fixed(0.5, 5), student_config(4))

@@ -21,7 +21,9 @@ from selkd.metrics import (
     view_raw,
 )
 from selkd import synth
+from selkd.scoring import ScoreRecord, ScoreTable, ScoringError
 
+from conftest import make_corpus
 from test_align import bijective_bitext, dense_table
 
 
@@ -200,6 +202,16 @@ def test_views_partition_corpus(memorized_setup):
     # links picked by index are the links of each view aligned on its own
     for view, links in views.values():
         assert links == align_bitext(view, model)
+
+
+def test_threshold_views_reject_short_table():
+    corpus = make_corpus([("a b", "p q", "x y"), ("b a", "q p", "y x"), ("a a", "p p", "x x")])
+    table = ScoreTable(records=tuple(
+        ScoreRecord(index=i, score=0.5, distance=0, ref_len=2, frame_len=4, variant="ctc")
+        for i in range(len(corpus) - 1)), variant="ctc")
+    links = [(1, 2)] * len(corpus)
+    with pytest.raises(ScoringError, match="2 rows for a corpus of 3"):
+        threshold_views(corpus, table, 0.5, links, links)
 
 
 def test_bucket_rows_present_with_scores(memorized_setup):
