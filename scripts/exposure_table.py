@@ -3,29 +3,22 @@
 
     python scripts/exposure_table.py SCORES_TSV [T0 T1]
 
-Prints, for each reference-length bucket, the mean evaluator score and
-the fraction of a linear T0->T1 curriculum during which those references
+Prints the ``buckets.tsv`` table that ``selkd metrics --scores`` writes:
+for each reference-length bucket, the mean evaluator score and the
+fraction of a linear T0->T1 curriculum during which those references
 would be selected.
 """
 
 import sys
 
 from selkd.curriculum import ThresholdSchedule
-from selkd.metrics import length_buckets
+from selkd.metrics import bucket_table
 from selkd.scoring import read_score_tsv
 
 
 def main(path: str, t0: float = 0.4, t1: float = 1.0) -> None:
-    table = read_score_tsv(path)
-    schedule = ThresholdSchedule(start=t0, end=t1, total_updates=1000)
-    print(f"schedule: linear {t0} -> {t1}")
-    print("length\tcount\tmean_score\texposure")
-    for b in length_buckets(table, schedule):
-        hi = "inf" if b.hi is None else b.hi
-        if b.count == 0:
-            print(f"[{b.lo},{hi})\t0\t-\t-")
-        else:
-            print(f"[{b.lo},{hi})\t{b.count}\t{b.mean_score:.3f}\t{b.mean_exposure * 100:.1f}%")
+    schedule = ThresholdSchedule(start=t0, end=t1, total_updates=1)
+    print("\n".join(bucket_table(read_score_tsv(path), schedule)))
 
 
 if __name__ == "__main__":

@@ -165,8 +165,6 @@ def _model_config(args) -> nat.ModelConfig:
 
 
 def _schedule(args) -> cur.ThresholdSchedule:
-    if args.fixed_threshold is not None:
-        return cur.ThresholdSchedule.fixed(args.fixed_threshold, total_updates=args.updates)
     return cur.ThresholdSchedule(start=args.t0, end=args.t1, total_updates=args.updates)
 
 
@@ -240,29 +238,27 @@ def run_score(args) -> int:
 
 
 def run_select(args) -> int:
+    threshold = cur.check_threshold(args.threshold, "--threshold")
     with Stage(args.out, "select") as stage:
         corpus = _load_corpus_args(stage, args)
         stage.input(args.scores)
         table = scoring.read_score_tsv(args.scores)
-        schedule = _schedule(args)
-        threshold = cur.threshold_at(schedule, args.k if args.k is not None else 0)
         decisions = cur.select_for_update(table, corpus, threshold)
         targets = cur.selected_targets(corpus, decisions)
         corpus_mod.write_bitext(corpus, "source", stage.path("selected_source.txt"))
         corpus_mod.write_sentences(targets, corpus.tgt_vocab, stage.path("selected_target.txt"))
         cur.write_decisions_tsv(decisions, stage.path("decisions.tsv"))
         raw_share = sum(1 for d in decisions if d.choice is cur.Choice.RAW) / len(decisions) if decisions else 0.0
-        stage.finish(config={"threshold": threshold, "k": args.k,
-                             "schedule": schedule.__dict__, "raw_ratio": raw_share})
+        stage.finish(config={"threshold": threshold, "raw_ratio": raw_share})
         return EXIT_OK
 
 
 def run_train_student(args) -> int:
+    schedule = _schedule(args)
     with Stage(args.out, "train-student") as stage:
         corpus = _load_corpus_args(stage, args)
         stage.input(args.scores, args.init_checkpoint)
         table = scoring.read_score_tsv(args.scores)
-        schedule = _schedule(args)
         config = _model_config(args)
         init_model = None
         if args.init_checkpoint is not None:
@@ -291,9 +287,10 @@ def _report_row(label: str, threshold, ratio, report) -> str:
             f"\t{report.shift:.6f}\t{report.repetition_per_mille:.6f}")
 
 
-def _check_metrics_flags(args) -> None:
-    """Reject flag combinations ``run_metrics`` would otherwise ignore,
-    before the stage creates its directory."""
+def _check_metrics_flags(args) -> list[float]:
+    """Reject flag combinations ``run_metrics`` would otherwise ignore and
+    thresholds outside [0, 1.01], before the stage creates its directory;
+    return the ``--thresholds`` sweep."""
     if args.tgt:
         ignored = [flag for flag, value in (("--raw", args.raw), ("--kd", args.kd),
                                             ("--scores", args.scores),
@@ -304,12 +301,16 @@ def _check_metrics_flags(args) -> None:
         raise StageError("--raw and --kd are required without --tgt", EXIT_CONFIG)
     elif args.thresholds and not args.scores:
         raise StageError("--thresholds needs --scores", EXIT_CONFIG)
+    cur.check_threshold(args.t0, "--t0")
+    cur.check_threshold(args.t1, "--t1")
+    return [cur.check_threshold(float(x), "--thresholds value")
+            for x in args.thresholds.split(",")] if args.thresholds else []
 
 
 def run_metrics(args) -> int:
-    _check_metrics_flags(args)
+    thresholds = _check_metrics_flags(args)
     with Stage(args.out, "metrics") as stage:
-        table, thresholds = None, []
+        table = None
         if args.tgt:
             stage.input(args.src, args.tgt)
             # Single-view mode: the bitext itself is both corpus and view.
@@ -320,7 +321,6 @@ def run_metrics(args) -> int:
                 stage.input(args.scores)
                 table = scoring.read_score_tsv(args.scores)
                 scoring.validate_table_covers(table, corpus)
-                thresholds = [float(x) for x in args.thresholds.split(",")] if args.thresholds else []
 
         raw = metrics_mod.view_raw(corpus)
         model = align_mod.em_train(raw, iterations=args.align_iterations,
@@ -353,14 +353,8 @@ def run_metrics(args) -> int:
         if table is not None:
             # Exposure depends on the endpoints only, so one update suffices.
             schedule = cur.ThresholdSchedule(start=args.t0, end=args.t1, total_updates=1)
-            bucket_rows = ["bucket\tcount\tmean_score\tmean_exposure"]
-            for b in metrics_mod.length_buckets(table, schedule):
-                hi = "inf" if b.hi is None else str(b.hi)
-                score_s = "-" if math.isnan(b.mean_score) else f"{b.mean_score:.6f}"
-                exp_s = "-" if math.isnan(b.mean_exposure) else f"{b.mean_exposure:.6f}"
-                bucket_rows.append(f"[{b.lo},{hi})\t{b.count}\t{score_s}\t{exp_s}")
             with open(stage.path("buckets.tsv"), "w", encoding="utf-8", newline="\n") as fh:
-                fh.write("\n".join(bucket_rows) + "\n")
+                fh.write("\n".join(metrics_mod.bucket_table(table, schedule)) + "\n")
 
         if args.dump_links:
             align_mod.write_pharaoh(raw_links, stage.path("links.txt"))
@@ -426,9 +420,10 @@ def _stage_args(args, out: str, **overrides) -> argparse.Namespace:
 
 
 def run_full(args) -> int:
-    """Chain every stage under one output directory. The aligner flags are
-    checked first, so bad ones fail before any stage runs."""
+    """Chain every stage under one output directory. The aligner flags and
+    the schedule are checked first, so bad ones fail before any stage runs."""
     align_mod.check_em_params(args.align_iterations, args.tension, args.null_prob)
+    schedule = _schedule(args)
     out = args.out
     run_synth(_stage_args(args, os.path.join(out, "synth")))
     files = {name: os.path.join(out, "synth", f"{name}.txt") for name in ("src", "raw", "kd")}
@@ -444,12 +439,13 @@ def run_full(args) -> int:
     scores = os.path.join(out, "scores", "scores.tsv")
 
     run_select(_stage_args(args, os.path.join(out, "select"), **files, scores=scores,
-                           k=args.updates // 2))
+                           threshold=cur.threshold_at(schedule, args.updates // 2)))
     run_train_student(_stage_args(args, os.path.join(out, "student"), **files, scores=scores,
                                   init_checkpoint=snapshot))
-    mid = (args.t0 + args.t1) / 2
+    # The sweep brackets the schedule the student ran: T0, its midpoint and T1, once each.
+    sweep = dict.fromkeys((args.t0, (args.t0 + args.t1) / 2, args.t1))
     run_metrics(_stage_args(args, os.path.join(out, "metrics"), **files, scores=scores, tgt=None,
-                            thresholds=f"{args.t0},{mid},{args.t1}", dump_links=False))
+                            thresholds=",".join(map(str, sweep)), dump_links=False))
     return run_report(_stage_args(args, os.path.join(out, "report"), run=out))
 
 
@@ -472,6 +468,7 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--epochs", type=int, default=5)
     p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--clip-norm", type=float, default=5.0)
+    p.add_argument("--seed", type=int, default=0)
 
 
 def _add_align_flags(p: argparse.ArgumentParser) -> None:
@@ -484,8 +481,6 @@ def _add_schedule_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--t0", type=float, default=0.4, help="starting threshold")
     p.add_argument("--t1", type=float, default=1.0, help="final threshold")
     p.add_argument("--updates", type=int, default=2000, help="total updates K")
-    p.add_argument("--fixed-threshold", type=float, default=None,
-                   help="use one fixed threshold instead of the linear schedule")
 
 
 def _add_synth_flags(p: argparse.ArgumentParser) -> None:
@@ -511,15 +506,16 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     def sub(name, help_text):
-        p = subs.add_parser(name, help=help_text, epilog=EXIT_CODE_DOC,
+        # No abbreviations: a prefix of a flag (``--k`` for ``--kd``) is not that flag.
+        p = subs.add_parser(name, help=help_text, epilog=EXIT_CODE_DOC, allow_abbrev=False,
                             formatter_class=argparse.RawDescriptionHelpFormatter)
         p.add_argument("--out", default=_default_out(name),
                        help="output directory (default $SELKD_OUTPUT_ROOT/%(prog)s)")
-        p.add_argument("--seed", type=int, default=0)
         return p
 
     p = sub("synth", "generate a synthetic multimodal corpus")
     _add_synth_flags(p)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=run_synth)
 
     p = sub("train-evaluator", "train the scoring model on one target side")
@@ -541,8 +537,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub("select", "materialize the raw/distilled choice at one threshold")
     _add_corpus_flags(p)
     p.add_argument("--scores", required=True)
-    _add_schedule_flags(p)
-    p.add_argument("--k", type=int, default=None, help="update index whose threshold to apply (default 0)")
+    p.add_argument("--threshold", type=float, required=True,
+                   help="keep the raw target of every example scoring at or above this")
     p.set_defaults(func=run_select)
 
     p = sub("train-student", "train a student under the threshold curriculum")

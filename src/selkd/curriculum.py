@@ -31,6 +31,13 @@ class SelectionError(ValueError):
     pass
 
 
+def check_threshold(value: float, name: str) -> float:
+    """``value`` if it lies in [0, MAX_THRESHOLD]; NaN does not."""
+    if not 0.0 <= value <= MAX_THRESHOLD:
+        raise ScheduleError(f"{name} {value} outside [0, {MAX_THRESHOLD}]")
+    return value
+
+
 class Choice(str, Enum):
     RAW = "RAW"
     KD = "KD"
@@ -46,9 +53,8 @@ class ThresholdSchedule:
     total_updates: int
 
     def __post_init__(self):
-        for name, v in (("start", self.start), ("end", self.end)):
-            if not 0.0 <= v <= MAX_THRESHOLD:
-                raise ScheduleError(f"{name} threshold {v} outside [0, {MAX_THRESHOLD}]")
+        check_threshold(self.start, "start threshold")
+        check_threshold(self.end, "end threshold")
         if self.total_updates < 1:
             raise ScheduleError("total_updates must be >= 1")
 

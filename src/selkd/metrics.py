@@ -201,6 +201,17 @@ def length_buckets(table: ScoreTable, schedule: ThresholdSchedule) -> tuple[Buck
     return tuple(rows)
 
 
+def bucket_table(table: ScoreTable, schedule: ThresholdSchedule) -> list[str]:
+    """The lines of ``buckets.tsv``: a header, then one row per length
+    bucket; a mean over an empty bucket is ``-``."""
+    lines = ["bucket\tcount\tmean_score\tmean_exposure"]
+    for b in length_buckets(table, schedule):
+        means = ["-" if math.isnan(x) else f"{x:.6f}" for x in (b.mean_score, b.mean_exposure)]
+        hi = "inf" if b.hi is None else b.hi
+        lines.append("\t".join([f"[{b.lo},{hi})", str(b.count), *means]))
+    return lines
+
+
 def metric_report(bitext: Bitext, links: list[AlignmentLinks], label: str) -> MetricReport:
     """All metrics for one corpus view and its links (one entry per pair);
     errors on an empty view (there is nothing meaningful to report)."""

@@ -139,10 +139,6 @@ def collapse(frames) -> Sentence:
 class FramePath:
     frames: tuple[int, ...]
 
-    @property
-    def collapsed(self) -> Sentence:
-        return collapse(self.frames)
-
 
 @dataclass(frozen=True)
 class GreedyDecode:

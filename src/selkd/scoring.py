@@ -65,9 +65,6 @@ class ScoreTable:
     def __len__(self) -> int:
         return len(self.records)
 
-    def scores(self) -> np.ndarray:
-        return np.array([r.score for r in self.records], dtype=np.float64)
-
 
 def hamming_distance(a: Sentence, b: Sentence) -> int:
     """Mismatch count; each surplus position of the longer side counts."""

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import shutil
@@ -13,6 +14,7 @@ from selkd.cli import (
     EXIT_MISSING_INPUT,
     EXIT_OK,
     _report_row,
+    build_parser,
     main,
 )
 from selkd.corpus import load_corpus
@@ -94,17 +96,19 @@ def test_select_sentinel_reproduces_distilled_file(tmp_path, synth_dir):
     sel = tmp_path / "sel"
     assert main(["select", "--out", str(sel), *corpus_flags(synth_dir),
                  "--scores", str(sc / "scores.tsv"),
-                 "--fixed-threshold", "1.01", "--updates", "10"]) == EXIT_OK
+                 "--threshold", "1.01"]) == EXIT_OK
     assert read_bytes(sel / "selected_target.txt") == read_bytes(synth_dir / "kd.txt")
     assert read_bytes(sel / "selected_source.txt") == read_bytes(synth_dir / "src.txt")
     decisions = (sel / "decisions.tsv").read_text().splitlines()
     assert all(line.split("\t")[1] == "KD" for line in decisions)
+    config = json.loads((sel / "manifest.json").read_text())["config"]
+    assert config == {"threshold": 1.01, "raw_ratio": 0.0}
 
     # threshold zero keeps every raw target
     sel0 = tmp_path / "sel0"
     assert main(["select", "--out", str(sel0), *corpus_flags(synth_dir),
                  "--scores", str(sc / "scores.tsv"),
-                 "--fixed-threshold", "0.0", "--updates", "10"]) == EXIT_OK
+                 "--threshold", "0.0"]) == EXIT_OK
     assert read_bytes(sel0 / "selected_target.txt") == read_bytes(synth_dir / "raw.txt")
 
 
@@ -272,7 +276,7 @@ def test_select_rejects_nan_score(tmp_path, synth_dir):
     scores = tmp_path / "scores.tsv"
     scores.write_text("\n".join(rows) + "\n")
     code = main(["select", "--out", str(tmp_path / "sel"), *corpus_flags(synth_dir),
-                 "--scores", str(scores), "--fixed-threshold", "0.0", "--updates", "10"])
+                 "--scores", str(scores), "--threshold", "0.0"])
     assert code == EXIT_FORMAT
 
 
@@ -370,29 +374,112 @@ def test_metrics_manifest_records_bucket_schedule(tmp_path, full_run):
     assert config_a != config_b
 
 
-def test_metrics_has_no_updates_flag(tmp_path, synth_dir):
-    with pytest.raises(SystemExit) as exc:
-        main(["metrics", "--out", str(tmp_path / "m"), *corpus_flags(synth_dir),
-              "--updates", "5"])
-    assert exc.value.code == EXIT_CONFIG
+# Each subcommand's flags besides -h/--help, in parser order. A new flag
+# must be added here, so it shows up as a visible edit of this table.
+CLI_FLAGS = {
+    "synth": "--out --n --source-vocab --target-vocab --len-min --len-max --modes --mode-probs "
+             "--mistake-rate --mistake-kind --seed",
+    "train-evaluator": "--out --src --raw --kd --embed-dim --hidden-dim --upsample --window --lr "
+                       "--epochs --batch-size --clip-norm --seed --target-side --snapshot-updates",
+    "score": "--out --src --raw --kd --checkpoint --variant --normalize-by-reference",
+    "select": "--out --src --raw --kd --scores --threshold",
+    "train-student": "--out --src --raw --kd --scores --t0 --t1 --updates --embed-dim --hidden-dim "
+                     "--upsample --window --lr --epochs --batch-size --clip-norm --seed "
+                     "--init-checkpoint",
+    "metrics": "--out --src --raw --kd --tgt --scores --thresholds --t0 --t1 --align-iterations "
+               "--tension --null-prob --dump-links",
+    "report": "--out --run",
+    "full": "--out --n --source-vocab --target-vocab --len-min --len-max --modes --mode-probs "
+            "--mistake-rate --mistake-kind --embed-dim --hidden-dim --upsample --window --lr "
+            "--epochs --batch-size --clip-norm --seed --t0 --t1 --updates --variant "
+            "--align-iterations --tension --null-prob",
+}
 
 
-def test_train_student_has_no_eval_every_flag(tmp_path, synth_dir):
+def test_each_subcommand_has_exactly_its_flags():
+    subs = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {name: [opt for action in p._actions for opt in action.option_strings
+                    if opt not in ("-h", "--help")]
+             for name, p in subs.choices.items()}
+    assert flags == {name: table.split() for name, table in CLI_FLAGS.items()}
+    assert sum(map(len, flags.values())) == 98
+
+
+# The flags each subcommand requires, with placeholder values: enough to parse.
+_REQUIRED_FLAGS = {
+    "score": ["--src", "s", "--raw", "r", "--kd", "k", "--checkpoint", "c"],
+    "select": ["--src", "s", "--raw", "r", "--kd", "k", "--scores", "t", "--threshold", "0.5"],
+    "train-student": ["--src", "s", "--raw", "r", "--kd", "k", "--scores", "t"],
+    "metrics": ["--src", "s", "--raw", "r", "--kd", "k"],
+    "report": ["--run", "r"],
+    "full": [],
+}
+_UNREAD_FLAGS = [
+    ("metrics", "--updates"), ("train-student", "--eval-every"),
+    *[(command, "--seed") for command in ("score", "select", "metrics", "report")],
+    *[("select", flag) for flag in ("--k", "--t0", "--t1", "--updates", "--fixed-threshold")],
+    ("train-student", "--fixed-threshold"), ("full", "--fixed-threshold"),
+]
+
+
+@pytest.mark.parametrize("command,flag", _UNREAD_FLAGS,
+                         ids=[f"{command}-{flag[2:]}" for command, flag in _UNREAD_FLAGS])
+def test_flag_the_stage_does_not_read_is_config_error(tmp_path, capsys, command, flag):
+    argv = [command, "--out", str(tmp_path / "out"), *_REQUIRED_FLAGS[command]]
+    build_parser().parse_args(argv)  # parses without the flag
     with pytest.raises(SystemExit) as exc:
-        main(["train-student", "--out", str(tmp_path / "st"), *corpus_flags(synth_dir),
-              "--scores", str(tmp_path / "scores.tsv"), "--eval-every", "5"])
+        main([*argv, flag, "5"])
     assert exc.value.code == EXIT_CONFIG
+    assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_full_fixed_threshold_runs_the_kd_only_baseline(tmp_path):
     out = tmp_path / "run"
     assert main(["full", "--out", str(out), *SYNTH_ARGS, *FAST_MODEL, "--updates", "8",
-                 "--fixed-threshold", "1.01"]) == EXIT_OK
+                 "--t0", "1.01", "--t1", "1.01"]) == EXIT_OK
     log = [line.split("\t") for line in (out / "student" / "train_log.tsv").read_text().splitlines()]
     assert len(log) == 8
     assert all(row[1:3] == ["1.010000", "0.000000"] for row in log)
     decisions = [line.split("\t") for line in (out / "select" / "decisions.tsv").read_text().splitlines()]
     assert all(row[1] == "KD" and row[3] == "1.010000" for row in decisions)
+    # The metrics stage reports the schedule the student ran, not a linear one.
+    metrics = out / "metrics"
+    buckets = [line.split("\t") for line in (metrics / "buckets.tsv").read_text().splitlines()[1:]]
+    filled = [row for row in buckets if row[1] != "0"]
+    assert filled and all(row[3] == "0.000000" for row in filled)
+    swept = [line.split("\t")[:2] for line in (metrics / "report.tsv").read_text().splitlines()[3:]]
+    assert swept == [["selected", "1.010000"], ["replaced", "1.010000"], ["mix", "1.010000"]]
+    config = json.loads((metrics / "manifest.json").read_text())["config"]
+    assert (config["t0"], config["t1"]) == (1.01, 1.01)
+
+
+_BAD_THRESHOLD_CASES = {
+    "select-nan": ["select", "--threshold", "nan"],
+    "select-above": ["select", "--threshold", "1.02"],
+    "select-below": ["select", "--threshold", "-0.1"],
+    "metrics-thresholds-nan": ["metrics", "--thresholds", "nan,5"],
+    "metrics-thresholds-above": ["metrics", "--thresholds", "0.5,1.02"],
+    "metrics-thresholds-below": ["metrics", "--thresholds", "-0.1"],
+    "metrics-t0-nan": ["metrics", "--t0", "nan"],
+    "metrics-t1-above": ["metrics", "--t1", "1.5"],
+    "train-student-t0-nan": ["train-student", "--t0", "nan"],
+    "full-t1-above": ["full", "--t1", "2"],
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_THRESHOLD_CASES))
+def test_threshold_outside_range_is_config_error(tmp_path, synth_dir, case):
+    (synth_dir / "scores.tsv").write_text("".join(f"{i}\t0.500000\t0\t4\t8\n" for i in range(40)))
+    command, *flags = _BAD_THRESHOLD_CASES[case]
+    stage_flags = {"select": ["--scores", str(synth_dir / "scores.tsv")],
+                   "metrics": ["--scores", str(synth_dir / "scores.tsv")],
+                   "train-student": ["--scores", str(synth_dir / "scores.tsv")],
+                   "full": SYNTH_ARGS}[command]
+    corpus = corpus_flags(synth_dir) if command != "full" else []
+    out = tmp_path / "out"
+    assert main([command, "--out", str(out), *corpus, *stage_flags, *flags]) == EXIT_CONFIG
+    assert not out.exists()
 
 
 _METRICS_FLAG_CASES = {

@@ -22,6 +22,8 @@ def test_exposure_table_prints_buckets(tmp_path, capsys):
     scores.write_text("0\t0.500000\t4\t8\t16\n1\t1.000000\t0\t12\t24\n")
     load_main("exposure_table.py")(str(scores))
     lines = capsys.readouterr().out.splitlines()
-    assert lines[:2] == ["schedule: linear 0.4 -> 1.0", "length\tcount\tmean_score\texposure"]
-    assert lines[2] == "[0,10)\t1\t0.500\t16.7%"
-    assert lines[3] == "[10,20)\t1\t1.000\t100.0%"
+    assert lines == ["bucket\tcount\tmean_score\tmean_exposure",  # the buckets.tsv format
+                     "[0,10)\t1\t0.500000\t0.166667",
+                     "[10,20)\t1\t1.000000\t1.000000",
+                     *(f"[{lo},{hi})\t0\t-\t-" for lo, hi in ((20, 30), (30, 40), (40, 50),
+                                                              (50, 60), (60, "inf")))]
