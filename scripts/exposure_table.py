@@ -11,7 +11,8 @@ would be selected.
 
 import sys
 
-from selkd.curriculum import ThresholdSchedule
+from selkd.cli import EXIT_CONFIG
+from selkd.curriculum import ScheduleError, ThresholdSchedule
 from selkd.metrics import bucket_table
 from selkd.scoring import read_score_tsv
 
@@ -24,4 +25,8 @@ def main(path: str, t0: float = 0.4, t1: float = 1.0) -> None:
 if __name__ == "__main__":
     if len(sys.argv) < 2:
         sys.exit(__doc__)
-    main(sys.argv[1], *(float(a) for a in sys.argv[2:4]))
+    try:
+        main(sys.argv[1], *(float(a) for a in sys.argv[2:4]))
+    except ScheduleError as exc:  # the exit code selkd gives the same thresholds
+        print(f"exposure_table.py: error: {exc}", file=sys.stderr)
+        sys.exit(EXIT_CONFIG)

@@ -32,10 +32,11 @@ class SelectionError(ValueError):
 
 
 def check_threshold(value: float, name: str) -> float:
-    """``value`` if it lies in [0, MAX_THRESHOLD]; NaN does not."""
+    """``value`` if it lies in [0, MAX_THRESHOLD], with -0 read as 0; NaN
+    does not lie there."""
     if not 0.0 <= value <= MAX_THRESHOLD:
         raise ScheduleError(f"{name} {value} outside [0, {MAX_THRESHOLD}]")
-    return value
+    return value + 0.0
 
 
 class Choice(str, Enum):
@@ -53,8 +54,8 @@ class ThresholdSchedule:
     total_updates: int
 
     def __post_init__(self):
-        check_threshold(self.start, "start threshold")
-        check_threshold(self.end, "end threshold")
+        object.__setattr__(self, "start", check_threshold(self.start, "start threshold"))
+        object.__setattr__(self, "end", check_threshold(self.end, "end threshold"))
         if self.total_updates < 1:
             raise ScheduleError("total_updates must be >= 1")
 

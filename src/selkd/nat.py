@@ -25,11 +25,14 @@ pairs are stable-sorted by source length and cut into groups. Each group
 makes one forward over the frames of all its pairs, packed row-wise (pair
 b owns T_b consecutive rows). It then runs CTC over a padded, time-major
 (T_max, B, S_max) lattice, where padded frames and states read -inf, and
-one backprop over the packed rows. The DP loops cost one numpy step per
-frame whatever B is, so a group pays the Python overhead once for all its
-pairs. Padding costs memory: a group's padded DP cells B * T_max * S_max
-stay within ``_GROUP_CELLS``. Sorting by length keeps that padding small,
-and the bound keeps the working set small on long lattices. A lattice's
+one backprop over the packed rows. The CTC pass keeps alpha and beta for
+every frame and turns all the group's posteriors into dL/dlogp with one
+exp and one bincount; the backprop scatters the embedding gradient with
+one bincount too. The DP loops cost a few numpy steps per frame whatever
+B is, so a group pays the Python overhead once for all its pairs. Padding
+costs memory: a group's padded DP cells B * T_max * S_max stay within
+``_GROUP_CELLS``. Sorting by length keeps that padding small, and the
+bound keeps the working set small on long lattices. A lattice's
 loss and gradient do not depend on what it is padded with or next to, and
 ``forward`` and ``ctc_loss_and_grad`` are the same code at B = 1.
 
@@ -39,8 +42,9 @@ group runs one packed forward, one greedy argmax over the packed rows and
 one Viterbi pass (``_viterbi_packed``) over the same padded lattice. That
 pass keeps the scores of one frame, each lane's scores at its own last
 frame, and a (T_max, B, S_max) int8 array of back-pointer choices: 0 from
-state s-2, 1 from s-1, 2 from s. One backtrace then walks all lanes back
-together from their final states, a lane moving only at its real frames.
+state s-2, 1 from s-1, 2 from s, the first maximum picked by two
+comparisons. One backtrace then walks all lanes back together from their
+final states, a lane moving only at its real frames.
 A plain group runs one packed forward at |reference| frames per pair
 (``_positional_packed``). ``viterbi_align`` and ``decode_positional`` are
 that code at B = 1.
@@ -49,7 +53,9 @@ that code at B = 1.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
+import operator
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -202,9 +208,27 @@ class NatModel:
             self.tgt_vocab_hash,
         )
 
+
+def _padded(seqs: list[Sentence], lengths: np.ndarray, fill: int) -> np.ndarray:
+    """The sequences as rows of a (B, max length) array, padded with ``fill``."""
+    out = np.full((len(seqs), int(lengths.max())), fill, dtype=np.int64)
+    out[np.arange(out.shape[1]) < lengths[:, None]] = np.fromiter(
+        itertools.chain.from_iterable(seqs), dtype=np.int64, count=int(lengths.sum()))
+    return out
+
+
 def _logsumexp_rows(m: np.ndarray) -> np.ndarray:
     mx = m.max(axis=1, keepdims=True)
-    return (mx + np.log(np.exp(m - mx).sum(axis=1, keepdims=True))).ravel()
+    shifted = m - mx
+    np.exp(shifted, out=shifted)
+    return (mx + np.log(shifted.sum(axis=1, keepdims=True))).ravel()
+
+
+def _tanh_layer(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """tanh(x @ w + b), computed in the product's buffer."""
+    out = x @ w
+    out += b
+    return np.tanh(out, out=out)
 
 
 def _forward_packed(model: NatModel, sources: list[Sentence], frames: np.ndarray) -> dict:
@@ -213,14 +237,13 @@ def _forward_packed(model: NatModel, sources: list[Sentence], frames: np.ndarray
     Frame rows are packed: pair b owns ``frames[b]`` consecutive rows.
     Source ids are padded to (B, N_max) so that each pair keeps its own
     prefix sum, and each pair's rows hold the numbers its lone forward
-    gives.
+    gives. Each feature block is written straight into ctx, and each layer
+    and the log-softmax run in place.
     """
     cfg = model.config
     p = model.params
     lengths = np.array([len(s) for s in sources], dtype=np.int64)
-    ids = np.full((len(sources), lengths.max()), UNK_ID, dtype=np.int64)
-    for b, source in enumerate(sources):
-        ids[b, :len(source)] = source
+    ids = _padded(sources, lengths, UNK_ID)
     ids[(ids < 0) | (ids >= model.src_vocab_size)] = UNK_ID
     pair = np.repeat(np.arange(len(sources)), frames)
     t = np.arange(len(pair)) - (np.cumsum(frames) - frames)[pair]
@@ -229,18 +252,22 @@ def _forward_packed(model: NatModel, sources: list[Sentence], frames: np.ndarray
     lo = np.maximum(centers - cfg.window, 0)
     hi = np.minimum(centers + cfg.window, n - 1) + 1
     widths = (hi - lo).astype(np.float64)
-    emb_rows = p["emb"][ids]
-    prefix = np.zeros((len(sources), ids.shape[1] + 1, cfg.embed_dim))
-    np.cumsum(emb_rows, axis=1, out=prefix[:, 1:])
-    avg = (prefix[pair, hi] - prefix[pair, lo]) / widths[:, None]
-    phase = np.zeros((len(pair), cfg.upsample))
-    phase[np.arange(len(pair)), t % cfg.upsample] = 1.0
-    pos = (t / np.maximum(t_count - 1, 1))[:, None]
-    ctx = np.hstack([emb_rows[pair, centers], avg, phase, pos])
-    h1 = np.tanh(ctx @ p["w1"] + p["b1"])
-    h2 = np.tanh(h1 @ p["w2"] + p["b2"])
-    logits = h2 @ p["w_out"] + p["b_out"]
-    logp = logits - _logsumexp_rows(logits)[:, None]
+    e = cfg.embed_dim
+    prefix = np.zeros((len(sources), ids.shape[1] + 1, e))
+    np.cumsum(p["emb"][ids], axis=1, out=prefix[:, 1:])
+    # [center embedding | window average | phase one-hot | position]
+    ctx = np.zeros((len(pair), p["w1"].shape[0]))
+    ctx[:, :e] = p["emb"][ids[pair, centers]]
+    avg = ctx[:, e:2 * e]
+    np.subtract(prefix[pair, hi], prefix[pair, lo], out=avg)
+    avg /= widths[:, None]
+    ctx[np.arange(len(pair)), 2 * e + t % cfg.upsample] = 1.0
+    np.divide(t, np.maximum(t_count - 1, 1), out=ctx[:, -1])
+    h1 = _tanh_layer(ctx, p["w1"], p["b1"])
+    h2 = _tanh_layer(h1, p["w2"], p["b2"])
+    logp = h2 @ p["w_out"]
+    logp += p["b_out"]
+    logp -= _logsumexp_rows(logp)[:, None]
     return {
         "ids": ids, "pair": pair, "centers": centers, "lo": lo, "hi": hi, "widths": widths,
         "ctx": ctx, "h1": h1, "h2": h2, "logp": logp,
@@ -256,6 +283,14 @@ def forward(model: NatModel, source: Sentence, frames: int | None = None) -> Emi
     return EmissionMatrix(log_probs=cache["logp"], source_len=len(source))
 
 
+def _tanh_backward(dout: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """dout * (1 - out**2) for ``out = tanh(pre)``, in ``dout``'s buffer."""
+    slope = np.square(out)
+    np.subtract(1.0, slope, out=slope)
+    dout *= slope
+    return dout
+
+
 def _check_decoder_input(source: Sentence, frames: int) -> None:
     """The decoder needs a nonempty source and at least one frame."""
     if len(source) == 0:
@@ -268,32 +303,37 @@ def _backprop_packed(model: NatModel, cache: dict, dlogp: np.ndarray) -> dict[st
     """Gradients of a scalar loss w.r.t. parameters, given dL/dlogp over
     the packed frame rows of ``_forward_packed``."""
     p = model.params
-    probs = np.exp(cache["logp"])
-    dlogits = dlogp - probs * dlogp.sum(axis=1, keepdims=True)
+    dlogits = np.exp(cache["logp"])
+    dlogits *= dlogp.sum(axis=1, keepdims=True)
+    np.subtract(dlogp, dlogits, out=dlogits)
     grads: dict[str, np.ndarray] = {}
     grads["w_out"] = cache["h2"].T @ dlogits
     grads["b_out"] = dlogits.sum(axis=0)
-    dh2 = dlogits @ p["w_out"].T
-    dpre2 = dh2 * (1.0 - cache["h2"] ** 2)
+    dpre2 = _tanh_backward(dlogits @ p["w_out"].T, cache["h2"])
     grads["w2"] = cache["h1"].T @ dpre2
     grads["b2"] = dpre2.sum(axis=0)
-    dh1 = dpre2 @ p["w2"].T
-    dpre1 = dh1 * (1.0 - cache["h1"] ** 2)
+    dpre1 = _tanh_backward(dpre2 @ p["w2"].T, cache["h1"])
     grads["w1"] = cache["ctx"].T @ dpre1
     grads["b1"] = dpre1.sum(axis=0)
     dctx = dpre1 @ p["w1"].T
     e = model.config.embed_dim
     ids, pair, lo, hi = cache["ids"], cache["pair"], cache["lo"], cache["hi"]
-    demb = np.zeros_like(p["emb"])
-    np.add.at(demb, ids[pair, cache["centers"]], dctx[:, :e])
-    # The window average spreads its gradient evenly over the window: one
-    # scatter per window offset. Phase/position features are constants.
+    # The window average spreads its gradient evenly over the window: the
+    # rows of window offset k add to the ids at lo + k. Phase and position
+    # features are constants. One bincount over (id, column) bins takes the
+    # center rows, then each offset's rows, in packed-row order, so every
+    # entry sums its addends in the order of one scatter per block.
+    at = lo + np.arange(2 * model.config.window + 1)[:, None]  # (offsets, rows)
+    inside = at < hi
+    rows = np.nonzero(inside)[1]
+    token = np.concatenate([ids[pair, cache["centers"]], ids[pair[rows], at[inside]]])
+    bins = np.add.outer(token * e, np.arange(e))
+    addends = np.empty(bins.shape)
+    addends[:len(pair)] = dctx[:, :e]
     davg = dctx[:, e:2 * e] / cache["widths"][:, None]
-    for offset in range(2 * model.config.window + 1):
-        at = lo + offset
-        inside = at < hi
-        np.add.at(demb, ids[pair[inside], at[inside]], davg[inside])
-    grads["emb"] = demb
+    np.take(davg, rows, axis=0, out=addends[len(pair):])
+    grads["emb"] = np.bincount(bins.ravel(), weights=addends.ravel(),
+                               minlength=p["emb"].size).reshape(p["emb"].shape)
     return grads
 
 
@@ -301,17 +341,10 @@ def _backprop_packed(model: NatModel, cache: dict, dlogp: np.ndarray) -> dict[st
 # CTC dynamic programming over the extended (blank-interleaved) sequence.
 # ---------------------------------------------------------------------------
 
-def extend_with_blanks(target: Sentence) -> np.ndarray:
-    ext = np.full(2 * len(target) + 1, BLANK_ID, dtype=np.int64)
-    ext[1::2] = target
-    return ext
-
-
 def min_frames(target: Sentence) -> int:
     """Fewest frames that can emit the target: one per token plus one
     blank between each adjacent repeat."""
-    repeats = sum(1 for a, b in zip(target, target[1:]) if a == b)
-    return len(target) + repeats
+    return len(target) + sum(map(operator.eq, target, target[1:]))
 
 
 def _check_feasible(n_frames: int, target: Sentence) -> None:
@@ -322,13 +355,6 @@ def _check_feasible(n_frames: int, target: Sentence) -> None:
         raise CtcInfeasibleError(
             f"target needs at least {need} frames ({len(target)} tokens incl. repeats), lattice has {n_frames}"
         )
-
-
-def _skip_mask(ext: np.ndarray) -> np.ndarray:
-    """States reachable from s-2: label states whose previous label differs."""
-    mask = np.zeros(len(ext), dtype=bool)
-    mask[3::2] = ext[3::2] != ext[1:-2:2]
-    return mask
 
 
 def _unwrap(emissions) -> np.ndarray:
@@ -362,25 +388,35 @@ def _padded_lattice(logp: np.ndarray, frames: np.ndarray, targets: list[Sentence
 
     Lattice b owns ``frames[b]`` consecutive rows and target b has S_b =
     2|y_b| + 1 extended states. Returns S_b per lattice, the extended
-    labels and skip masks (B, S_max), the packed row of each frame
-    (T_max, B) and the emissions of each extended state (T_max, B, S_max).
-    Padded states carry the label ``vocab`` and padded frames the row
-    ``rows``, both all -inf, so no path leads from a padded cell into a
-    real one.
+    labels (B, S_max), the skip mask (B, |y|_max - 1) of the label states
+    s = 3, 5, ... (True where s may be entered from s-2, because its label
+    differs from the previous one), and for each cell of the
+    (T_max, B, S_max) lattice its flat (packed row, label) index into a
+    (rows + 1, vocab + 1) table and its emission. Padded states carry the
+    label ``vocab`` and padded frames the row ``rows``, both all -inf, so no
+    path leads from a padded cell into a real one.
     """
     rows, vocab = logp.shape
-    states = np.array([2 * len(target) + 1 for target in targets])
+    lengths = np.array([len(target) for target in targets])
+    states = 2 * lengths + 1
     t_max, s_max = int(frames.max()), int(states.max())
-    ext = np.full((len(targets), s_max), vocab, dtype=np.int64)
-    skip = np.zeros((len(targets), s_max), dtype=bool)
-    for b, target in enumerate(targets):
-        ext[b, :states[b]] = extend_with_blanks(target)
-        skip[b, :states[b]] = _skip_mask(ext[b, :states[b]])
+    ext = np.where(np.arange(s_max) < states[:, None], BLANK_ID, vocab)
+    ext[:, 1::2] = _padded(targets, lengths, vocab)
+    skip = (ext[:, 3::2] != ext[:, 1:-2:2]) & (np.arange(3, s_max, 2) < states[:, None])
     lattice = np.full((rows + 1, vocab + 1), NEG_INF)
     lattice[:rows, :vocab] = logp
     t_index = np.arange(t_max)[:, None]
     frame_rows = np.where(t_index < frames, np.cumsum(frames) - frames + t_index, rows)
-    return states, ext, skip, frame_rows, lattice[frame_rows[:, :, None], ext[None, :, :]]
+    cells = (frame_rows * (vocab + 1))[:, :, None] + ext
+    return states, ext, skip, cells, np.take(lattice.ravel(), cells)
+
+
+def _lanes_ending(last: np.ndarray) -> dict[int, list[int]]:
+    """The lanes whose last frame is t, for each t that ends some lane."""
+    ends: dict[int, list[int]] = {}
+    for lane, t in enumerate(last.tolist()):
+        ends.setdefault(t, []).append(lane)
+    return ends
 
 
 def _ctc_packed(logp: np.ndarray, frames: np.ndarray, targets: list[Sentence]) -> tuple[np.ndarray, np.ndarray]:
@@ -388,59 +424,61 @@ def _ctc_packed(logp: np.ndarray, frames: np.ndarray, targets: list[Sentence]) -
 
     Lattice b owns ``frames[b]`` consecutive rows. The recursions run over
     the padded (T_max, B, S_max) array of ``_padded_lattice``, so every
-    lattice gets the numbers it would get alone; the posteriors of padded
-    frames and states land in an extra row and label column that are
-    dropped. Only alpha is kept for every frame; beta and the posteriors
-    live one frame at a time.
+    lattice gets the numbers it would get alone. Alpha and beta are both
+    kept for every frame. The s-2 term of each recursion is added only at
+    the label states, through a 0/-inf mask built once (``logaddexp(x,
+    -inf)`` is x exactly). All posteriors then come from one exp and one
+    bincount over (packed row, label) bins in (t, b, s) order, so each bin
+    sums its states in state order, as a per-frame accumulation would. The
+    posteriors of padded frames and states land in an extra row and label
+    column that are dropped.
     Returns the per-lattice losses (inf where no path exists) and dL/dlogp
     in the packed layout. The caller checks feasibility.
     """
     rows, vocab = logp.shape
-    states, ext, skip, frame_rows, em_ext = _padded_lattice(logp, frames, targets)
+    states, ext, skip, cells, em_ext = _padded_lattice(logp, frames, targets)
     t_max, count, s_max = em_ext.shape
     lanes = np.arange(count)
     last = frames - 1
-    back_skip = np.zeros_like(skip)  # s -> s+2 allowed
-    back_skip[:, :-2] = skip[:, 2:]
+    skip_add = np.where(skip, 0.0, NEG_INF)
 
     alpha = np.full((t_max, count, s_max), NEG_INF)
     alpha[0, :, :2] = em_ext[0, :, :2]
-    step = np.full((count, s_max), NEG_INF)
-    jump = np.full((count, s_max), NEG_INF)
     for t in range(1, t_max):
-        prev = alpha[t - 1]
-        step[:, 1:] = prev[:, :-1]
-        jump[:, 2:] = prev[:, :-2]
-        alpha[t] = np.logaddexp(np.logaddexp(prev, step), np.where(skip, jump, NEG_INF)) + em_ext[t]
+        prev, cur = alpha[t - 1], alpha[t]
+        cur[:, 0] = prev[:, 0]
+        np.logaddexp(prev[:, 1:], prev[:, :-1], out=cur[:, 1:])
+        np.logaddexp(cur[:, 3::2], prev[:, 1:-2:2] + skip_add, out=cur[:, 3::2])
+        cur += em_ext[t]
     final = alpha[last, lanes]
     losses = -np.logaddexp(final[lanes, states - 1], final[lanes, states - 2])
 
     # beta excludes the emission at t, so alpha + beta is the log-mass of
-    # all full paths through state s at time t.
-    terminal = np.full((count, s_max), NEG_INF)
-    terminal[lanes, states - 1] = 0.0
-    terminal[lanes, states - 2] = 0.0
-    beta = np.full((count, s_max), NEG_INF)
-    step = np.full((count, s_max), NEG_INF)
-    jump = np.full((count, s_max), NEG_INF)
-    # Summing each frame's posteriors per label in state order gives every
-    # lattice the same bits as a per-state accumulation.
-    bins = (lanes[:, None] * (vocab + 1) + ext).ravel()
-    grad = np.zeros((rows + 1, vocab))
-    with np.errstate(invalid="ignore"):
-        for t in range(t_max - 1, -1, -1):
-            if t < t_max - 1:
-                nxt = beta + em_ext[t + 1]
-                step[:, :-1] = nxt[:, 1:]
-                jump[:, :-2] = nxt[:, 2:]
-                beta = np.logaddexp(np.logaddexp(nxt, step), np.where(back_skip, jump, NEG_INF))
-            ending = last == t
-            beta[ending] = terminal[ending]
-            gamma = np.exp(alpha[t] + beta + losses[:, None])
-            gamma[~np.isfinite(gamma)] = 0.0
-            posterior = np.bincount(bins, weights=gamma.ravel(), minlength=count * (vocab + 1))
-            grad[frame_rows[t]] = -posterior.reshape(count, vocab + 1)[:, :vocab]
-    return losses, grad[:rows]
+    # all full paths through state s at time t. A lattice's beta is -inf
+    # after its last frame, and at that frame it is 0 in its final blank
+    # and last label.
+    beta = np.full((t_max, count, s_max), NEG_INF)
+    ends = _lanes_ending(last)
+    for t in range(t_max - 1, -1, -1):
+        cur = beta[t]
+        if t < t_max - 1:
+            nxt = beta[t + 1] + em_ext[t + 1]
+            cur[:, -1] = nxt[:, -1]
+            np.logaddexp(nxt[:, :-1], nxt[:, 1:], out=cur[:, :-1])
+            np.logaddexp(cur[:, 1:-2:2], nxt[:, 3::2] + skip_add, out=cur[:, 1:-2:2])
+        if t in ends:
+            b = ends[t]
+            cur[b, states[b] - 1] = 0.0
+            cur[b, states[b] - 2] = 0.0
+
+    gamma = alpha  # alpha is not needed again
+    with np.errstate(invalid="ignore"):  # -inf + inf where a lattice has no path
+        gamma += beta
+        gamma += losses[:, None]
+    np.exp(gamma, out=gamma)
+    gamma[~np.isfinite(gamma)] = 0.0
+    posterior = np.bincount(cells.ravel(), weights=gamma.ravel(), minlength=(rows + 1) * (vocab + 1))
+    return losses, -posterior.reshape(rows + 1, vocab + 1)[:rows, :vocab]
 
 
 def _viterbi_packed(logp: np.ndarray, frames: np.ndarray,
@@ -450,7 +488,8 @@ def _viterbi_packed(logp: np.ndarray, frames: np.ndarray,
     The max-plus form of ``_ctc_packed``'s alpha recursion over the same
     padded (T_max, B, S_max) lattice. Each cell stores an int8 back-pointer
     choice among its predecessors, 0 = s-2 (jump), 1 = s-1 (step), 2 = s
-    (stay), and the first maximum wins. Each lattice ends at its own last
+    (stay), and the first maximum wins: two comparisons per frame pick it,
+    which needs emissions free of NaN. Each lattice ends at its own last
     frame in S_b-2 (the last label) unless S_b-1 (the final blank) scores
     higher, and one backtrace runs over all lanes at once. Returns the
     labels of the best paths, packed like ``logp``'s rows, and whether
@@ -465,15 +504,23 @@ def _viterbi_packed(logp: np.ndarray, frames: np.ndarray,
     score[:, :2] = em_ext[0, :, :2]
     final = np.where((last == 0)[:, None], score, NEG_INF)
     back = np.zeros((t_max, count, s_max), dtype=np.int8)
-    cands = np.full((3, count, s_max), NEG_INF)
+    jump = np.full((count, s_max), NEG_INF)
+    step = np.full((count, s_max), NEG_INF)
+    ends = _lanes_ending(last)
     for t in range(1, t_max):
-        np.copyto(cands[0, :, 2:], score[:, :-2], where=skip[:, 2:])
-        cands[1, :, 1:] = score[:, :-1]
-        cands[2] = score
-        back[t] = cands.argmax(axis=0)
-        np.add(cands.max(axis=0), em_ext[t], out=score)
-        ending = last == t
-        final[ending] = score[ending]
+        np.copyto(jump[:, 3::2], score[:, 1:-2:2], where=skip)
+        step[:, 1:] = score[:, :-1]
+        # Choice 2 - take_step, or 0 unless jump < best: a tie goes to the
+        # earlier candidate, as the first maximum of (jump, step, stay).
+        take_step = step >= score
+        best = np.maximum(step, score)
+        not_jump = jump < best
+        np.maximum(jump, best, out=best)
+        np.subtract(2, take_step, out=back[t], dtype=np.int8)
+        back[t] *= not_jump
+        np.add(best, em_ext[t], out=score)
+        if t in ends:
+            final[ends[t]] = score[ends[t]]
 
     state = np.where(final[lanes, states - 2] >= final[lanes, states - 1], states - 2, states - 1)
     found = final[lanes, state] != NEG_INF
@@ -709,8 +756,8 @@ def save_checkpoint(model: NatModel, path: str) -> None:
 def load_checkpoint(path: str, src_vocab: Vocabulary | None = None,
                     tgt_vocab: Vocabulary | None = None) -> NatModel:
     """Load a checkpoint; vocabulary hashes and sizes must match when
-    vocabularies are supplied, and every parameter must have the shape
-    the config and the recorded vocabulary sizes imply."""
+    vocabularies are supplied, and every parameter must be finite and have
+    the shape the config and the recorded vocabulary sizes imply."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != _CKPT_MAGIC:
@@ -749,6 +796,8 @@ def load_checkpoint(path: str, src_vocab: Vocabulary | None = None,
                 f"{path}: parameter {name} has shape {params[name].shape}, but the config "
                 f"and vocabulary sizes need {expected[name]}"
             )
+        if not np.all(np.isfinite(params[name])):
+            raise CheckpointError(f"{path}: parameter {name} holds a non-finite value")
     return NatModel(config, params,
                     hashes["src_vocab"][1], hashes["tgt_vocab"][1],
                     hashes["src_vocab"][0], hashes["tgt_vocab"][0])

@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import os
 import shutil
 
@@ -278,6 +279,18 @@ def test_select_rejects_nan_score(tmp_path, synth_dir):
     code = main(["select", "--out", str(tmp_path / "sel"), *corpus_flags(synth_dir),
                  "--scores", str(scores), "--threshold", "0.0"])
     assert code == EXIT_FORMAT
+
+
+def test_select_reads_negative_zero_threshold_as_zero(tmp_path, synth_dir):
+    scores = tmp_path / "scores.tsv"
+    scores.write_text("".join(f"{i}\t0.500000\t1\t4\t8\n" for i in range(40)))
+    sel = tmp_path / "sel"
+    assert main(["select", "--out", str(sel), *corpus_flags(synth_dir),
+                 "--scores", str(scores), "--threshold", "-0"]) == EXIT_OK
+    decisions = (sel / "decisions.tsv").read_text().splitlines()
+    assert {line.split("\t")[3] for line in decisions} == {"0.000000"}
+    threshold = json.loads((sel / "manifest.json").read_text())["config"]["threshold"]
+    assert math.copysign(1.0, threshold) == 1.0
 
 
 def test_full_pipeline_small(tmp_path):

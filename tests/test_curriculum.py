@@ -52,6 +52,11 @@ def test_threshold_out_of_range():
         threshold_at(LINEAR, 300001)
 
 
+def test_negative_zero_endpoints_read_as_zero():
+    schedule = ThresholdSchedule(start=-0.0, end=-0.0, total_updates=3)
+    assert str(schedule.start) == str(schedule.end) == str(threshold_at(schedule, 0)) == "0.0"
+
+
 def test_schedule_validation():
     with pytest.raises(ScheduleError):
         ThresholdSchedule(start=-0.1, end=1.0, total_updates=10)

@@ -241,6 +241,18 @@ def test_checkpoint_rejects_vocab_mismatch(tiny_model, tmp_path):
         load_checkpoint(str(path), src, other)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_checkpoint_rejects_non_finite_parameter(tiny_model, tmp_path, value):
+    # A NaN emission would break the Viterbi pass's first-maximum rule.
+    model, src, tgt = tiny_model
+    broken = model.copy()
+    broken.params["w_out"][0, 0] = value
+    path = tmp_path / "ckpt.txt"
+    save_checkpoint(broken, str(path))
+    with pytest.raises(CheckpointError, match="non-finite"):
+        load_checkpoint(str(path), src, tgt)
+
+
 def test_checkpoint_rejects_garbage(tmp_path):
     p = tmp_path / "bad.txt"
     p.write_text("not a checkpoint\n")
