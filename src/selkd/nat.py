@@ -26,13 +26,17 @@ makes one forward over the frames of all its pairs, packed row-wise (pair
 b owns T_b consecutive rows). It then runs CTC over a padded, time-major
 (T_max, B, S_max) lattice, where padded frames and states read -inf, and
 one backprop over the packed rows. The CTC pass keeps alpha and beta for
-every frame and turns all the group's posteriors into dL/dlogp with one
-exp and one bincount; the backprop scatters the embedding gradient with
-one bincount too. The DP loops cost a few numpy steps per frame whatever
-B is, so a group pays the Python overhead once for all its pairs. Padding
-costs memory: a group's padded DP cells B * T_max * S_max stay within
-``_GROUP_CELLS``. Sorting by length keeps that padding small, and the
-bound keeps the working set small on long lattices. A lattice's
+every frame, beta in the emission rows it has finished reading, and
+turns all the group's posteriors into dL/dlogp with one exp and one
+bincount; the backprop scatters the embedding gradient with one bincount
+per embedding column. The DP loops cost a few numpy steps per frame
+whatever B is, so a group pays the Python overhead once for all its
+pairs. Padding costs memory: a group's padded DP cells B * T_max * S_max
+stay within ``_GROUP_CELLS``. Sorting by length keeps that padding small,
+and the bound keeps the working set small on long lattices: at most two
+(T_max, B, S_max) arrays are live at once, so that the allocator can
+reuse their memory from one group to the next instead of returning it to
+the system and faulting it back in. A lattice's
 loss and gradient do not depend on what it is padded with or next to, and
 ``forward`` and ``ctc_loss_and_grad`` are the same code at B = 1.
 
@@ -320,20 +324,21 @@ def _backprop_packed(model: NatModel, cache: dict, dlogp: np.ndarray) -> dict[st
     ids, pair, lo, hi = cache["ids"], cache["pair"], cache["lo"], cache["hi"]
     # The window average spreads its gradient evenly over the window: the
     # rows of window offset k add to the ids at lo + k. Phase and position
-    # features are constants. One bincount over (id, column) bins takes the
-    # center rows, then each offset's rows, in packed-row order, so every
-    # entry sums its addends in the order of one scatter per block.
+    # features are constants. One bincount per column takes the center
+    # rows, then each offset's rows, in packed-row order, so every entry
+    # sums its addends in the order of one scatter per block.
     at = lo + np.arange(2 * model.config.window + 1)[:, None]  # (offsets, rows)
     inside = at < hi
     rows = np.nonzero(inside)[1]
     token = np.concatenate([ids[pair, cache["centers"]], ids[pair[rows], at[inside]]])
-    bins = np.add.outer(token * e, np.arange(e))
-    addends = np.empty(bins.shape)
+    addends = np.empty((len(token), e))
     addends[:len(pair)] = dctx[:, :e]
     davg = dctx[:, e:2 * e] / cache["widths"][:, None]
     np.take(davg, rows, axis=0, out=addends[len(pair):])
-    grads["emb"] = np.bincount(bins.ravel(), weights=addends.ravel(),
-                               minlength=p["emb"].size).reshape(p["emb"].shape)
+    demb = np.empty_like(p["emb"])
+    for column in range(e):
+        demb[:, column] = np.bincount(token, weights=addends[:, column], minlength=len(demb))
+    grads["emb"] = demb
     return grads
 
 
@@ -390,9 +395,9 @@ def _padded_lattice(logp: np.ndarray, frames: np.ndarray, targets: list[Sentence
     2|y_b| + 1 extended states. Returns S_b per lattice, the extended
     labels (B, S_max), the skip mask (B, |y|_max - 1) of the label states
     s = 3, 5, ... (True where s may be entered from s-2, because its label
-    differs from the previous one), and for each cell of the
-    (T_max, B, S_max) lattice its flat (packed row, label) index into a
-    (rows + 1, vocab + 1) table and its emission. Padded states carry the
+    differs from the previous one), the packed row of each frame
+    (T_max, B), and the emission of each cell of the (T_max, B, S_max)
+    lattice, gathered through ``_cells``. Padded states carry the
     label ``vocab`` and padded frames the row ``rows``, both all -inf, so no
     path leads from a padded cell into a real one.
     """
@@ -407,8 +412,13 @@ def _padded_lattice(logp: np.ndarray, frames: np.ndarray, targets: list[Sentence
     lattice[:rows, :vocab] = logp
     t_index = np.arange(t_max)[:, None]
     frame_rows = np.where(t_index < frames, np.cumsum(frames) - frames + t_index, rows)
-    cells = (frame_rows * (vocab + 1))[:, :, None] + ext
-    return states, ext, skip, cells, np.take(lattice.ravel(), cells)
+    return states, ext, skip, frame_rows, np.take(lattice.ravel(), _cells(frame_rows, ext, vocab))
+
+
+def _cells(frame_rows: np.ndarray, ext: np.ndarray, vocab: int) -> np.ndarray:
+    """The flat (packed row, label) index into a (rows + 1, vocab + 1) table
+    of each cell of the (T_max, B, S_max) lattice."""
+    return (frame_rows * (vocab + 1))[:, :, None] + ext
 
 
 def _lanes_ending(last: np.ndarray) -> dict[int, list[int]]:
@@ -425,7 +435,10 @@ def _ctc_packed(logp: np.ndarray, frames: np.ndarray, targets: list[Sentence]) -
     Lattice b owns ``frames[b]`` consecutive rows. The recursions run over
     the padded (T_max, B, S_max) array of ``_padded_lattice``, so every
     lattice gets the numbers it would get alone. Alpha and beta are both
-    kept for every frame. The s-2 term of each recursion is added only at
+    kept for every frame; beta at frame t overwrites the emissions of
+    frame t+1 once it has read them, so the pass holds two (T_max, B,
+    S_max) float arrays, and the bin index below is built only after the
+    emissions are freed. The s-2 term of each recursion is added only at
     the label states, through a 0/-inf mask built once (``logaddexp(x,
     -inf)`` is x exactly). All posteriors then come from one exp and one
     bincount over (packed row, label) bins in (t, b, s) order, so each bin
@@ -436,7 +449,7 @@ def _ctc_packed(logp: np.ndarray, frames: np.ndarray, targets: list[Sentence]) -
     in the packed layout. The caller checks feasibility.
     """
     rows, vocab = logp.shape
-    states, ext, skip, cells, em_ext = _padded_lattice(logp, frames, targets)
+    states, ext, skip, frame_rows, em_ext = _padded_lattice(logp, frames, targets)
     t_max, count, s_max = em_ext.shape
     lanes = np.arange(count)
     last = frames - 1
@@ -456,28 +469,34 @@ def _ctc_packed(logp: np.ndarray, frames: np.ndarray, targets: list[Sentence]) -
     # beta excludes the emission at t, so alpha + beta is the log-mass of
     # all full paths through state s at time t. A lattice's beta is -inf
     # after its last frame, and at that frame it is 0 in its final blank
-    # and last label.
-    beta = np.full((t_max, count, s_max), NEG_INF)
+    # and last label. Frame t+1's emissions are read only to step beta
+    # from t+1 to t, so beta at t overwrites them: beta needs no
+    # (T_max, B, S_max) array of its own, only one for its last frame.
+    beta_last = np.full((count, s_max), NEG_INF)
+    beta = beta_last
     ends = _lanes_ending(last)
     for t in range(t_max - 1, -1, -1):
-        cur = beta[t]
         if t < t_max - 1:
-            nxt = beta[t + 1] + em_ext[t + 1]
-            cur[:, -1] = nxt[:, -1]
-            np.logaddexp(nxt[:, :-1], nxt[:, 1:], out=cur[:, :-1])
-            np.logaddexp(cur[:, 1:-2:2], nxt[:, 3::2] + skip_add, out=cur[:, 1:-2:2])
+            nxt = beta + em_ext[t + 1]
+            beta = em_ext[t + 1]
+            beta[:, -1] = nxt[:, -1]
+            np.logaddexp(nxt[:, :-1], nxt[:, 1:], out=beta[:, :-1])
+            np.logaddexp(beta[:, 1:-2:2], nxt[:, 3::2] + skip_add, out=beta[:, 1:-2:2])
         if t in ends:
             b = ends[t]
-            cur[b, states[b] - 1] = 0.0
-            cur[b, states[b] - 2] = 0.0
+            beta[b, states[b] - 1] = 0.0
+            beta[b, states[b] - 2] = 0.0
 
     gamma = alpha  # alpha is not needed again
+    gamma[:-1] += em_ext[1:]  # beta at frames 0 .. T_max - 2
+    gamma[-1] += beta_last
+    del em_ext, beta  # free the emission array before the bin index is built
     with np.errstate(invalid="ignore"):  # -inf + inf where a lattice has no path
-        gamma += beta
         gamma += losses[:, None]
     np.exp(gamma, out=gamma)
     gamma[~np.isfinite(gamma)] = 0.0
-    posterior = np.bincount(cells.ravel(), weights=gamma.ravel(), minlength=(rows + 1) * (vocab + 1))
+    posterior = np.bincount(_cells(frame_rows, ext, vocab).ravel(), weights=gamma.ravel(),
+                            minlength=(rows + 1) * (vocab + 1))
     return losses, -posterior.reshape(rows + 1, vocab + 1)[:rows, :vocab]
 
 

@@ -2,6 +2,8 @@
 forms in ``oracles``, bit for bit: every loss, gradient entry, path label
 and found flag must be equal, not merely close."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -88,3 +90,26 @@ def test_backprop_matches_add_at_reference(window):
         assert grads.keys() == ref.keys()
         for name in ref:
             np.testing.assert_array_equal(grads[name], ref[name], err_msg=name)
+
+
+def test_ctc_holds_at_most_two_lattice_arrays():
+    """On a long group the CTC pass peaks below three (T_max, B, S_max)
+    float arrays: beta lives in the emission rows it has read, and the bin
+    index is built after the emissions are freed. More live lattice arrays
+    outgrow the allocator's retained heap, which is then returned to the
+    system and faulted back in on every group."""
+    rng = np.random.default_rng(31)
+    count, t_frames, length, vocab = 6, 90, 40, 18
+    targets = [tuple(int(v) for v in rng.integers(1, vocab, size=length)) for _ in range(count)]
+    frames = np.full(count, t_frames)
+    scores = rng.normal(size=(frames.sum(), vocab))
+    logp = scores - np.log(np.exp(scores).sum(axis=1, keepdims=True))
+    lattice_bytes = t_frames * count * (2 * length + 1) * 8
+    tracemalloc.start()
+    try:
+        losses, _ = _ctc_packed(logp, frames, targets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(losses).all()
+    assert peak < 3 * lattice_bytes
