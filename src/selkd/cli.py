@@ -204,19 +204,15 @@ def run_train_evaluator(args) -> int:
         config = _model_config(args)
         pairs = [(ex.source, ex.distilled_target if args.target_side == "distilled" else ex.raw_target)
                  for ex in corpus.examples]
-        log_lines: list[str] = []
-
-        def progress(epoch, loss):
-            log_lines.append(f"{epoch}\t{loss:.6f}")
-            print(f"epoch {epoch}: mean loss {loss:.6f}", file=sys.stderr)
-
         result = nat.train(pairs, config, corpus.src_vocab, corpus.tgt_vocab,
-                           snapshot_at=args.snapshot_updates, progress=progress)
+                           snapshot_at=args.snapshot_updates,
+                           progress=lambda epoch, loss: print(f"epoch {epoch}: mean loss {loss:.6f}",
+                                                              file=sys.stderr))
         nat.save_checkpoint(result.model, stage.path("checkpoint.txt"))
         if args.snapshot_updates is not None:
             nat.save_checkpoint(result.snapshot, stage.path("snapshot.txt"))
         with open(stage.path("train_log.tsv"), "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(log_lines) + ("\n" if log_lines else ""))
+            fh.writelines(f"{epoch}\t{loss:.6f}\n" for epoch, loss in enumerate(result.epoch_losses))
         stage.finish(config={"model": config.__dict__, "target_side": args.target_side,
                              "snapshot_updates": args.snapshot_updates,
                              "skipped_pairs": result.skipped, "updates": result.updates})

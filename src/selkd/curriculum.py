@@ -15,8 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .corpus import Corpus, Sentence
-from .nat import ModelConfig, NatModel, TrainingError, batch_step, min_frames
+from .nat import ModelConfig, NatModel, PairTable, TrainingError, sgd
 from .rng import Rng
 from .scoring import ScoreTable, validate_table_covers
 
@@ -144,9 +146,11 @@ def train_student(corpus: Corpus, table: ScoreTable, schedule: ThresholdSchedule
     update and of the last.
 
     The batch for update k walks round-robin over one seeded shuffle of
-    the corpus; each example's target resolves lazily against T_k, which
-    is equivalent to materializing the selected dataset every update
-    without copying it. Infeasible pairs are skipped and counted.
+    the corpus, and ``nat.sgd`` trains it on a table holding each example's
+    raw and distilled pair: raw exactly when the score is >= T_k, which is
+    equivalent to materializing the selected dataset every update without
+    copying it. Infeasible pairs are skipped and counted; a run with no
+    update raises TrainingError.
     """
     validate_table_covers(table, corpus)
     if len(corpus) == 0:
@@ -166,36 +170,35 @@ def train_student(corpus: Corpus, table: ScoreTable, schedule: ThresholdSchedule
         model = init_model.copy()
     else:
         model = NatModel.initialize(config, corpus.src_vocab, corpus.tgt_vocab)
-    if all(min_frames(ex.raw_target) > config.upsample * len(ex.source)
-           and min_frames(ex.distilled_target) > config.upsample * len(ex.source)
-           for ex in corpus.examples):
-        raise TrainingError("every pair is infeasible for the configured upsample factor")
+    scores = np.array([table.records[ex.index].score for ex in corpus.examples])
+    n = len(corpus)
 
-    order = list(range(len(corpus)))
-    Rng(config.seed ^ 0x57D).shuffle(order)
-    n = len(order)
-    log: list[UpdateLogRow] = []
-    skipped_total = 0
-    updates = schedule.total_updates
-    every = max(1, updates // 10)
-    for k in range(updates):
-        t_k = threshold_at(schedule, k)
-        batch = []
-        raw_count = 0
-        for i in range(config.batch_size):
-            ex = corpus.examples[order[(k * config.batch_size + i) % n]]
-            take_raw = table.records[ex.index].score >= t_k
-            raw_count += int(take_raw)
-            batch.append((ex.source, ex.raw_target if take_raw else ex.distilled_target))
-        loss, skipped = batch_step(model, batch, config.learning_rate, config.clip_norm)
-        skipped_total += skipped
-        row = UpdateLogRow(update=k, threshold=t_k,
-                           raw_fraction=raw_count / config.batch_size,
-                           loss=float("nan") if loss is None else loss)
-        log.append(row)
-        if progress is not None and (k % every == 0 or k == updates - 1):
-            progress(row)
-    return StudentResult(model=model, log=tuple(log), skipped=skipped_total)
+    def picker():
+        order = list(range(n))
+        Rng(config.seed ^ 0x57D).shuffle(order)
+        order = np.array(order)
+        log: list[UpdateLogRow] = []
+        skipped_total = 0
+        updates = schedule.total_updates
+        every = max(1, updates // 10)
+        for k in range(updates):
+            t_k = threshold_at(schedule, k)
+            examples = order[(k * config.batch_size + np.arange(config.batch_size)) % n]
+            take_raw = scores[examples] >= t_k
+            loss, skipped = yield np.where(take_raw, examples, examples + n)
+            skipped_total += skipped
+            row = UpdateLogRow(update=k, threshold=t_k,
+                               raw_fraction=int(take_raw.sum()) / config.batch_size,
+                               loss=float("nan") if loss is None else loss)
+            log.append(row)
+            if progress is not None and (k % every == 0 or k == updates - 1):
+                progress(row)
+        return StudentResult(model=model, log=tuple(log), skipped=skipped_total)
+
+    pair_table = PairTable.of([(ex.source, ex.raw_target) for ex in corpus.examples]
+                              + [(ex.source, ex.distilled_target) for ex in corpus.examples],
+                              config.upsample)
+    return sgd(model, pair_table, picker(), config)
 
 
 def write_update_log(log, path: str) -> None:

@@ -20,8 +20,9 @@ deliberately tiny architecture keeps a full train/score/select cycle in
 seconds while leaving every quantity exact enough for finite-difference
 and enumeration checks.
 
-Training runs a batch as a few groups, not pair by pair. The feasible
-pairs are stable-sorted by source length and cut into groups. Each group
+Training is one SGD loop, ``sgd``, over a ``PairTable`` built once per
+run. A batch runs as a few groups, not pair by pair: its feasible pairs
+are stable-sorted by source length and cut into groups. Each group
 makes one forward over the frames of all its pairs, packed row-wise (pair
 b owns T_b consecutive rows). It then runs CTC over a padded, time-major
 (T_max, B, S_max) lattice, where padded frames and states read -inf, and
@@ -119,13 +120,6 @@ class EmissionMatrix:
     @property
     def frames(self) -> int:
         return self.log_probs.shape[0]
-
-    def validate(self, tol: float = 1e-9) -> None:
-        if not np.all(np.isfinite(self.log_probs)):
-            raise ValueError("emission matrix contains non-finite entries")
-        lse = _logsumexp_rows(self.log_probs)
-        if np.max(np.abs(lse)) > tol:
-            raise ValueError(f"emission rows not normalized (max |lse| = {np.max(np.abs(lse))})")
 
 
 def collapse(frames) -> Sentence:
@@ -366,11 +360,6 @@ def _unwrap(emissions) -> np.ndarray:
     return emissions.log_probs if isinstance(emissions, EmissionMatrix) else np.asarray(emissions, dtype=np.float64)
 
 
-def ctc_loss(emissions, target: Sentence) -> float:
-    """Negative log-probability that the lattice emits the target."""
-    return ctc_loss_and_grad(emissions, target)[0]
-
-
 def ctc_loss_and_grad(emissions, target: Sentence) -> tuple[float, np.ndarray]:
     """Forward/backward over the extended sequence.
 
@@ -568,11 +557,6 @@ def viterbi_align(emissions, target: Sentence) -> FramePath:
     return FramePath(frames=tuple(labels.tolist()))
 
 
-def frame_path_logprob(emissions, path: FramePath) -> float:
-    e = _unwrap(emissions)
-    return float(sum(e[t, f] for t, f in enumerate(path.frames)))
-
-
 def decode_greedy(emissions) -> GreedyDecode:
     """Per-frame argmax and its collapse; argmax ties go to the lowest id."""
     e = _unwrap(emissions)
@@ -610,14 +594,29 @@ class TrainResult:
     snapshot: NatModel | None = None
 
 
-def sentence_loss_and_grads(model: NatModel, source: Sentence, target: Sentence):
-    """CTC loss of one pair plus parameter gradients: the grouped training
-    path at B = 1, kept as the per-pair reference."""
-    if len(source) == 0:
-        raise ValueError("cannot run the decoder on an empty source")
-    cache = _forward_packed(model, [source], np.array([model.config.upsample * len(source)]))
-    loss, dlogp = ctc_loss_and_grad(cache["logp"], target)
-    return loss, _backprop_packed(model, cache, dlogp)
+@dataclass(frozen=True)
+class PairTable:
+    """The (source, target) pairs of one run, with the lattice length,
+    extended-state count and feasibility of each computed once. A batch is
+    an array of slots into the table. With several targets per source (the
+    student's raw and distilled), variant v of pair i is at slot v * n + i."""
+
+    pairs: list[tuple[Sentence, Sentence]]
+    frames: np.ndarray  # upsample * |source|
+    states: np.ndarray  # 2 * |target| + 1
+    feasible: np.ndarray  # min_frames(target) <= frames
+
+    @classmethod
+    def of(cls, pairs: list[tuple[Sentence, Sentence]], upsample: int) -> "PairTable":
+        """ValueError for an empty source or target."""
+        for source, target in pairs:
+            if len(source) == 0:
+                raise ValueError("cannot run the decoder on an empty source")
+            if len(target) == 0:
+                raise ValueError("CTC target must be nonempty")
+        frames = upsample * np.array([len(source) for source, _ in pairs], dtype=np.int64)
+        return cls(pairs, frames, 2 * np.array([len(target) for _, target in pairs], dtype=np.int64) + 1,
+                   np.array([min_frames(target) for _, target in pairs]) <= frames)
 
 
 # Padded DP cells (B * T_max * S_max) allowed in one training or scoring
@@ -627,56 +626,50 @@ def sentence_loss_and_grads(model: NatModel, source: Sentence, target: Sentence)
 _GROUP_CELLS = 65_536
 
 
-def _length_groups(batch: list[tuple[Sentence, Sentence]], indices: list[int],
-                   upsample: int) -> list[list[int]]:
-    """``indices`` into ``batch``, stable-sorted by source length and cut
-    into groups whose padded DP lattice stays within ``_GROUP_CELLS``. A
-    pair over the bound on its own gets a group of its own."""
-    groups: list[list[int]] = []
-    s_max = 0
-    for i in sorted(indices, key=lambda i: len(batch[i][0])):
-        source, target = batch[i]
-        t_max = upsample * len(source)  # sorted, so the group's longest
-        states = 2 * len(target) + 1
-        if not groups or (len(groups[-1]) + 1) * t_max * max(s_max, states) > _GROUP_CELLS:
-            groups.append([])
-            s_max = 0
-        groups[-1].append(i)
-        s_max = max(s_max, states)
-    return groups
+def _length_groups(frames: np.ndarray, states: np.ndarray) -> list[np.ndarray]:
+    """Positions 0 .. B-1 of pairs with these lattice lengths and state
+    counts, stable-sorted by length and cut into groups whose padded DP
+    lattice stays within ``_GROUP_CELLS``. A pair over the bound on its own
+    gets a group of its own."""
+    order = np.argsort(frames, kind="stable")
+    cuts: list[int] = []
+    start = s_max = 0
+    for end, (t_max, s) in enumerate(zip(frames[order].tolist(), states[order].tolist())):
+        # sorted, so t_max is the longest lattice of the group it joins
+        if end > start and (end - start + 1) * t_max * max(s_max, s) > _GROUP_CELLS:
+            cuts.append(end)
+            start, s_max = end, 0
+        s_max = max(s_max, s)
+    return np.split(order, cuts) if len(order) else []
 
 
-def batch_step(model: NatModel, batch: list[tuple[Sentence, Sentence]],
+def batch_step(model: NatModel, slots: np.ndarray, table: PairTable,
                learning_rate: float, clip_norm: float) -> tuple[float | None, int]:
-    """One SGD update on the mean loss over the feasible pairs of a batch.
+    """One SGD update on the mean loss over the feasible pairs of the batch
+    drawn as ``slots`` of ``table``; ``sgd`` makes every training update.
 
     Returns (mean loss, number of skipped infeasible pairs). When every
-    pair is infeasible no update happens and the loss is None. The
-    feasible pairs run in length-sorted groups (see ``_length_groups``),
-    each through one forward, one CTC pass and one backprop.
+    pair is infeasible no update happens and the loss is None (``sgd``
+    fails a run in which that holds for every batch). The feasible pairs
+    run in length-sorted groups (see ``_length_groups``), each through one
+    forward, one CTC pass and one backprop.
     """
-    upsample = model.config.upsample
-    feasible = []
-    for i, (source, target) in enumerate(batch):
-        if len(source) == 0:
-            raise ValueError("cannot run the decoder on an empty source")
-        if len(target) == 0:
-            raise ValueError("CTC target must be nonempty")
-        if min_frames(target) <= upsample * len(source):
-            feasible.append(i)
-    losses = np.full(len(batch), np.inf)
+    feasible = np.flatnonzero(table.feasible[slots])
+    losses = np.full(len(slots), np.inf)
     total = {name: np.zeros_like(p) for name, p in model.params.items()}
-    for group in _length_groups(batch, feasible, upsample):
-        frames = upsample * np.array([len(batch[i][0]) for i in group])
-        cache = _forward_packed(model, [batch[i][0] for i in group], frames)
-        group_losses, dlogp = _ctc_packed(cache["logp"], frames, [batch[i][1] for i in group])
+    for group in _length_groups(table.frames[slots[feasible]], table.states[slots[feasible]]):
+        group = feasible[group]
+        picked = slots[group].tolist()
+        frames = table.frames[picked]
+        cache = _forward_packed(model, [table.pairs[j][0] for j in picked], frames)
+        group_losses, dlogp = _ctc_packed(cache["logp"], frames, [table.pairs[j][1] for j in picked])
         losses[group] = group_losses
         grads = _backprop_packed(model, cache, dlogp)
         for name in total:
             total[name] += grads[name]
     kept = losses != np.inf
     counted = int(kept.sum())
-    skipped = len(batch) - counted
+    skipped = len(slots) - counted
     if counted == 0:
         return None, skipped
     norm_sq = 0.0
@@ -692,53 +685,71 @@ def batch_step(model: NatModel, batch: list[tuple[Sentence, Sentence]],
     return float(losses[kept].sum()) / counted, skipped
 
 
+def sgd(model: NatModel, table: PairTable, picker, config: ModelConfig):
+    """The SGD loop of the evaluator and the student. ``picker`` is a
+    generator that yields the table slots of each batch, is sent back that
+    batch's ``batch_step`` result (loss, skipped), and returns the run's
+    result, which ``sgd`` returns. TrainingError if no update happened,
+    because every pair drawn was infeasible."""
+    outcome, updated = None, False
+    while True:
+        try:
+            slots = picker.send(outcome)
+        except StopIteration as done:
+            if not updated:
+                raise TrainingError("no update happened: every pair drawn was infeasible") from None
+            return done.value
+        outcome = batch_step(model, slots, table, config.learning_rate, config.clip_norm)
+        updated = updated or outcome[0] is not None
+
+
 def train(pairs: list[tuple[Sentence, Sentence]], config: ModelConfig,
           src_vocab: Vocabulary, tgt_vocab: Vocabulary,
           snapshot_at: int | None = None,
           progress=None) -> TrainResult:
-    """Mini-batch SGD on the mean CTC loss.
-
-    Batch order per epoch comes from the seeded portable shuffle, so a
-    seed fixes the whole trajectory. Pairs whose target cannot fit the
-    frame count are skipped and counted. ``snapshot_at`` captures a copy
-    of the parameters after that many optimizer updates (for warm-starting
+    """Mini-batch SGD on the mean CTC loss: ``sgd`` over the table of
+    ``pairs``, walked in an order the seeded portable shuffle permutes in
+    place each epoch, so a seed fixes the whole trajectory. Pairs whose
+    target cannot fit the frame count are skipped and counted; a run with
+    no update raises TrainingError. ``snapshot_at`` captures a copy of the
+    parameters after that many optimizer updates (for warm-starting
     students).
     """
     if not pairs:
         raise TrainingError("empty training set")
-    upsample = config.upsample
-    if all(min_frames(t) > upsample * len(s) for s, t in pairs):
-        raise TrainingError("every training pair is infeasible for the configured upsample factor")
-
     model = NatModel.initialize(config, src_vocab, tgt_vocab)
-    rng = Rng(config.seed ^ 0x5E1ECD)
-    order = list(range(len(pairs)))
-    epoch_losses = []
-    skipped_total = 0
-    updates = 0
-    snapshot = None
-    for epoch in range(config.epochs):
-        rng.shuffle(order)
-        loss_sum = 0.0
-        counted = 0
-        for start in range(0, len(order), config.batch_size):
-            batch = [pairs[i] for i in order[start:start + config.batch_size]]
-            loss, skipped = batch_step(model, batch, config.learning_rate, config.clip_norm)
-            skipped_total += skipped
-            if loss is None:
-                continue
-            loss_sum += loss * (len(batch) - skipped)
-            counted += len(batch) - skipped
-            updates += 1
-            if snapshot_at is not None and updates == snapshot_at:
-                snapshot = model.copy()
-        epoch_losses.append(loss_sum / counted if counted else float("nan"))
-        if progress is not None:
-            progress(epoch, epoch_losses[-1])
-    if snapshot_at is not None and snapshot is None:
-        snapshot = model.copy()  # fewer total updates than requested
-    return TrainResult(model=model, epoch_losses=tuple(epoch_losses),
-                       skipped=skipped_total, updates=updates, snapshot=snapshot)
+
+    def picker():
+        rng = Rng(config.seed ^ 0x5E1ECD)
+        order = list(range(len(pairs)))
+        epoch_losses = []
+        skipped_total = 0
+        updates = 0
+        snapshot = None
+        for epoch in range(config.epochs):
+            rng.shuffle(order)
+            loss_sum = 0.0
+            counted = 0
+            for start in range(0, len(order), config.batch_size):
+                slots = np.array(order[start:start + config.batch_size])
+                loss, skipped = yield slots
+                skipped_total += skipped
+                if loss is None:
+                    continue
+                loss_sum += loss * (len(slots) - skipped)
+                counted += len(slots) - skipped
+                updates += 1
+                if snapshot_at is not None and updates == snapshot_at:
+                    snapshot = model.copy()
+            epoch_losses.append(loss_sum / counted if counted else float("nan"))
+            if progress is not None:
+                progress(epoch, epoch_losses[-1])
+        if snapshot_at is not None and snapshot is None:
+            snapshot = model.copy()  # fewer total updates than requested
+        return TrainResult(model=model, epoch_losses=tuple(epoch_losses),
+                           skipped=skipped_total, updates=updates, snapshot=snapshot)
+
+    return sgd(model, PairTable.of(pairs, config.upsample), picker(), config)
 
 
 # ---------------------------------------------------------------------------

@@ -27,10 +27,8 @@ import numpy as np
 
 from .corpus import Corpus, Sentence
 from .nat import (
-    CtcInfeasibleError,
     NatModel,
-    _check_decoder_input,
-    _check_feasible,
+    PairTable,
     _forward_packed,
     _length_groups,
     _positional_packed,
@@ -80,39 +78,26 @@ def score_plain(reference: Sentence, decoded: Sentence) -> float:
     return max(0.0, 1.0 - hamming_distance(reference, decoded) / len(reference))
 
 
-def score_ctc(model: NatModel, source: Sentence, reference: Sentence,
-              index: int = 0, normalize_by_reference: bool = False) -> ScoreRecord:
-    """Frame-level agreement between the aligned reference and the greedy
-    frame labeling. Infeasible references score 0 and carry a flag."""
-    return _score_pairs(model, [(source, reference)], [index], "ctc", normalize_by_reference)[0]
-
-
 def _score_pairs(model: NatModel, pairs: list[tuple[Sentence, Sentence]], indices: list[int],
                  variant: str, normalize_by_reference: bool) -> list[ScoreRecord]:
     """Records for (source, reference) ``pairs``, tagged with ``indices``.
 
-    The pairs run in the length-sorted groups of ``nat._length_groups``,
+    The pairs run in the length-sorted groups of their ``nat.PairTable``,
     as a training batch does, cut to at most one training batch of pairs
     each, so that a group's forward holds no more rows than a training
     step's. Each record depends only on its own pair.
     """
-    upsample = model.config.upsample
+    table = PairTable.of(pairs, model.config.upsample)
     records: list[ScoreRecord | None] = [None] * len(pairs)
-    todo = []
-    for i, (source, reference) in enumerate(pairs):
-        if variant == "plain":
-            _check_decoder_input(source, len(reference))
-            todo.append(i)
-            continue
-        frames = upsample * len(source)
-        _check_decoder_input(source, frames)
-        try:
-            _check_feasible(frames, reference)
-            todo.append(i)
-        except CtcInfeasibleError:
-            records[i] = _infeasible_record(indices[i], reference, frames)
+    if variant == "plain":
+        todo = np.arange(len(pairs))
+    else:
+        todo = np.flatnonzero(table.feasible)
+        for i in np.flatnonzero(~table.feasible).tolist():
+            records[i] = _infeasible_record(indices[i], pairs[i][1], int(table.frames[i]))
     size = model.config.batch_size
-    groups = [whole[start:start + size] for whole in _length_groups(pairs, todo, upsample)
+    groups = [todo[whole[start:start + size]].tolist()
+              for whole in _length_groups(table.frames[todo], table.states[todo])
               for start in range(0, len(whole), size)]
     for group in groups:
         sources = [pairs[i][0] for i in group]

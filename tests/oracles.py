@@ -10,7 +10,11 @@ references the package's kernels are compared with bit for bit:
 prior, and ``ctc_per_frame``, ``viterbi_argmax`` and ``backprop_add_at``,
 plainer forms of the packed CTC, Viterbi and backprop kernels (one exp
 and one bincount per frame, a (3, B, S) ``argmax`` per frame, and one
-``np.add.at`` per embedding scatter block) that must give the same bits.
+``np.add.at`` per embedding scatter block) that must give the same bits,
+and ``sentence_loss_and_grads``, one pair's loss and gradients from the
+package's B = 1 forward and CTC with ``backprop_add_at``. ``ctc_loss``,
+``frame_path_logprob``, ``validate_emissions`` and ``score_ctc`` are test
+conveniences built on the package's B = 1 functions.
 """
 
 from __future__ import annotations
@@ -19,6 +23,9 @@ import itertools
 import math
 
 import numpy as np
+
+from selkd.nat import _forward_packed, ctc_loss_and_grad
+from selkd.scoring import _score_pairs
 
 BLANK = 0
 
@@ -311,3 +318,41 @@ def backprop_add_at(params, window, cache, dlogp):
         np.add.at(demb, ids[pair[inside], at[inside]], davg[inside])
     grads["emb"] = demb
     return grads
+
+
+def sentence_loss_and_grads(model, source, target):
+    """CTC loss of one pair and its parameter gradients: the package's
+    forward and ``ctc_loss_and_grad`` at B = 1, then ``backprop_add_at``."""
+    cache = _forward_packed(model, [source], np.array([model.config.upsample * len(source)]))
+    loss, dlogp = ctc_loss_and_grad(cache["logp"], target)
+    return loss, backprop_add_at(model.params, model.config.window, cache, dlogp)
+
+
+def ctc_loss(emissions, target) -> float:
+    """Negative log-probability that the lattice emits the target: the
+    package's ``ctc_loss_and_grad`` without the gradient."""
+    return ctc_loss_and_grad(emissions, target)[0]
+
+
+def frame_path_logprob(emissions, path) -> float:
+    """Sum of the log-probabilities a frame path reads."""
+    e = np.asarray(getattr(emissions, "log_probs", emissions), dtype=np.float64)
+    return float(sum(e[t, f] for t, f in enumerate(path.frames)))
+
+
+def validate_emissions(emissions, tol: float = 1e-9) -> None:
+    """ValueError unless every entry of the ``EmissionMatrix`` is finite
+    and every row log-sum-exps to 0 within ``tol``."""
+    e = emissions.log_probs
+    if not np.all(np.isfinite(e)):
+        raise ValueError("emission matrix contains non-finite entries")
+    top = e.max(axis=1)
+    lse = top + np.log(np.exp(e - top[:, None]).sum(axis=1))
+    if np.max(np.abs(lse)) > tol:
+        raise ValueError(f"emission rows not normalized (max |lse| = {np.max(np.abs(lse))})")
+
+
+def score_ctc(model, source, reference, index=0, normalize_by_reference=False):
+    """The ctc score record of one pair: ``score_corpus``'s grouped path
+    at B = 1. Infeasible references score 0 and carry a flag."""
+    return _score_pairs(model, [(source, reference)], [index], "ctc", normalize_by_reference)[0]

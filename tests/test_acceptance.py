@@ -36,11 +36,9 @@ from selkd.metrics import (
 )
 from selkd.nat import (
     ModelConfig,
-    ctc_loss,
     ctc_loss_and_grad,
     decode_greedy,
     forward,
-    frame_path_logprob,
     min_frames,
     train,
     viterbi_align,
@@ -48,7 +46,7 @@ from selkd.nat import (
 from selkd.scoring import ScoreRecord, ScoreTable, score_corpus
 
 from conftest import make_corpus, random_lattice
-from oracles import brute_best_paths, brute_total_prob, fd_gradient
+from oracles import brute_best_paths, brute_total_prob, ctc_loss, fd_gradient, frame_path_logprob
 
 
 def criterion(number, title):

@@ -157,6 +157,12 @@ def test_metrics_aligns_each_distinct_pair_once(tmp_path, synth_dir, monkeypatch
                  "--align-iterations", "2", "--dump-links"]) == EXIT_OK
     assert len(calls) == 2 * n  # the raw and the distilled view, each pair once
     monkeypatch.undo()
+    # Every reference has length 4; exposure under the default 0.4 -> 1.0
+    # schedule is 0, 0, 1/6, 7/12 and 1 for the five scores.
+    assert (out / "buckets.tsv").read_text().splitlines() == [
+        "bucket\tcount\tmean_score\tmean_exposure", f"[0,10)\t{n}\t0.500000\t0.350000",
+        *(f"[{lo},{hi})\t0\t-\t-" for lo, hi in ((10, 20), (20, 30), (30, 40), (40, 50),
+                                                  (50, 60), (60, "inf")))]
 
     # The same rows and links from aligning every view on its own.
     corpus = load_corpus(str(synth_dir / "src.txt"), str(synth_dir / "raw.txt"),
@@ -482,7 +488,7 @@ _BAD_THRESHOLD_CASES = {
 
 
 @pytest.mark.parametrize("case", list(_BAD_THRESHOLD_CASES))
-def test_threshold_outside_range_is_config_error(tmp_path, synth_dir, case):
+def test_threshold_outside_range_is_config_error(tmp_path, synth_dir, capsys, case):
     (synth_dir / "scores.tsv").write_text("".join(f"{i}\t0.500000\t0\t4\t8\n" for i in range(40)))
     command, *flags = _BAD_THRESHOLD_CASES[case]
     stage_flags = {"select": ["--scores", str(synth_dir / "scores.tsv")],
@@ -493,6 +499,9 @@ def test_threshold_outside_range_is_config_error(tmp_path, synth_dir, case):
     out = tmp_path / "out"
     assert main([command, "--out", str(out), *corpus, *stage_flags, *flags]) == EXIT_CONFIG
     assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and f"selkd {command}: error: " in captured.err
 
 
 _METRICS_FLAG_CASES = {

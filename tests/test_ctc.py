@@ -12,13 +12,12 @@ from selkd.nat import (
     CtcInfeasibleError,
     _ctc_packed,
     collapse,
-    ctc_loss,
     ctc_loss_and_grad,
     min_frames,
 )
 
 from conftest import random_lattice
-from oracles import brute_total_prob, fd_gradient, valid_paths, valid_paths_product
+from oracles import brute_total_prob, ctc_loss, fd_gradient, valid_paths, valid_paths_product
 
 
 def test_oracle_agrees_with_product_enumeration():

@@ -278,3 +278,38 @@ def test_student_init_wrong_vocab_rejected():
     with pytest.raises(TrainingError):
         train_student(corpus, table, sched, student_config(), init_model=wrong)
 
+
+def test_student_without_any_update_raises():
+    # Fixed T = 1.01 picks every distilled target, and both are 3 tokens on
+    # 2 frames; the feasible raw targets are never drawn.
+    corpus = make_corpus([("a", "p", "x y z"), ("b", "q", "y z x")])
+    from selkd.nat import TrainingError
+
+    with pytest.raises(TrainingError, match="no update happened"):
+        train_student(corpus, table_from_scores([0.5, 0.5]), ThresholdSchedule.fixed(1.01, 5),
+                      student_config())
+
+
+def test_student_skips_an_infeasible_raw_target_only_when_raw_is_picked(monkeypatch):
+    # Example 0's raw target needs 3 frames of its 2; its distilled one fits.
+    # Both examples score 0.5, so T_k <= 0.5 draws both raw pairs and a
+    # higher T_k both distilled ones.
+    from selkd import nat
+
+    corpus = make_corpus([("a", "p q r", "x"), ("b", "q", "y")])
+    steps = []
+    batch_step = nat.batch_step
+
+    def recording(*args):
+        result = batch_step(*args)
+        steps.append(result[1])
+        return result
+
+    monkeypatch.setattr(nat, "batch_step", recording)
+    schedule = ThresholdSchedule(start=0.0, end=1.0, total_updates=8)
+    result = train_student(corpus, table_from_scores([0.5, 0.5]), schedule, student_config())
+    picks_raw = [row.threshold <= 0.5 for row in result.log]
+    assert picks_raw == [True] * 5 + [False] * 3
+    assert [row.raw_fraction for row in result.log] == [1.0 if raw else 0.0 for raw in picks_raw]
+    assert steps == [1 if raw else 0 for raw in picks_raw]
+    assert result.skipped == 5

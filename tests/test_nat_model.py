@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
+from selkd import nat
 from selkd.corpus import BLANK_ID, Vocabulary
 from selkd.nat import (
     CheckpointError,
     EmissionMatrix,
     ModelConfig,
     NatModel,
+    PairTable,
     TrainingError,
     batch_step,
-    ctc_loss,
     decode_greedy,
     decode_positional,
     forward,
@@ -17,12 +18,12 @@ from selkd.nat import (
     min_frames,
     model_digest,
     save_checkpoint,
-    sentence_loss_and_grads,
     serialize_model,
     train,
 )
 
 from conftest import random_lattice
+from oracles import ctc_loss, sentence_loss_and_grads, validate_emissions
 
 
 def vocab_of(surfaces):
@@ -45,14 +46,14 @@ def test_forward_shape_and_normalization(tiny_model):
     em = forward(model, (2, 3, 4))
     assert em.frames == 6
     assert em.log_probs.shape == (6, len(tgt))
-    em.validate(tol=1e-9)
+    validate_emissions(em, tol=1e-9)
 
 
 def test_forward_respects_custom_frame_count(tiny_model):
     model, _, _ = tiny_model
     em = forward(model, (2, 3, 4), frames=5)
     assert em.frames == 5
-    em.validate()
+    validate_emissions(em)
 
 
 def test_forward_is_deterministic(tiny_model):
@@ -173,6 +174,29 @@ def test_train_snapshot_taken_at_requested_update():
     )
 
 
+def test_length_groups_sort_ties_in_batch_order():
+    # Equal lattice lengths keep their batch order, as a stable sort does.
+    frames = np.array([4, 2, 4, 2, 6, 2])
+    states = np.array([3, 5, 7, 3, 3, 9])
+    groups = nat._length_groups(frames, states)
+    assert [g.tolist() for g in groups] == [sorted(range(6), key=lambda i: frames[i])]
+
+
+def test_length_groups_cut_at_the_cell_bound(monkeypatch):
+    # Walking the sorted pairs, a pair opens a new group when the group's
+    # padded cells (size + 1) * T_max * S_max would pass the bound; a pair
+    # over the bound on its own is alone in its group.
+    monkeypatch.setattr(nat, "_GROUP_CELLS", 40)
+    frames = np.array([10, 2, 4, 2, 10, 2, 2])
+    states = np.array([9, 3, 3, 5, 3, 5, 5])
+    groups = nat._length_groups(frames, states)
+    # Four (T, S) = (2, <= 5) pairs fill 4 * 2 * 5 = 40 cells, the bound
+    # itself; (4, 3) would make 5 * 4 * 5 = 100. (10, 9) alone is 90, and
+    # (10, 3) with it 2 * 10 * 9 = 180.
+    assert [g.tolist() for g in groups] == [[1, 3, 5, 6], [2], [0], [4]]
+    assert nat._length_groups(np.array([], dtype=np.int64), np.array([], dtype=np.int64)) == []
+
+
 def test_batch_step_update_matches_finite_differences():
     # One update at learning rate 1 with clipping off moves every parameter
     # by minus the gradient of the mean CTC loss over the feasible pairs.
@@ -193,7 +217,8 @@ def test_batch_step_update_matches_finite_differences():
         return sum(ctc_loss(forward(model, s), t) for s, t in feasible) / len(feasible)
 
     updated = model.copy()
-    loss, skipped = batch_step(updated, batch, learning_rate=1.0, clip_norm=np.inf)
+    loss, skipped = batch_step(updated, np.arange(len(batch)), PairTable.of(batch, cfg.upsample),
+                               learning_rate=1.0, clip_norm=np.inf)
     assert skipped == 1
     assert loss == pytest.approx(mean_loss(), rel=1e-12)
     # The grouped update sums the same terms as a per-pair loop, in
@@ -263,7 +288,7 @@ def test_checkpoint_rejects_garbage(tmp_path):
 def test_emission_matrix_validate_catches_bad_rows():
     bad = EmissionMatrix(log_probs=np.zeros((2, 3)), source_len=1)
     with pytest.raises(ValueError):
-        bad.validate()
+        validate_emissions(bad)
 
 
 def test_config_validation():

@@ -11,11 +11,12 @@ from selkd.scoring import (
     hamming_distance,
     read_score_tsv,
     score_corpus,
-    score_ctc,
     score_plain,
     validate_table_covers,
     write_score_tsv,
 )
+
+from oracles import score_ctc
 
 
 def test_hamming_basic():
@@ -213,8 +214,8 @@ def test_padded_scoring_groups_match_each_pair_alone(monkeypatch):
     for param in model.params.values():
         param *= 4  # sharper emissions, so the greedy labels vary
     monkeypatch.setattr(nat, "_GROUP_CELLS", 200)
-    pairs = [(ex.source, ex.raw_target) for ex in corpus.examples]
-    assert len(nat._length_groups(pairs, list(range(len(pairs))), 2)) >= 2
+    table = nat.PairTable.of([(ex.source, ex.raw_target) for ex in corpus.examples], 2)
+    assert len(nat._length_groups(table.frames, table.states)) >= 2
     tables = {}
     for variant, alone in (("ctc", _ctc_record_alone), ("plain", _plain_record_alone)):
         tables[variant] = score_corpus(model, corpus, variant=variant).records
