@@ -173,32 +173,31 @@ def train_student(corpus: Corpus, table: ScoreTable, schedule: ThresholdSchedule
     scores = np.array([table.records[ex.index].score for ex in corpus.examples])
     n = len(corpus)
 
-    def picker():
+    log: list[UpdateLogRow] = []
+    every = max(1, schedule.total_updates // 10)
+
+    def batches():
         order = list(range(n))
         Rng(config.seed ^ 0x57D).shuffle(order)
         order = np.array(order)
-        log: list[UpdateLogRow] = []
-        skipped_total = 0
-        updates = schedule.total_updates
-        every = max(1, updates // 10)
-        for k in range(updates):
-            t_k = threshold_at(schedule, k)
+        for k in range(schedule.total_updates):
             examples = order[(k * config.batch_size + np.arange(config.batch_size)) % n]
-            take_raw = scores[examples] >= t_k
-            loss, skipped = yield np.where(take_raw, examples, examples + n)
-            skipped_total += skipped
-            row = UpdateLogRow(update=k, threshold=t_k,
-                               raw_fraction=int(take_raw.sum()) / config.batch_size,
-                               loss=float("nan") if loss is None else loss)
-            log.append(row)
-            if progress is not None and (k % every == 0 or k == updates - 1):
-                progress(row)
-        return StudentResult(model=model, log=tuple(log), skipped=skipped_total)
+            yield np.where(scores[examples] >= threshold_at(schedule, k), examples, examples + n)
+
+    def after_step(slots, loss, skipped, updates):
+        k = len(log)
+        row = UpdateLogRow(update=k, threshold=threshold_at(schedule, k),
+                           raw_fraction=int((slots < n).sum()) / config.batch_size,
+                           loss=float("nan") if loss is None else loss)
+        log.append(row)
+        if progress is not None and (k % every == 0 or k == schedule.total_updates - 1):
+            progress(row)
 
     pair_table = PairTable.of([(ex.source, ex.raw_target) for ex in corpus.examples]
                               + [(ex.source, ex.distilled_target) for ex in corpus.examples],
                               config.upsample)
-    return sgd(model, pair_table, picker(), config)
+    _, skipped = sgd(model, pair_table, batches(), config, after_step)
+    return StudentResult(model=model, log=tuple(log), skipped=skipped)
 
 
 def write_update_log(log, path: str) -> None:

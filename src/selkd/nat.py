@@ -594,6 +594,16 @@ class TrainResult:
     snapshot: NatModel | None = None
 
 
+def sentence_loss_and_grads(model: NatModel, source: Sentence, target: Sentence):
+    """CTC loss of one pair plus parameter gradients: the grouped training
+    path at B = 1, kept as the per-pair reference."""
+    if len(source) == 0:
+        raise ValueError("cannot run the decoder on an empty source")
+    cache = _forward_packed(model, [source], np.array([model.config.upsample * len(source)]))
+    loss, dlogp = ctc_loss_and_grad(cache["logp"], target)
+    return loss, _backprop_packed(model, cache, dlogp)
+
+
 @dataclass(frozen=True)
 class PairTable:
     """The (source, target) pairs of one run, with the lattice length,
@@ -613,7 +623,7 @@ class PairTable:
             if len(source) == 0:
                 raise ValueError("cannot run the decoder on an empty source")
             if len(target) == 0:
-                raise ValueError("CTC target must be nonempty")
+                raise ValueError("target must be nonempty")
         frames = upsample * np.array([len(source) for source, _ in pairs], dtype=np.int64)
         return cls(pairs, frames, 2 * np.array([len(target) for _, target in pairs], dtype=np.int64) + 1,
                    np.array([min_frames(target) for _, target in pairs]) <= frames)
@@ -685,22 +695,22 @@ def batch_step(model: NatModel, slots: np.ndarray, table: PairTable,
     return float(losses[kept].sum()) / counted, skipped
 
 
-def sgd(model: NatModel, table: PairTable, picker, config: ModelConfig):
-    """The SGD loop of the evaluator and the student. ``picker`` is a
-    generator that yields the table slots of each batch, is sent back that
-    batch's ``batch_step`` result (loss, skipped), and returns the run's
-    result, which ``sgd`` returns. TrainingError if no update happened,
-    because every pair drawn was infeasible."""
-    outcome, updated = None, False
-    while True:
-        try:
-            slots = picker.send(outcome)
-        except StopIteration as done:
-            if not updated:
-                raise TrainingError("no update happened: every pair drawn was infeasible") from None
-            return done.value
-        outcome = batch_step(model, slots, table, config.learning_rate, config.clip_norm)
-        updated = updated or outcome[0] is not None
+def sgd(model: NatModel, table: PairTable, batches, config: ModelConfig, after_step) -> tuple[int, int]:
+    """The SGD loop of the evaluator and the student: one ``batch_step`` on
+    each array of ``table`` slots that ``batches`` yields, then
+    ``after_step(slots, loss, skipped, updates)`` with that step's result
+    and the number of updates made so far. Returns (updates, skipped
+    pairs). TrainingError if no update happened, because every pair drawn
+    was infeasible."""
+    updates = skipped_total = 0
+    for slots in batches:
+        loss, skipped = batch_step(model, slots, table, config.learning_rate, config.clip_norm)
+        skipped_total += skipped
+        updates += loss is not None
+        after_step(slots, loss, skipped, updates)
+    if updates == 0:
+        raise TrainingError("no update happened: every pair drawn was infeasible")
+    return updates, skipped_total
 
 
 def train(pairs: list[tuple[Sentence, Sentence]], config: ModelConfig,
@@ -718,38 +728,35 @@ def train(pairs: list[tuple[Sentence, Sentence]], config: ModelConfig,
     if not pairs:
         raise TrainingError("empty training set")
     model = NatModel.initialize(config, src_vocab, tgt_vocab)
+    epoch_losses: list[float] = []
+    loss_sum, counted, snapshot = 0.0, 0, None
 
-    def picker():
+    def batches():
+        nonlocal loss_sum, counted
         rng = Rng(config.seed ^ 0x5E1ECD)
         order = list(range(len(pairs)))
-        epoch_losses = []
-        skipped_total = 0
-        updates = 0
-        snapshot = None
         for epoch in range(config.epochs):
             rng.shuffle(order)
-            loss_sum = 0.0
-            counted = 0
+            loss_sum, counted = 0.0, 0
             for start in range(0, len(order), config.batch_size):
-                slots = np.array(order[start:start + config.batch_size])
-                loss, skipped = yield slots
-                skipped_total += skipped
-                if loss is None:
-                    continue
-                loss_sum += loss * (len(slots) - skipped)
-                counted += len(slots) - skipped
-                updates += 1
-                if snapshot_at is not None and updates == snapshot_at:
-                    snapshot = model.copy()
+                yield np.array(order[start:start + config.batch_size])
             epoch_losses.append(loss_sum / counted if counted else float("nan"))
             if progress is not None:
                 progress(epoch, epoch_losses[-1])
-        if snapshot_at is not None and snapshot is None:
-            snapshot = model.copy()  # fewer total updates than requested
-        return TrainResult(model=model, epoch_losses=tuple(epoch_losses),
-                           skipped=skipped_total, updates=updates, snapshot=snapshot)
 
-    return sgd(model, PairTable.of(pairs, config.upsample), picker(), config)
+    def after_step(slots, loss, skipped, updates):
+        nonlocal loss_sum, counted, snapshot
+        if loss is not None:
+            loss_sum += loss * (len(slots) - skipped)
+            counted += len(slots) - skipped
+            if updates == snapshot_at:
+                snapshot = model.copy()
+
+    updates, skipped = sgd(model, PairTable.of(pairs, config.upsample), batches(), config, after_step)
+    if snapshot_at is not None and snapshot is None:
+        snapshot = model.copy()  # fewer total updates than requested
+    return TrainResult(model=model, epoch_losses=tuple(epoch_losses),
+                       skipped=skipped, updates=updates, snapshot=snapshot)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from selkd.cli import (
     EXIT_FORMAT,
     EXIT_MISSING_INPUT,
     EXIT_OK,
+    EXIT_TRAINING,
     _report_row,
     build_parser,
     main,
@@ -128,6 +129,20 @@ def test_train_student_runs_and_logs(tmp_path, synth_dir):
     assert len(log) == 12
     first = log[0].split("\t")
     assert float(first[1]) == pytest.approx(0.4)  # T_0
+
+
+def test_train_student_without_any_update_is_training_error(tmp_path):
+    # T = 1.0 throughout picks both distilled targets (scores 0.5), and each
+    # needs 3 frames of the 2 that upsample 2 gives a one-token source.
+    for name, text in (("src", "a\nb\n"), ("raw", "p\nq\n"), ("kd", "x y z\ny z x\n")):
+        (tmp_path / f"{name}.txt").write_text(text)
+    (tmp_path / "scores.tsv").write_text("0\t0.500000\t0\t1\t2\n1\t0.500000\t0\t1\t2\n")
+    out = tmp_path / "student"
+    assert main(["train-student", "--out", str(out), *corpus_flags(tmp_path),
+                 "--scores", str(tmp_path / "scores.tsv"), "--updates", "5",
+                 "--t0", "1.0", "--t1", "1.0"]) == EXIT_TRAINING
+    assert (out / "INCOMPLETE").exists()
+    assert not (out / "checkpoint.txt").exists()
 
 
 def test_metrics_single_bitext_mode(tmp_path, synth_dir):

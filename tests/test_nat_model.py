@@ -161,6 +161,13 @@ def test_train_all_infeasible_raises():
         train(pairs, cfg, src, tgt)
 
 
+def test_pair_table_rejects_empty_source_and_target():
+    with pytest.raises(ValueError, match="empty source"):
+        PairTable.of([((2,), (2,)), ((), (2,))], 2)
+    with pytest.raises(ValueError, match="target must be nonempty"):
+        PairTable.of([((2,), (2,)), ((2,), ())], 2)
+
+
 def test_train_snapshot_taken_at_requested_update():
     src = vocab_of([f"s{i}" for i in range(4)])
     tgt = vocab_of([f"t{i}" for i in range(4)])
@@ -224,6 +231,10 @@ def test_batch_step_update_matches_finite_differences():
     # The grouped update sums the same terms as a per-pair loop, in
     # another order.
     per_pair = [sentence_loss_and_grads(model, s, t)[1] for s, t in feasible]
+    # The package's B = 1 reference gives the same bits as the oracle's.
+    for (s, t), oracle in zip(feasible, per_pair):
+        for name, grad in nat.sentence_loss_and_grads(model, s, t)[1].items():
+            np.testing.assert_array_equal(grad, oracle[name], err_msg=name)
     for name, value in model.params.items():
         reference = sum(g[name] for g in per_pair) / len(feasible)
         np.testing.assert_allclose(value - updated.params[name], reference, rtol=1e-12, atol=1e-14,
