@@ -322,24 +322,27 @@ def run_metrics(args) -> int:
         model = align_mod.em_train(raw, iterations=args.align_iterations,
                                    tension=args.tension, null_prob=args.null_prob)
         # Every view is a subset of the raw or the distilled pairs, so each
-        # distinct pair is aligned once and the views pick their links.
+        # distinct pair is aligned and reduced to its record once, and the
+        # views pick their records.
         raw_links = metrics_mod.align_bitext(raw, model)
+        raw_stats = metrics_mod.pair_stats(raw, raw_links)
         if args.tgt:
-            views = [("bitext", raw, raw_links)]
+            views = [("bitext", raw_stats)]
         else:
             distilled = metrics_mod.view_distilled(corpus)
-            distilled_links = metrics_mod.align_bitext(distilled, model)
-            views = [("raw", raw, raw_links), ("distilled", distilled, distilled_links)]
+            distilled_stats = metrics_mod.pair_stats(distilled,
+                                                     metrics_mod.align_bitext(distilled, model))
+            views = [("raw", raw_stats), ("distilled", distilled_stats)]
 
         rows = ["view\tthreshold\traw_ratio\tsentences\tuncertainty\tshift\trepetition_per_mille"]
-        for label, view, links in views:
-            rows.append(_report_row(label, None, None, metrics_mod.metric_report(view, links, label)))
+        for label, stats in views:
+            rows.append(_report_row(label, None, None, metrics_mod.metric_report(stats, label)))
         for t in thresholds:
             ratio = cur.raw_ratio(table, t)
-            for label, view, links in metrics_mod.threshold_views(corpus, table, t, raw_links,
-                                                                  distilled_links):
+            for label, stats in metrics_mod.threshold_views(corpus, table, t, raw_stats,
+                                                            distilled_stats):
                 try:
-                    rep = metrics_mod.metric_report(view, links, label)
+                    rep = metrics_mod.metric_report(stats, label)
                 except metrics_mod.MetricsError:
                     rep = None  # not enough data at this threshold; report a hole
                 rows.append(_report_row(label, t, ratio, rep))

@@ -10,13 +10,22 @@ Two complexity measures drive the selected-vs-replaced comparisons:
 
 Plus the adjacent-token repetition ratio (per-mille) and a small
 corpus-level BLEU-4 for end-to-end quality checks.
+
+The metrics stage reports these over several overlapping views of one
+corpus, so ``pair_stats`` reduces each aligned pair to a ``PairStats``
+record once, and ``metric_report`` combines a view's records in view
+order, with the same bits as a walk over the view's links.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain, compress
+from typing import TypeVar
 
 from .align import NULL_LINK, AlignmentLinks, AlignmentModel, align_pair
 from .corpus import Corpus, Sentence
@@ -24,6 +33,7 @@ from .curriculum import ThresholdSchedule, exposure_period
 from .scoring import ScoreTable, validate_table_covers
 
 Bitext = list[tuple[Sentence, Sentence]]
+T = TypeVar("T")
 
 LENGTH_BUCKETS = ((0, 10), (10, 20), (20, 30), (30, 40), (40, 50), (50, 60), (60, None))
 
@@ -55,27 +65,6 @@ def align_bitext(bitext: Bitext, model: AlignmentModel) -> list[AlignmentLinks]:
     return [align_pair(model, src, tgt) for src, tgt in bitext]
 
 
-def translation_uncertainty(bitext: Bitext, links: list[AlignmentLinks]) -> float:
-    """Mean entropy of aligned target types per source type, in nats.
-
-    Source types that never receive a non-NULL link are left out of the
-    mean rather than counted as zero-entropy evidence.
-    """
-    by_source: dict[int, Counter] = {}
-    for (src, tgt), pair_links in zip(bitext, links, strict=True):
-        for j, i in enumerate(pair_links):
-            if i == NULL_LINK:
-                continue
-            by_source.setdefault(src[i - 1], Counter())[tgt[j]] += 1
-    if not by_source:
-        raise MetricsError("no aligned tokens at all; cannot compute uncertainty")
-    total = 0.0
-    for counter in by_source.values():
-        n = sum(counter.values())
-        total += -sum((c / n) * math.log(c / n) for c in counter.values())
-    return total / len(by_source)
-
-
 def alignment_shift_pair(src: Sentence, tgt: Sentence, links: AlignmentLinks) -> float:
     """Mean relative distance |i/|X| - j/|Y|| over linked words, 1-based;
     NULL links contribute 0."""
@@ -89,26 +78,83 @@ def alignment_shift_pair(src: Sentence, tgt: Sentence, links: AlignmentLinks) ->
     return acc / m
 
 
+def _repeats(sent: Sentence) -> int:
+    return sum(map(operator.eq, sent, sent[1:]))
+
+
+@dataclass(frozen=True, slots=True)
+class PairStats:
+    """What the metrics need of one aligned pair. The metrics stage computes
+    it once per distinct pair; a view only combines the records of its
+    pairs."""
+
+    type_links: tuple[tuple[int, int], ...]  # (source type, target type) per non-NULL link
+    shift: float  # alignment_shift_pair
+    repeats: int  # target tokens equal to their predecessor
+    tokens: int  # target length
+
+
+def pair_stats(bitext: Bitext, links: list[AlignmentLinks]) -> list[PairStats]:
+    """One ``PairStats`` per pair and its links, in bitext order."""
+    out = []
+    for (src, tgt), pair_links in zip(bitext, links, strict=True):
+        shift = alignment_shift_pair(src, tgt, pair_links)
+        # link i is source position i - 1; slot 0 stands in for NULL_LINK,
+        # whose pairs compress drops because NULL_LINK is 0
+        by_link = (NULL_LINK, *src).__getitem__
+        type_links = tuple(compress(zip(map(by_link, pair_links), tgt), pair_links))
+        out.append(PairStats(type_links, shift, _repeats(tgt), len(tgt)))
+    return out
+
+
+def _uncertainty(stats: Sequence[PairStats]) -> float:
+    """``translation_uncertainty`` of one view's records. Source types are
+    visited in the order of their first link in the view, and each one's
+    counts in the order of their first (source, target) link: the order
+    the entropy sums are taken in."""
+    by_source: dict[int, list[int]] = {}
+    for (s, _), count in Counter(chain.from_iterable(p.type_links for p in stats)).items():
+        by_source.setdefault(s, []).append(count)
+    if not by_source:
+        raise MetricsError("no aligned tokens at all; cannot compute uncertainty")
+    total = 0.0
+    for counts in by_source.values():
+        n = sum(counts)
+        total += -sum((c / n) * math.log(c / n) for c in counts)
+    return total / len(by_source)
+
+
+def _mean_shift(stats: Sequence[PairStats]) -> float:
+    return sum(p.shift for p in stats) / len(stats)  # summed in view order
+
+
+def _per_mille(repeats: int, tokens: int) -> float:
+    if tokens == 0:
+        raise MetricsError("sentence list contains no tokens")
+    return 1000.0 * repeats / tokens
+
+
+def translation_uncertainty(bitext: Bitext, links: list[AlignmentLinks]) -> float:
+    """Mean entropy of aligned target types per source type, in nats.
+
+    Source types that never receive a non-NULL link are left out of the
+    mean rather than counted as zero-entropy evidence.
+    """
+    return _uncertainty(pair_stats(bitext, links))
+
+
 def alignment_shift(bitext: Bitext, links: list[AlignmentLinks]) -> float:
     """Corpus mean of the per-pair alignment shift."""
     if not bitext:
         raise MetricsError("empty bitext")
-    pairs = zip(bitext, links, strict=True)
-    return sum(alignment_shift_pair(s, t, l) for (s, t), l in pairs) / len(bitext)
+    return _mean_shift(pair_stats(bitext, links))
 
 
 def repetition_ratio(sentences: list[Sentence]) -> float:
     """Tokens equal to their immediate predecessor, per-mille of all tokens."""
     if not sentences:
         raise MetricsError("empty sentence list")
-    repeats = 0
-    tokens = 0
-    for sent in sentences:
-        tokens += len(sent)
-        repeats += sum(1 for a, b in zip(sent, sent[1:]) if a == b)
-    if tokens == 0:
-        raise MetricsError("sentence list contains no tokens")
-    return 1000.0 * repeats / tokens
+    return _per_mille(sum(map(_repeats, sentences)), sum(map(len, sentences)))
 
 
 def _ngrams(sent: Sentence, n: int) -> Counter:
@@ -164,11 +210,11 @@ def view_distilled(corpus: Corpus) -> Bitext:
 
 
 def threshold_views(corpus: Corpus, table: ScoreTable, threshold: float,
-                    raw_links: list[AlignmentLinks], distilled_links: list[AlignmentLinks]
-                    ) -> list[tuple[str, Bitext, list[AlignmentLinks]]]:
-    """(label, view, links) of the selected, replaced and mix views at one
-    threshold, each pair's links picked by index from those of the raw and
-    distilled views, as aligned by ``align_bitext``.
+                    raw: Sequence[T], distilled: Sequence[T]) -> list[tuple[str, list[T]]]:
+    """(label, items) of the selected, replaced and mix views at one
+    threshold, each pair's item picked by index from ``raw`` and
+    ``distilled``, which hold one item per corpus pair of that view (the
+    metrics stage passes ``pair_stats`` records).
 
     A pair is selected when its score is >= threshold. Selected holds the
     raw pairs selection keeps, replaced the raw pairs it rejects (their raw
@@ -176,14 +222,11 @@ def threshold_views(corpus: Corpus, table: ScoreTable, threshold: float,
     selected raw pairs and the distilled replacements, in corpus order.
     """
     validate_table_covers(table, corpus)
-    keep = [record.score >= threshold for record in table.records]
-    raw = list(zip(view_raw(corpus), raw_links, strict=True))
-    distilled = list(zip(view_distilled(corpus), distilled_links, strict=True))
-    picked = (("selected", [r for r, k in zip(raw, keep) if k]),
-              ("replaced", [r for r, k in zip(raw, keep) if not k]),
-              ("mix", [r if k else d for r, d, k in zip(raw, distilled, keep)]))
-    return [(label, [pair for pair, _ in items], [links for _, links in items])
-            for label, items in picked]
+    rows = list(zip((record.score >= threshold for record in table.records), raw, distilled,
+                    strict=True))
+    return [("selected", [r for keep, r, _ in rows if keep]),
+            ("replaced", [r for keep, r, _ in rows if not keep]),
+            ("mix", [r if keep else d for keep, r, d in rows])]
 
 
 def length_buckets(table: ScoreTable, schedule: ThresholdSchedule) -> tuple[BucketRow, ...]:
@@ -212,15 +255,16 @@ def bucket_table(table: ScoreTable, schedule: ThresholdSchedule) -> list[str]:
     return lines
 
 
-def metric_report(bitext: Bitext, links: list[AlignmentLinks], label: str) -> MetricReport:
-    """All metrics for one corpus view and its links (one entry per pair);
-    errors on an empty view (there is nothing meaningful to report)."""
-    if not bitext:
+def metric_report(stats: Sequence[PairStats], label: str) -> MetricReport:
+    """All metrics for one corpus view from the records of its pairs, in
+    view order; errors on an empty view (there is nothing meaningful to
+    report)."""
+    if not stats:
         raise MetricsError(f"view {label!r} is empty")
     return MetricReport(
         label=label,
-        uncertainty=translation_uncertainty(bitext, links),
-        shift=alignment_shift(bitext, links),
-        repetition_per_mille=repetition_ratio([tgt for _, tgt in bitext]),
-        sentences=len(bitext),
+        uncertainty=_uncertainty(stats),
+        shift=_mean_shift(stats),
+        repetition_per_mille=_per_mille(sum(p.repeats for p in stats), sum(p.tokens for p in stats)),
+        sentences=len(stats),
     )

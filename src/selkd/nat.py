@@ -642,6 +642,8 @@ def _length_groups(frames: np.ndarray, states: np.ndarray) -> list[np.ndarray]:
     lattice stays within ``_GROUP_CELLS``. A pair over the bound on its own
     gets a group of its own."""
     order = np.argsort(frames, kind="stable")
+    if len(order) and len(order) * int(frames.max()) * int(states.max()) <= _GROUP_CELLS:
+        return [order]  # the walk below would make no cut
     cuts: list[int] = []
     start = s_max = 0
     for end, (t_max, s) in enumerate(zip(frames[order].tolist(), states[order].tolist())):
@@ -721,9 +723,9 @@ def train(pairs: list[tuple[Sentence, Sentence]], config: ModelConfig,
     ``pairs``, walked in an order the seeded portable shuffle permutes in
     place each epoch, so a seed fixes the whole trajectory. Pairs whose
     target cannot fit the frame count are skipped and counted; a run with
-    no update raises TrainingError. ``snapshot_at`` captures a copy of the
-    parameters after that many optimizer updates (for warm-starting
-    students).
+    no update stops after its first epoch and raises TrainingError.
+    ``snapshot_at`` captures a copy of the parameters after that many
+    optimizer updates (for warm-starting students).
     """
     if not pairs:
         raise TrainingError("empty training set")
@@ -740,7 +742,9 @@ def train(pairs: list[tuple[Sentence, Sentence]], config: ModelConfig,
             loss_sum, counted = 0.0, 0
             for start in range(0, len(order), config.batch_size):
                 yield np.array(order[start:start + config.batch_size])
-            epoch_losses.append(loss_sum / counted if counted else float("nan"))
+            if not counted:
+                return  # every epoch visits every pair, so none is feasible; sgd fails the run
+            epoch_losses.append(loss_sum / counted)
             if progress is not None:
                 progress(epoch, epoch_losses[-1])
 

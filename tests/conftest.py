@@ -29,6 +29,12 @@ def make_corpus(rows: list[tuple[str, str, str]]) -> Corpus:
     return Corpus(examples=tuple(examples), src_vocab=src_vocab, tgt_vocab=tgt_vocab)
 
 
+def unzip_view(items: list) -> tuple[list, list]:
+    """The pairs and the links of a ``threshold_views`` view whose items
+    are (pair, links) tuples."""
+    return [pair for pair, _ in items], [links for _, links in items]
+
+
 SINGLE_MODE_SPEC = synth.SynthTaskSpec(
     source_vocab_size=6, target_vocab_size=8, len_min=3, len_max=5,
     num_modes=1, mode_probs=(1.0,), mistake_rate=0.0, seed=7,

@@ -45,7 +45,7 @@ from selkd.nat import (
 )
 from selkd.scoring import ScoreRecord, ScoreTable, score_corpus
 
-from conftest import make_corpus, random_lattice
+from conftest import make_corpus, random_lattice, unzip_view
 from oracles import brute_best_paths, brute_total_prob, ctc_loss, fd_gradient, frame_path_logprob
 
 
@@ -189,8 +189,9 @@ def _selection_complexity_seed(seed):
     align_model = em_train(view_raw(corpus), iterations=4)
     raw_links = align_bitext(view_raw(corpus), align_model)
     distilled_links = align_bitext(view_distilled(corpus), align_model)
-    views = {label: (view, links) for label, view, links
-             in threshold_views(corpus, table, threshold, raw_links, distilled_links)}
+    views = {label: unzip_view(items) for label, items
+             in threshold_views(corpus, table, threshold, list(zip(view_raw(corpus), raw_links)),
+                                list(zip(view_distilled(corpus), distilled_links)))}
     (selected, selected_links), (replaced, replaced_links) = views["selected"], views["replaced"]
     return {
         "ratio": ratio,

@@ -145,6 +145,20 @@ def test_train_student_without_any_update_is_training_error(tmp_path):
     assert not (out / "checkpoint.txt").exists()
 
 
+def test_train_evaluator_without_any_feasible_pair_is_training_error(tmp_path, capsys):
+    # Both targets need 3 frames of the 2 that upsample 2 gives a one-token
+    # source: the run stops after its first epoch and prints no mean loss.
+    for name, text in (("src", "a\nb\n"), ("raw", "x y z\ny z x\n"), ("kd", "x y z\ny z x\n")):
+        (tmp_path / f"{name}.txt").write_text(text)
+    out = tmp_path / "evaluator"
+    assert main(["train-evaluator", "--out", str(out), *corpus_flags(tmp_path),
+                 "--epochs", "3"]) == EXIT_TRAINING
+    assert (out / "INCOMPLETE").exists()
+    err = capsys.readouterr().err
+    assert "nan" not in err.lower()
+    assert "mean loss" not in err
+
+
 def test_metrics_single_bitext_mode(tmp_path, synth_dir):
     out = tmp_path / "m"
     assert main(["metrics", "--out", str(out), "--src", str(synth_dir / "src.txt"),
@@ -188,7 +202,8 @@ def test_metrics_aligns_each_distinct_pair_once(tmp_path, synth_dir, monkeypatch
 
     def row(label, view, t=None):
         try:
-            rep = metrics_mod.metric_report(view, metrics_mod.align_bitext(view, model), label)
+            rep = metrics_mod.metric_report(
+                metrics_mod.pair_stats(view, metrics_mod.align_bitext(view, model)), label)
         except metrics_mod.MetricsError:
             rep = None
         return _report_row(label, t, None if t is None else raw_ratio(table, t), rep)

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from selkd.align import NULL_LINK, NULL_TOKEN, AlignmentModel, em_train
 from selkd.curriculum import ThresholdSchedule
 from selkd.metrics import (
+    MetricReport,
     MetricsError,
     align_bitext,
     alignment_shift,
@@ -14,6 +16,7 @@ from selkd.metrics import (
     corpus_bleu,
     length_buckets,
     metric_report,
+    pair_stats,
     repetition_ratio,
     threshold_views,
     translation_uncertainty,
@@ -23,7 +26,8 @@ from selkd.metrics import (
 from selkd import synth
 from selkd.scoring import ScoreRecord, ScoreTable, ScoringError
 
-from conftest import make_corpus
+from conftest import make_corpus, unzip_view
+from oracles import metric_report_links
 from test_align import bijective_bitext, dense_table
 
 
@@ -175,7 +179,7 @@ def test_metric_report_single_mode_distilled_has_zero_uncertainty():
     sc = synth.generate(spec, n=400)
     kd = view_distilled(sc.corpus)
     model = em_train(kd, iterations=4)
-    rep = metric_report(kd, align_bitext(kd, model), "distilled")
+    rep = metric_report(pair_stats(kd, align_bitext(kd, model)), "distilled")
     assert rep.uncertainty == 0.0
     assert rep.sentences == 400
     assert rep.label == "distilled"
@@ -184,7 +188,7 @@ def test_metric_report_single_mode_distilled_has_zero_uncertainty():
 def test_metric_report_empty_view_errors():
     model = AlignmentModel(trans=dense_table({NULL_TOKEN: {}}))
     with pytest.raises(MetricsError, match="empty"):
-        metric_report([], align_bitext([], model), "empty-view")
+        metric_report(pair_stats([], align_bitext([], model)), "empty-view")
 
 
 def test_views_partition_corpus(memorized_setup):
@@ -193,9 +197,9 @@ def test_views_partition_corpus(memorized_setup):
 
     table = score_corpus(result.model, corpus)
     model = em_train(view_raw(corpus), iterations=2)
-    views = {label: (view, links) for label, view, links in threshold_views(
-        corpus, table, 0.5, align_bitext(view_raw(corpus), model),
-        align_bitext(view_distilled(corpus), model))}
+    views = {label: unzip_view(items) for label, items in threshold_views(
+        corpus, table, 0.5, list(zip(view_raw(corpus), align_bitext(view_raw(corpus), model))),
+        list(zip(view_distilled(corpus), align_bitext(view_distilled(corpus), model))))}
     selected, replaced, mix = (views[label][0] for label in ("selected", "replaced", "mix"))
     assert len(selected) + len(replaced) == len(corpus)
     assert len(mix) == len(corpus)
@@ -226,3 +230,109 @@ def test_bucket_rows_present_with_scores(memorized_setup):
     assert small.count == len(corpus)  # all sentences shorter than 10
     assert small.mean_score == pytest.approx(1.0)
     assert small.mean_exposure == pytest.approx(1.0)
+
+
+# ---------------------------------------------------------------------------
+# metric_report over per-pair records against the per-link walk, bit for bit
+# ---------------------------------------------------------------------------
+
+def _report_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except MetricsError as exc:
+        return f"MetricsError: {exc}"
+
+
+def _views_against_oracle(corpus, table, thresholds, raw_links, distilled_links) -> dict:
+    """Every view the metrics stage reports, each from ``metric_report`` over
+    its records and from the per-link oracle over its pairs and links; the
+    two must be equal with ``==``. Returns the label -> result of each view."""
+    def items(view, links):
+        return list(zip(view, links, pair_stats(view, links)))
+
+    raw = items(view_raw(corpus), raw_links)
+    distilled = items(view_distilled(corpus), distilled_links)
+    views = [("raw", raw), ("distilled", distilled)]
+    for t in thresholds:
+        views += [(f"{label}@{t}", picked)
+                  for label, picked in threshold_views(corpus, table, t, raw, distilled)]
+    results = {}
+    for label, picked in views:
+        got = _report_or_error(metric_report, [stats for _, _, stats in picked], label)
+        want = _report_or_error(metric_report_links, [pair for pair, _, _ in picked],
+                                [links for _, links, _ in picked], label)
+        assert got == want, label
+        results[label] = got
+    return results
+
+
+def _score_table(scores) -> ScoreTable:
+    return ScoreTable(records=tuple(
+        ScoreRecord(index=i, score=s, distance=0, ref_len=1, frame_len=0, variant="ctc")
+        for i, s in enumerate(scores)), variant="ctc")
+
+
+def test_metric_report_matches_link_walk_on_hand_built_views():
+    # Source types a, b first occur as b then a in the raw view and as a
+    # then b in the distilled view, target types likewise; the last pair
+    # links nothing, so the view that holds only it is a hole, and nothing
+    # reaches 1.01, so that view is empty.
+    corpus = make_corpus([("a b", "x y x", "y x y"), ("b a", "y y", "x y"),
+                          ("a a b", "x x y", "y y x"), ("b", "z", "z")])
+    raw_links = [(2, 1, 2), (1, 2), (3, 1, 2), (NULL_LINK,)]
+    distilled_links = [(1, 2, 1), (2, 1), (1, 3, 3), (NULL_LINK,)]
+    results = _views_against_oracle(corpus, _score_table([0.5, 0.5, 0.5, 0.9]), (0.7, 1.01),
+                                    raw_links, distilled_links)
+    assert results["selected@0.7"].startswith("MetricsError: no aligned tokens")
+    assert results["selected@1.01"] == "MetricsError: view 'selected@1.01' is empty"
+    assert results["raw"].uncertainty > 0
+
+
+def test_metric_report_matches_link_walk_on_aligned_synth_corpus():
+    # A seeded corpus big enough that any other order of the entropy or
+    # shift sums changes some view's last bits; EM links, all 11 views.
+    spec = synth.SynthTaskSpec(source_vocab_size=12, target_vocab_size=16,
+                               len_min=3, len_max=9, num_modes=4,
+                               mode_probs=(0.4, 0.3, 0.2, 0.1), mistake_rate=0.1, seed=12)
+    corpus = synth.generate(spec, n=400).corpus
+    model = em_train(view_raw(corpus), iterations=2)
+    rng = random.Random(12)
+    table = _score_table([rng.choice((0.25, 0.5, 0.75, 1.0)) for _ in range(len(corpus))])
+    results = _views_against_oracle(corpus, table, (0.4, 0.7, 0.9),
+                                    align_bitext(view_raw(corpus), model),
+                                    align_bitext(view_distilled(corpus), model))
+    assert len(results) == 11
+    assert all(isinstance(r, MetricReport) for r in results.values())
+
+
+@st.composite
+def aligned_corpora(draw):
+    """(corpus, score table, thresholds, raw links, distilled links) over a
+    few token types, so types repeat within and across pairs, with NULL
+    links common enough that whole pairs and whole views link nothing."""
+    src_types, tgt_types = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+
+    def sentence(types):
+        return st.lists(st.integers(0, types - 1), min_size=1, max_size=5).map(
+            lambda ids: " ".join(f"w{i}" for i in ids))
+
+    rows = draw(st.lists(st.tuples(sentence(src_types), sentence(tgt_types), sentence(tgt_types)),
+                         min_size=1, max_size=8))
+    corpus = make_corpus(rows)
+
+    def links(side):
+        out = []
+        for ex in corpus.examples:
+            target = getattr(ex, side)
+            position = st.one_of(st.just(NULL_LINK), st.integers(1, len(ex.source)))
+            out.append(tuple(draw(st.lists(position, min_size=len(target), max_size=len(target)))))
+        return out
+
+    scores = draw(st.lists(st.sampled_from((0.0, 0.5, 1.0)), min_size=len(rows), max_size=len(rows)))
+    thresholds = draw(st.lists(st.sampled_from((0.0, 0.5, 1.0, 1.01)), min_size=1, max_size=3))
+    return corpus, _score_table(scores), thresholds, links("raw_target"), links("distilled_target")
+
+
+@given(aligned_corpora())
+def test_metric_report_matches_link_walk_on_random_views(case):
+    _views_against_oracle(*case)
