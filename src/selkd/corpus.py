@@ -13,14 +13,11 @@ threads without coordination.
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import chain
 
 BLANK_ID = 0
 UNK_ID = 1
 RESERVED_SURFACES = ("<blank>", "<unk>")
-_RESERVED = frozenset(RESERVED_SURFACES)
 
 # Longer lines are rejected at load time; silent truncation would corrupt
 # downstream scores.
@@ -66,13 +63,6 @@ class Vocabulary:
             self._surfaces.append(surface)
         return tid
 
-    def extend(self, surfaces: Iterable[str]) -> None:
-        """Register surfaces in order (idempotent), one step per new surface
-        rather than per occurrence."""
-        new = [s for s in dict.fromkeys(surfaces) if s not in self._ids]
-        self._ids.update(zip(new, range(len(self._surfaces), len(self._surfaces) + len(new))))
-        self._surfaces.extend(new)
-
     def id_of(self, surface: str) -> int:
         """Id for a surface, UNK_ID when unseen."""
         return self._ids.get(surface, UNK_ID)
@@ -84,11 +74,6 @@ class Vocabulary:
 
     def encode(self, tokens: list[str]) -> Sentence:
         return tuple(self.id_of(t) for t in tokens)
-
-    def encode_known(self, lines: list[list[str]]) -> list[Sentence]:
-        """Ids of each line's tokens, every one of which is registered."""
-        ids = self._ids.__getitem__
-        return [tuple(map(ids, tokens)) for tokens in lines]
 
     def decode(self, sentence: Sentence) -> list[str]:
         return [self.surface_of(t) for t in sentence]
@@ -143,9 +128,9 @@ def _read_token_lines(path: str) -> list[list[str]]:
             raise CorpusFormatError(
                 f"{path}:{lineno}: sentence has {len(tokens)} tokens, limit is {MAX_SENTENCE_LEN}"
             )
-        if not _RESERVED.isdisjoint(tokens):
-            t = next(t for t in tokens if t in _RESERVED)
-            raise CorpusFormatError(f"{path}:{lineno}: reserved surface {t!r} may not appear in a corpus")
+        for t in tokens:
+            if t in RESERVED_SURFACES:
+                raise CorpusFormatError(f"{path}:{lineno}: reserved surface {t!r} may not appear in a corpus")
         out.append(tokens)
     return out
 
@@ -168,14 +153,24 @@ def load_corpus(src_path: str, raw_path: str, kd_path: str, shared_vocab: bool =
 
     src_vocab = Vocabulary()
     tgt_vocab = src_vocab if shared_vocab else Vocabulary()
-    src_vocab.extend(chain.from_iterable(src_lines))
-    tgt_vocab.extend(chain.from_iterable(chain(raw_lines, kd_lines)))
+    for tokens in src_lines:
+        for t in tokens:
+            src_vocab.add(t)
+    for tokens in raw_lines:
+        for t in tokens:
+            tgt_vocab.add(t)
+    for tokens in kd_lines:
+        for t in tokens:
+            tgt_vocab.add(t)
 
     examples = tuple(
-        TriExample(index=i, source=source, raw_target=raw, distilled_target=kd)
-        for i, (source, raw, kd) in enumerate(zip(src_vocab.encode_known(src_lines),
-                                                  tgt_vocab.encode_known(raw_lines),
-                                                  tgt_vocab.encode_known(kd_lines)))
+        TriExample(
+            index=i,
+            source=tuple(src_vocab.id_of(t) for t in src_lines[i]),
+            raw_target=tuple(tgt_vocab.id_of(t) for t in raw_lines[i]),
+            distilled_target=tuple(tgt_vocab.id_of(t) for t in kd_lines[i]),
+        )
+        for i in range(len(src_lines))
     )
     return Corpus(examples=examples, src_vocab=src_vocab, tgt_vocab=tgt_vocab)
 

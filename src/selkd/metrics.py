@@ -138,20 +138,25 @@ def translation_uncertainty(bitext: Bitext, links: list[AlignmentLinks]) -> floa
     """Mean entropy of aligned target types per source type, in nats.
 
     Source types that never receive a non-NULL link are left out of the
-    mean rather than counted as zero-entropy evidence.
+    mean rather than counted as zero-entropy evidence. The metrics stage
+    calls ``metric_report``; this and ``alignment_shift`` are its entry
+    points for one measure of one bitext, used by the tests.
     """
     return _uncertainty(pair_stats(bitext, links))
 
 
 def alignment_shift(bitext: Bitext, links: list[AlignmentLinks]) -> float:
-    """Corpus mean of the per-pair alignment shift."""
+    """Corpus mean of the per-pair alignment shift (see
+    ``translation_uncertainty``)."""
     if not bitext:
         raise MetricsError("empty bitext")
     return _mean_shift(pair_stats(bitext, links))
 
 
 def repetition_ratio(sentences: list[Sentence]) -> float:
-    """Tokens equal to their immediate predecessor, per-mille of all tokens."""
+    """Tokens equal to their immediate predecessor, per-mille of all
+    tokens, of sentences with no alignment (the tests score decoded
+    hypotheses with it)."""
     if not sentences:
         raise MetricsError("empty sentence list")
     return _per_mille(sum(map(_repeats, sentences)), sum(map(len, sentences)))

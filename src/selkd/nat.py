@@ -642,8 +642,6 @@ def _length_groups(frames: np.ndarray, states: np.ndarray) -> list[np.ndarray]:
     lattice stays within ``_GROUP_CELLS``. A pair over the bound on its own
     gets a group of its own."""
     order = np.argsort(frames, kind="stable")
-    if len(order) and len(order) * int(frames.max()) * int(states.max()) <= _GROUP_CELLS:
-        return [order]  # the walk below would make no cut
     cuts: list[int] = []
     start = s_max = 0
     for end, (t_max, s) in enumerate(zip(frames[order].tolist(), states[order].tolist())):

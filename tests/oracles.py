@@ -11,13 +11,11 @@ prior, and ``ctc_per_frame``, ``viterbi_argmax`` and ``backprop_add_at``,
 plainer forms of the packed CTC, Viterbi and backprop kernels (one exp
 and one bincount per frame, a (3, B, S) ``argmax`` per frame, and one
 ``np.add.at`` per embedding scatter block) that must give the same bits,
-``length_groups_walk``, the grouping walk with no shortcut,
 and ``sentence_loss_and_grads``, one pair's loss and gradients from the
 package's B = 1 forward and CTC with ``backprop_add_at``. ``ctc_loss``,
 ``frame_path_logprob``, ``validate_emissions`` and ``score_ctc`` are test
 conveniences built on the package's B = 1 functions. ``metric_report_links``
-walks one metrics view link by link, and ``load_corpus_per_token`` reads a
-corpus token by token; the package must give the same bits.
+walks one metrics view link by link; the package must give the same bits.
 """
 
 from __future__ import annotations
@@ -29,14 +27,6 @@ from collections import Counter
 import numpy as np
 
 from selkd.align import NULL_LINK
-from selkd.corpus import (
-    MAX_SENTENCE_LEN,
-    RESERVED_SURFACES,
-    Corpus,
-    CorpusFormatError,
-    TriExample,
-    Vocabulary,
-)
 from selkd.metrics import MetricReport, MetricsError
 from selkd.nat import _forward_packed, ctc_loss_and_grad
 from selkd.scoring import _score_pairs
@@ -170,61 +160,6 @@ def align_reference(table, src, tgt, tension, null_prob, null_key):
                 best, best_w = i, w
         links.append(best)
     return tuple(links)
-
-
-def length_groups_walk(frames, states, bound):
-    """``nat._length_groups`` by its walk alone: stable-sort by lattice
-    length, then cut before a pair that would take its group's padded
-    cells past ``bound``."""
-    order = np.argsort(frames, kind="stable")
-    groups, group, s_max = [], [], 0
-    for b in order.tolist():
-        if group and (len(group) + 1) * frames[b] * max(s_max, states[b]) > bound:
-            groups.append(group)
-            group, s_max = [], 0
-        group.append(b)
-        s_max = max(s_max, states[b])
-    return groups + [group] if group else groups
-
-
-def load_corpus_per_token(src_path, raw_path, kd_path, shared_vocab=False) -> Corpus:
-    """``corpus.load_corpus`` one token at a time: each line checked token by
-    token, each token registered with ``Vocabulary.add`` and encoded with
-    ``Vocabulary.id_of``."""
-    lines = []
-    for path in (src_path, raw_path, kd_path):
-        with open(path, "r", encoding="utf-8") as fh:
-            raw_lines = fh.read().split("\n")
-        if raw_lines and raw_lines[-1] == "":
-            raw_lines.pop()
-        lines.append([])
-        for lineno, line in enumerate(raw_lines, start=1):
-            tokens = line.split()
-            if not tokens:
-                raise CorpusFormatError(f"{path}:{lineno}: empty line")
-            if len(tokens) > MAX_SENTENCE_LEN:
-                raise CorpusFormatError(
-                    f"{path}:{lineno}: sentence has {len(tokens)} tokens, limit is {MAX_SENTENCE_LEN}")
-            for t in tokens:
-                if t in RESERVED_SURFACES:
-                    raise CorpusFormatError(
-                        f"{path}:{lineno}: reserved surface {t!r} may not appear in a corpus")
-            lines[-1].append(tokens)
-    src_lines, raw_lines, kd_lines = lines
-    if len({len(src_lines), len(raw_lines), len(kd_lines)}) != 1:
-        raise CorpusFormatError("line-count mismatch across parallel files")
-    src_vocab = Vocabulary()
-    tgt_vocab = src_vocab if shared_vocab else Vocabulary()
-    for vocab, side in ((src_vocab, src_lines), (tgt_vocab, raw_lines), (tgt_vocab, kd_lines)):
-        for tokens in side:
-            for t in tokens:
-                vocab.add(t)
-    examples = tuple(
-        TriExample(index=i, source=tuple(src_vocab.id_of(t) for t in src_lines[i]),
-                   raw_target=tuple(tgt_vocab.id_of(t) for t in raw_lines[i]),
-                   distilled_target=tuple(tgt_vocab.id_of(t) for t in kd_lines[i]))
-        for i in range(len(src_lines)))
-    return Corpus(examples=examples, src_vocab=src_vocab, tgt_vocab=tgt_vocab)
 
 
 def translation_uncertainty_links(bitext, links) -> float:

@@ -1,5 +1,3 @@
-import random
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,8 +11,6 @@ from selkd.corpus import (
     load_corpus,
     write_bitext,
 )
-
-from oracles import load_corpus_per_token
 
 
 def write(path, text):
@@ -145,52 +141,3 @@ def test_shared_vocab_flag(tmp_path):
     c = load_corpus(*paths, shared_vocab=True)
     assert c.src_vocab is c.tgt_vocab
     assert c.examples[0].source[0] == c.examples[0].raw_target[0]
-
-
-def _random_corpus_files(tmp_path, seed):
-    # Source and target draw from overlapping surface sets, so a shared
-    # vocabulary sees target types first in the source file.
-    rng = random.Random(seed)
-    n = rng.randint(1, 40)
-
-    def lines(prefixes):
-        return "".join(" ".join(f"{rng.choice(prefixes)}{rng.randint(0, 12)}"
-                                for _ in range(rng.randint(1, 9))) + "\n" for _ in range(n))
-
-    return corpus_files(tmp_path, lines("ab"), lines("bc"), lines("cd"))
-
-
-def _load_or_error(loader, paths, shared_vocab):
-    try:
-        c = loader(*paths, shared_vocab=shared_vocab)
-    except CorpusFormatError as exc:
-        return f"CorpusFormatError: {exc}"
-    return (c.examples, c.src_vocab.decode(range(len(c.src_vocab))), c.src_vocab.content_hash(),
-            c.tgt_vocab.decode(range(len(c.tgt_vocab))), c.tgt_vocab.content_hash(),
-            c.src_vocab is c.tgt_vocab)
-
-
-@pytest.mark.parametrize("shared_vocab", [False, True])
-def test_load_matches_per_token_loader(tmp_path, shared_vocab):
-    for seed in range(20):
-        paths = _random_corpus_files(tmp_path, seed)
-        assert _load_or_error(load_corpus, paths, shared_vocab) == \
-            _load_or_error(load_corpus_per_token, paths, shared_vocab)
-
-
-@pytest.mark.parametrize("shared_vocab", [False, True])
-@pytest.mark.parametrize("bad_line", [
-    "",  # empty
-    "  ",  # whitespace only
-    " ".join(["tok"] * (MAX_SENTENCE_LEN + 1)),  # over-long
-    "a <unk> b <blank>",  # two reserved surfaces: the first is named
-    " ".join(["<blank>"] * (MAX_SENTENCE_LEN + 1)),  # over-long before reserved
-])
-@pytest.mark.parametrize("side", [0, 1, 2])
-def test_load_errors_match_per_token_loader(tmp_path, shared_vocab, bad_line, side):
-    texts = ["a b\nb c\nc d\n"] * 3
-    texts[side] = f"a b\n{bad_line}\nc d\n"
-    paths = corpus_files(tmp_path, *texts)
-    got = _load_or_error(load_corpus, paths, shared_vocab)
-    assert got.startswith(f"CorpusFormatError: {paths[side]}:2: ")
-    assert got == _load_or_error(load_corpus_per_token, paths, shared_vocab)

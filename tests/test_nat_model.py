@@ -23,7 +23,7 @@ from selkd.nat import (
 )
 
 from conftest import random_lattice
-from oracles import ctc_loss, length_groups_walk, sentence_loss_and_grads, validate_emissions
+from oracles import ctc_loss, sentence_loss_and_grads, validate_emissions
 
 
 def vocab_of(surfaces):
@@ -202,24 +202,6 @@ def test_length_groups_cut_at_the_cell_bound(monkeypatch):
     # (10, 3) with it 2 * 10 * 9 = 180.
     assert [g.tolist() for g in groups] == [[1, 3, 5, 6], [2], [0], [4]]
     assert nat._length_groups(np.array([], dtype=np.int64), np.array([], dtype=np.int64)) == []
-
-
-def test_length_groups_under_the_bound_match_the_walk():
-    # A batch whose B * T_max * S_max is within the bound is one group
-    # without walking it; that must be the group the walk makes. The last
-    # batches fill the bound exactly, then pass it by one pair.
-    rng = np.random.default_rng(12)
-    batches = [(rng.integers(1, 100, size=b), rng.integers(1, 60, size=b))
-               for b in rng.integers(1, 40, size=200)]
-    for b in (16, 17):
-        frames, states = rng.integers(1, 64, size=b), rng.integers(1, 64, size=b)
-        frames[0], states[-1] = 64, 64
-        batches.append((frames, states))
-    assert 16 * 64 * 64 == nat._GROUP_CELLS
-    for frames, states in batches:
-        got = [g.tolist() for g in nat._length_groups(frames, states)]
-        assert got == length_groups_walk(frames, states, nat._GROUP_CELLS)
-    assert len(got) == 2
 
 
 def test_batch_step_update_matches_finite_differences():
