@@ -51,9 +51,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self._surfaces)
 
-    def __contains__(self, surface: str) -> bool:
-        return surface in self._ids
-
     def add(self, surface: str) -> int:
         """Register a surface (idempotent) and return its id."""
         tid = self._ids.get(surface)
@@ -135,13 +132,12 @@ def _read_token_lines(path: str) -> list[list[str]]:
     return out
 
 
-def load_corpus(src_path: str, raw_path: str, kd_path: str, shared_vocab: bool = False) -> Corpus:
+def load_corpus(src_path: str, raw_path: str, kd_path: str) -> Corpus:
     """Load three parallel files into a Corpus.
 
-    Vocabularies are built from the union of the files in reading order
-    (source file, then raw target file, then distilled target file), so
-    id assignment is reproducible. With ``shared_vocab`` the two sides use
-    one table.
+    Vocabularies are built from the files in reading order (source file,
+    then raw target file, then distilled target file), so id assignment is
+    reproducible.
     """
     src_lines = _read_token_lines(src_path)
     raw_lines = _read_token_lines(raw_path)
@@ -152,7 +148,7 @@ def load_corpus(src_path: str, raw_path: str, kd_path: str, shared_vocab: bool =
         raise CorpusFormatError(f"line-count mismatch across parallel files ({detail})")
 
     src_vocab = Vocabulary()
-    tgt_vocab = src_vocab if shared_vocab else Vocabulary()
+    tgt_vocab = Vocabulary()
     for tokens in src_lines:
         for t in tokens:
             src_vocab.add(t)

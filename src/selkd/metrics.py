@@ -108,10 +108,13 @@ def pair_stats(bitext: Bitext, links: list[AlignmentLinks]) -> list[PairStats]:
 
 
 def _uncertainty(stats: Sequence[PairStats]) -> float:
-    """``translation_uncertainty`` of one view's records. Source types are
-    visited in the order of their first link in the view, and each one's
-    counts in the order of their first (source, target) link: the order
-    the entropy sums are taken in."""
+    """Translation uncertainty of one view's records: the mean entropy of
+    aligned target types per source type, in nats. Source types that never
+    receive a non-NULL link are left out of the mean rather than counted
+    as zero-entropy evidence. Source types are visited in the order of
+    their first link in the view, and each one's counts in the order of
+    their first (source, target) link: the order the entropy sums are
+    taken in."""
     by_source: dict[int, list[int]] = {}
     for (s, _), count in Counter(chain.from_iterable(p.type_links for p in stats)).items():
         by_source.setdefault(s, []).append(count)
@@ -132,25 +135,6 @@ def _per_mille(repeats: int, tokens: int) -> float:
     if tokens == 0:
         raise MetricsError("sentence list contains no tokens")
     return 1000.0 * repeats / tokens
-
-
-def translation_uncertainty(bitext: Bitext, links: list[AlignmentLinks]) -> float:
-    """Mean entropy of aligned target types per source type, in nats.
-
-    Source types that never receive a non-NULL link are left out of the
-    mean rather than counted as zero-entropy evidence. The metrics stage
-    calls ``metric_report``; this and ``alignment_shift`` are its entry
-    points for one measure of one bitext, used by the tests.
-    """
-    return _uncertainty(pair_stats(bitext, links))
-
-
-def alignment_shift(bitext: Bitext, links: list[AlignmentLinks]) -> float:
-    """Corpus mean of the per-pair alignment shift (see
-    ``translation_uncertainty``)."""
-    if not bitext:
-        raise MetricsError("empty bitext")
-    return _mean_shift(pair_stats(bitext, links))
 
 
 def repetition_ratio(sentences: list[Sentence]) -> float:

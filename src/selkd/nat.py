@@ -42,17 +42,20 @@ loss and gradient do not depend on what it is padded with or next to, and
 ``forward`` and ``ctc_loss_and_grad`` are the same code at B = 1.
 
 Scoring (``scoring.score_corpus``) uses the same groups, cut to at most
-``batch_size`` pairs so that no forward outgrows a training step's. A ctc
-group runs one packed forward, one greedy argmax over the packed rows and
-one Viterbi pass (``_viterbi_packed``) over the same padded lattice. That
-pass keeps the scores of one frame, each lane's scores at its own last
-frame, and a (T_max, B, S_max) int8 array of back-pointer choices: 0 from
-state s-2, 1 from s-1, 2 from s, the first maximum picked by two
-comparisons. One backtrace then walks all lanes back together from their
-final states, a lane moving only at its real frames.
-A plain group runs one packed forward at |reference| frames per pair
-(``_positional_packed``). ``viterbi_align`` and ``decode_positional`` are
-that code at B = 1.
+``batch_size`` pairs so that no forward outgrows a training step's. Each
+group makes one packed decode and gets one wanted label per decoded
+frame; both variants then count a pair's mismatched frames with one
+bincount. A plain group decodes at |reference| frames per pair
+(``_positional_packed``) and wants the reference itself. A ctc group runs
+one packed forward at T frames, takes its greedy argmax over the packed
+rows, and wants the labels of one Viterbi pass (``_viterbi_packed``) over
+the same padded lattice. That pass keeps the scores of one frame, each
+lane's scores at its own last frame, and a (T_max, B, S_max) int8 array
+of back-pointer choices: 0 from state s-2, 1 from s-1, 2 from s, the
+first maximum picked by two comparisons. One backtrace then walks all
+lanes back together from their final states, a lane moving only at its
+real frames. ``viterbi_align`` and ``decode_positional`` are that code at
+B = 1.
 """
 
 from __future__ import annotations
@@ -115,7 +118,6 @@ class EmissionMatrix:
     """Per-frame log-probabilities over the target vocabulary (incl. blank)."""
 
     log_probs: np.ndarray  # (T, V) float64, rows log-sum-exp to 0
-    source_len: int
 
     @property
     def frames(self) -> int:
@@ -272,13 +274,12 @@ def _forward_packed(model: NatModel, sources: list[Sentence], frames: np.ndarray
     }
 
 
-def forward(model: NatModel, source: Sentence, frames: int | None = None) -> EmissionMatrix:
-    """Emission lattice for a source sentence; T = upsample * |source|
-    unless an explicit frame count is requested."""
-    t_frames = model.config.upsample * len(source) if frames is None else frames
+def forward(model: NatModel, source: Sentence) -> EmissionMatrix:
+    """Emission lattice for a source sentence, T = upsample * |source|."""
+    t_frames = model.config.upsample * len(source)
     _check_decoder_input(source, t_frames)
     cache = _forward_packed(model, [source], np.array([t_frames]))
-    return EmissionMatrix(log_probs=cache["logp"], source_len=len(source))
+    return EmissionMatrix(log_probs=cache["logp"])
 
 
 def _tanh_backward(dout: np.ndarray, out: np.ndarray) -> np.ndarray:

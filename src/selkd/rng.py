@@ -77,7 +77,3 @@ class Rng:
         for i in range(len(items) - 1, 0, -1):
             j = self.randint(i + 1)
             items[i], items[j] = items[j], items[i]
-
-    def split(self) -> "Rng":
-        """Child stream decorrelated from the parent."""
-        return Rng(self.next_u64())

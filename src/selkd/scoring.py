@@ -1,26 +1,33 @@
 """Evaluator scores for raw translations.
 
 Each raw target gets a score in [0, 1] measuring how closely the trained
-evaluator's decoded output matches it. Two variants:
+evaluator's decoded output matches it. Both variants decode the source,
+compare the decode frame by frame with the labels the reference wants,
+and count the mismatched frames as the distance; they differ in what is
+decoded, what is wanted and what the distance is divided by:
 
-* plain: the decoder runs at exactly the reference length and the score
-  is 1 - hamming/|Y| (positions compared one-for-one);
-* ctc: the reference is Viterbi-aligned into the frame lattice and
-  compared against the per-frame greedy labeling over all frames, giving
-  a score that tolerates position shifts.
+* plain: the decoder runs at exactly |Y| frames, its best non-blank
+  token per frame is compared with the reference token at the same
+  position, and the score is 1 - distance/|Y|;
+* ctc: the decoder runs at its T = upsample * |X| frames, its greedy
+  label per frame is compared with the reference's Viterbi path through
+  the frame lattice, which tolerates position shifts, and the score is
+  1 - distance/T. A reference longer than the lattice can emit scores 0
+  and is flagged infeasible.
 
-The score of the ctc variant normalizes the frame-level distance by the
-frame count, which keeps it inside [0, 1]; dividing by the reference
-length instead is available behind a flag and is clamped.
+Dividing the ctc distance by |Y| instead of T is available behind a
+flag; such a score is clamped to [0, 1].
 
 A corpus is scored in the length-sorted groups that training uses (see
-``selkd.nat``), each through one packed forward, so the Python overhead
-is paid per group, not per pair. Each score still depends only on its
-own pair: padding and neighbors change no bit of it.
+``selkd.nat``), each through one packed forward and one ``bincount`` of
+its mismatched frames, so the Python overhead is paid per group, not per
+pair. Each score still depends only on its own pair: padding and
+neighbors change no bit of it.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,20 +71,6 @@ class ScoreTable:
         return len(self.records)
 
 
-def hamming_distance(a: Sentence, b: Sentence) -> int:
-    """Mismatch count; each surplus position of the longer side counts."""
-    m = min(len(a), len(b))
-    d = sum(1 for i in range(m) if a[i] != b[i])
-    return d + abs(len(a) - len(b))
-
-
-def score_plain(reference: Sentence, decoded: Sentence) -> float:
-    """1 - hamming/|reference|, clamped below at 0."""
-    if len(reference) < 1:
-        raise ScoringError("reference must be nonempty")
-    return max(0.0, 1.0 - hamming_distance(reference, decoded) / len(reference))
-
-
 def _score_pairs(model: NatModel, pairs: list[tuple[Sentence, Sentence]], indices: list[int],
                  variant: str, normalize_by_reference: bool) -> list[ScoreRecord]:
     """Records for (source, reference) ``pairs``, tagged with ``indices``.
@@ -85,66 +78,46 @@ def _score_pairs(model: NatModel, pairs: list[tuple[Sentence, Sentence]], indice
     The pairs run in the length-sorted groups of their ``nat.PairTable``,
     as a training batch does, cut to at most one training batch of pairs
     each, so that a group's forward holds no more rows than a training
-    step's. Each record depends only on its own pair.
+    step's. Each group makes one packed decode and compares it frame by
+    frame with the labels the pair wants; a pair's distance counts the
+    frames where they differ. Each record depends only on its own pair.
     """
+    plain = variant == "plain"
     table = PairTable.of(pairs, model.config.upsample)
+    ref_lens = table.states // 2  # states = 2 |reference| + 1
+    feasible = np.ones(len(pairs), dtype=bool) if plain else table.feasible
     records: list[ScoreRecord | None] = [None] * len(pairs)
-    if variant == "plain":
-        todo = np.arange(len(pairs))
-    else:
-        todo = np.flatnonzero(table.feasible)
-        for i in np.flatnonzero(~table.feasible).tolist():
-            records[i] = _infeasible_record(indices[i], pairs[i][1], int(table.frames[i]))
+    for i in np.flatnonzero(~feasible).tolist():
+        records[i] = _infeasible_record(indices[i], pairs[i][1], int(table.frames[i]))
+    todo = np.flatnonzero(feasible)
     size = model.config.batch_size
-    groups = [todo[whole[start:start + size]].tolist()
-              for whole in _length_groups(table.frames[todo], table.states[todo])
-              for start in range(0, len(whole), size)]
-    for group in groups:
-        sources = [pairs[i][0] for i in group]
-        references = [pairs[i][1] for i in group]
-        tags = [indices[i] for i in group]
-        if variant == "plain":
-            scored = _plain_group(model, sources, references, tags)
-        else:
-            scored = _ctc_group(model, sources, references, tags, normalize_by_reference)
-        for i, record in zip(group, scored):
-            records[i] = record
-    return records
-
-
-def _plain_group(model: NatModel, sources: list[Sentence], references: list[Sentence],
-                 indices: list[int]) -> list[ScoreRecord]:
-    """One packed positional decode at exactly |reference| frames per pair."""
-    lengths = np.array([len(reference) for reference in references])
-    decoded = np.split(_positional_packed(model, sources, lengths), np.cumsum(lengths)[:-1])
-    records = []
-    for index, reference, labels in zip(indices, references, decoded):
-        labels = tuple(labels.tolist())
-        records.append(ScoreRecord(index=index, score=score_plain(reference, labels),
-                                   distance=hamming_distance(reference, labels),
-                                   ref_len=len(reference), frame_len=0, variant="plain"))
-    return records
-
-
-def _ctc_group(model: NatModel, sources: list[Sentence], references: list[Sentence],
-               indices: list[int], normalize_by_reference: bool) -> list[ScoreRecord]:
-    """One packed forward, one padded Viterbi pass and one greedy argmax;
-    the distance of a pair counts its frames where the two labels differ."""
-    frames = model.config.upsample * np.array([len(source) for source in sources])
-    logp = _forward_packed(model, sources, frames)["logp"]
-    aligned, found = _viterbi_packed(logp, frames, references)
-    lane = np.repeat(np.arange(len(sources)), frames)
-    distances = np.bincount(lane, weights=aligned != logp.argmax(axis=1), minlength=len(sources))
-    records = []
-    for index, reference, t_frames, distance, ok in zip(indices, references, frames.tolist(),
-                                                        distances.astype(int).tolist(), found):
-        if not ok:
-            records.append(_infeasible_record(index, reference, t_frames))
-            continue
-        denom = len(reference) if normalize_by_reference else t_frames
-        records.append(ScoreRecord(index=index, score=min(1.0, max(0.0, 1.0 - distance / denom)),
-                                   distance=distance, ref_len=len(reference), frame_len=t_frames,
-                                   variant="ctc"))
+    for whole in _length_groups(table.frames[todo], table.states[todo]):
+        for start in range(0, len(whole), size):
+            group = todo[whole[start:start + size]]
+            sources = [pairs[i][0] for i in group]
+            references = [pairs[i][1] for i in group]
+            if plain:  # best non-blank token at |reference| frames against the reference
+                frames = ref_lens[group]
+                decoded = _positional_packed(model, sources, frames)
+                wanted = np.fromiter(itertools.chain.from_iterable(references), dtype=np.int64,
+                                     count=len(decoded))
+                found = np.ones(len(group), dtype=bool)
+            else:  # greedy label at each of the T frames against the Viterbi path
+                frames = table.frames[group]
+                logp = _forward_packed(model, sources, frames)["logp"]
+                wanted, found = _viterbi_packed(logp, frames, references)
+                decoded = logp.argmax(axis=1)
+            lane = np.repeat(np.arange(len(group)), frames)
+            distances = np.bincount(lane, weights=decoded != wanted, minlength=len(group)).astype(int)
+            denoms = ref_lens[group] if plain or normalize_by_reference else frames
+            for i, t_frames, denom, distance, ok in zip(group.tolist(), frames.tolist(), denoms.tolist(),
+                                                        distances.tolist(), found.tolist()):
+                if not ok:
+                    records[i] = _infeasible_record(indices[i], pairs[i][1], t_frames)
+                    continue
+                records[i] = ScoreRecord(index=indices[i], score=min(1.0, max(0.0, 1.0 - distance / denom)),
+                                         distance=distance, ref_len=len(pairs[i][1]),
+                                         frame_len=0 if plain else t_frames, variant=variant)
     return records
 
 

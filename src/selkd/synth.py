@@ -121,11 +121,11 @@ def canonical_target_indices(spec: SynthTaskSpec, src_indices: list[int]) -> lis
     return [_map_token(spec, i, 0) for i in src_indices]
 
 
-def generate(spec: SynthTaskSpec, n: int, seed: int | None = None) -> SynthCorpus:
-    """Generate n examples; ``seed`` overrides ``spec.seed`` when given."""
+def generate(spec: SynthTaskSpec, n: int) -> SynthCorpus:
+    """Generate n examples from the stream seeded by ``spec.seed``."""
     if n < 1:
         raise SynthConfigError(f"n must be >= 1, got {n}")
-    rng = Rng(spec.seed if seed is None else seed)
+    rng = Rng(spec.seed)
     src_vocab, tgt_vocab = _build_vocabs(spec)
 
     examples: list[TriExample] = []

@@ -14,8 +14,11 @@ and one bincount per frame, a (3, B, S) ``argmax`` per frame, and one
 and ``sentence_loss_and_grads``, one pair's loss and gradients from the
 package's B = 1 forward and CTC with ``backprop_add_at``. ``ctc_loss``,
 ``frame_path_logprob``, ``validate_emissions`` and ``score_ctc`` are test
-conveniences built on the package's B = 1 functions. ``metric_report_links``
-walks one metrics view link by link; the package must give the same bits.
+conveniences built on the package's B = 1 functions. ``hamming_distance``
+and ``score_plain`` score one positional decode position by position; the
+package's grouped plain scoring must give the same records.
+``metric_report_links`` walks one metrics view link by link; the package
+must give the same bits.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import numpy as np
 from selkd.align import NULL_LINK
 from selkd.metrics import MetricReport, MetricsError
 from selkd.nat import _forward_packed, ctc_loss_and_grad
-from selkd.scoring import _score_pairs
+from selkd.scoring import ScoringError, _score_pairs
 
 BLANK = 0
 
@@ -409,3 +412,17 @@ def score_ctc(model, source, reference, index=0, normalize_by_reference=False):
     """The ctc score record of one pair: ``score_corpus``'s grouped path
     at B = 1. Infeasible references score 0 and carry a flag."""
     return _score_pairs(model, [(source, reference)], [index], "ctc", normalize_by_reference)[0]
+
+
+def hamming_distance(a, b) -> int:
+    """Mismatch count; each surplus position of the longer side counts."""
+    m = min(len(a), len(b))
+    d = sum(1 for i in range(m) if a[i] != b[i])
+    return d + abs(len(a) - len(b))
+
+
+def score_plain(reference, decoded) -> float:
+    """1 - hamming/|reference|, clamped below at 0."""
+    if len(reference) < 1:
+        raise ScoringError("reference must be nonempty")
+    return max(0.0, 1.0 - hamming_distance(reference, decoded) / len(reference))

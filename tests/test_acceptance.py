@@ -27,10 +27,10 @@ from selkd.curriculum import (
 )
 from selkd.metrics import (
     align_bitext,
-    alignment_shift,
+    metric_report,
+    pair_stats,
     repetition_ratio,
     threshold_views,
-    translation_uncertainty,
     view_distilled,
     view_raw,
 )
@@ -45,7 +45,7 @@ from selkd.nat import (
 )
 from selkd.scoring import ScoreRecord, ScoreTable, score_corpus
 
-from conftest import make_corpus, random_lattice, unzip_view
+from conftest import make_corpus, random_lattice
 from oracles import brute_best_paths, brute_total_prob, ctc_loss, fd_gradient, frame_path_logprob
 
 
@@ -187,19 +187,18 @@ def _selection_complexity_seed(seed):
                      if 0.4 <= raw_ratio(table, t) <= 0.6)
     ratio = raw_ratio(table, threshold)
     align_model = em_train(view_raw(corpus), iterations=4)
-    raw_links = align_bitext(view_raw(corpus), align_model)
-    distilled_links = align_bitext(view_distilled(corpus), align_model)
-    views = {label: unzip_view(items) for label, items
-             in threshold_views(corpus, table, threshold, list(zip(view_raw(corpus), raw_links)),
-                                list(zip(view_distilled(corpus), distilled_links)))}
-    (selected, selected_links), (replaced, replaced_links) = views["selected"], views["replaced"]
+    raw = pair_stats(view_raw(corpus), align_bitext(view_raw(corpus), align_model))
+    distilled = pair_stats(view_distilled(corpus), align_bitext(view_distilled(corpus), align_model))
+    reports = {label: metric_report(stats, label)
+               for label, stats in threshold_views(corpus, table, threshold, raw, distilled)}
+    selected, replaced = reports["selected"], reports["replaced"]
     return {
         "ratio": ratio,
-        "c_selected": translation_uncertainty(selected, selected_links),
-        "c_replaced": translation_uncertainty(replaced, replaced_links),
-        "s_selected": alignment_shift(selected, selected_links),
-        "s_replaced": alignment_shift(replaced, replaced_links),
-        "c_all_raw": translation_uncertainty(view_raw(corpus), raw_links),
+        "c_selected": selected.uncertainty,
+        "c_replaced": replaced.uncertainty,
+        "s_selected": selected.shift,
+        "s_replaced": replaced.shift,
+        "c_all_raw": metric_report(raw, "raw").uncertainty,
     }
 
 

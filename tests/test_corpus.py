@@ -134,10 +134,3 @@ def test_vocab_first_occurrence_order(surfaces):
     for s in surfaces:
         v2.add(s)
     assert v1.content_hash() == v2.content_hash()
-
-
-def test_shared_vocab_flag(tmp_path):
-    paths = corpus_files(tmp_path, "a b\n", "a c\n", "a c\n")
-    c = load_corpus(*paths, shared_vocab=True)
-    assert c.src_vocab is c.tgt_vocab
-    assert c.examples[0].source[0] == c.examples[0].raw_target[0]

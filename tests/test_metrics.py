@@ -11,7 +11,6 @@ from selkd.metrics import (
     MetricReport,
     MetricsError,
     align_bitext,
-    alignment_shift,
     alignment_shift_pair,
     corpus_bleu,
     length_buckets,
@@ -19,7 +18,6 @@ from selkd.metrics import (
     pair_stats,
     repetition_ratio,
     threshold_views,
-    translation_uncertainty,
     view_distilled,
     view_raw,
 )
@@ -31,10 +29,15 @@ from oracles import metric_report_links
 from test_align import bijective_bitext, dense_table
 
 
+def report(bitext, links):
+    """The metrics stage's report of one view."""
+    return metric_report(pair_stats(bitext, links), "view")
+
+
 def test_uncertainty_zero_for_deterministic_mapping():
     bitext = bijective_bitext(300, seed=9)
     model = em_train(bitext, iterations=4)
-    assert translation_uncertainty(bitext, align_bitext(bitext, model)) == 0.0
+    assert report(bitext, align_bitext(bitext, model)).uncertainty == 0.0
 
 
 def test_uncertainty_fifty_fifty_is_ln2():
@@ -42,14 +45,14 @@ def test_uncertainty_fifty_fifty_is_ln2():
     model = AlignmentModel(trans=dense_table({NULL_TOKEN: {8: 0.01, 9: 0.01}, 5: {8: 0.5, 9: 0.5}}))
     bitext = [((5,), (8,))] * 50 + [((5,), (9,))] * 50
     links = align_bitext(bitext, model)
-    assert translation_uncertainty(bitext, links) == pytest.approx(math.log(2), rel=1e-12)
+    assert report(bitext, links).uncertainty == pytest.approx(math.log(2), rel=1e-12)
 
 
 def test_uncertainty_errors_when_everything_null():
     model = AlignmentModel(trans=dense_table({NULL_TOKEN: {8: 1.0}, 5: {}}))
     bitext = [((5,), (8,))]
     with pytest.raises(MetricsError):
-        translation_uncertainty(bitext, align_bitext(bitext, model))
+        report(bitext, align_bitext(bitext, model))
 
 
 def test_multimodal_raw_more_uncertain_than_distilled():
@@ -60,8 +63,8 @@ def test_multimodal_raw_more_uncertain_than_distilled():
     raw = view_raw(sc.corpus)
     kd = view_distilled(sc.corpus)
     model = em_train(raw, iterations=4)
-    assert translation_uncertainty(raw, align_bitext(raw, model)) > \
-        translation_uncertainty(kd, align_bitext(kd, model))
+    assert report(raw, align_bitext(raw, model)).uncertainty > \
+        report(kd, align_bitext(kd, model)).uncertainty
 
 
 def test_shift_pair_cases():
@@ -82,7 +85,7 @@ def test_shift_corpus_mean():
     model = AlignmentModel(trans=dense_table({NULL_TOKEN: {}, 1: {7: 1.0}, 2: {8: 1.0}}))
     # monotone pair tau=0 plus crossed pair tau=0.5 -> mean 0.25
     bitext = [((1, 2), (7, 8)), ((2, 1), (7, 8))]
-    assert alignment_shift(bitext, align_bitext(bitext, model)) == pytest.approx(0.25)
+    assert report(bitext, align_bitext(bitext, model)).shift == pytest.approx(0.25)
 
 
 def test_reversed_modes_shift_more():
@@ -94,8 +97,8 @@ def test_reversed_modes_shift_more():
     canonical = [(ex.source, ex.raw_target) for ex, m in pairs if m == 0]
     reversed_ = [(ex.source, ex.raw_target) for ex, m in pairs if m == 1]
     model = em_train(view_raw(sc.corpus), iterations=4)
-    assert alignment_shift(reversed_, align_bitext(reversed_, model)) > \
-        alignment_shift(canonical, align_bitext(canonical, model))
+    assert report(reversed_, align_bitext(reversed_, model)).shift > \
+        report(canonical, align_bitext(canonical, model)).shift
 
 
 def test_repetition_examples():

@@ -49,13 +49,6 @@ def test_forward_shape_and_normalization(tiny_model):
     validate_emissions(em, tol=1e-9)
 
 
-def test_forward_respects_custom_frame_count(tiny_model):
-    model, _, _ = tiny_model
-    em = forward(model, (2, 3, 4), frames=5)
-    assert em.frames == 5
-    validate_emissions(em)
-
-
 def test_forward_is_deterministic(tiny_model):
     model, _, _ = tiny_model
     a = forward(model, (2, 3, 4, 5)).log_probs
@@ -297,7 +290,7 @@ def test_checkpoint_rejects_garbage(tmp_path):
 
 
 def test_emission_matrix_validate_catches_bad_rows():
-    bad = EmissionMatrix(log_probs=np.zeros((2, 3)), source_len=1)
+    bad = EmissionMatrix(log_probs=np.zeros((2, 3)))
     with pytest.raises(ValueError):
         validate_emissions(bad)
 

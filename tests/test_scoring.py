@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -8,15 +10,13 @@ from selkd.nat import ModelConfig, NatModel, decode_greedy, decode_positional, f
 from selkd.scoring import (
     ScoreRecord,
     ScoringError,
-    hamming_distance,
     read_score_tsv,
     score_corpus,
-    score_plain,
     validate_table_covers,
     write_score_tsv,
 )
 
-from oracles import score_ctc
+from oracles import hamming_distance, score_ctc, score_plain
 
 
 def test_hamming_basic():
@@ -177,14 +177,15 @@ def test_unknown_variant_rejected(memorized_setup):
         score_corpus(result.model, corpus, variant="bleu")
 
 
-def _ctc_record_alone(model, index, source, reference):
+def _ctc_record_alone(model, index, source, reference, normalize_by_reference=False):
     em = forward(model, source)
     frames = em.frames
     if min_frames(reference) > frames:
         return ScoreRecord(index, 0.0, frames, len(reference), frames, "ctc", infeasible=True)
     aligned = viterbi_align(em, reference).frames
     distance = sum(1 for a, g in zip(aligned, np.argmax(em.log_probs, axis=1)) if a != g)
-    return ScoreRecord(index, min(1.0, max(0.0, 1.0 - distance / frames)), distance,
+    denom = len(reference) if normalize_by_reference else frames
+    return ScoreRecord(index, min(1.0, max(0.0, 1.0 - distance / denom)), distance,
                        len(reference), frames, "ctc")
 
 
@@ -216,9 +217,20 @@ def test_padded_scoring_groups_match_each_pair_alone(monkeypatch):
     monkeypatch.setattr(nat, "_GROUP_CELLS", 200)
     table = nat.PairTable.of([(ex.source, ex.raw_target) for ex in corpus.examples], 2)
     assert len(nat._length_groups(table.frames, table.states)) >= 2
+    cases = {
+        "ctc": ({}, _ctc_record_alone),
+        "ctc by reference": ({"normalize_by_reference": True},
+                             partial(_ctc_record_alone, normalize_by_reference=True)),
+        "plain": ({"variant": "plain"}, _plain_record_alone),
+    }
     tables = {}
-    for variant, alone in (("ctc", _ctc_record_alone), ("plain", _plain_record_alone)):
-        tables[variant] = score_corpus(model, corpus, variant=variant).records
+    for name, (kwargs, alone) in cases.items():
+        tables[name] = score_corpus(model, corpus, **kwargs).records
         expected = [alone(model, ex.index, ex.source, ex.raw_target) for ex in corpus.examples]
-        assert list(tables[variant]) == expected
-    assert [r.infeasible for r in tables["ctc"]] == [i == 1 for i in range(len(corpus))]
+        assert list(tables[name]) == expected
+    for name in ("ctc", "ctc by reference"):
+        assert [r.infeasible for r in tables[name]] == [i == 1 for i in range(len(corpus))]
+    # dividing by |Y| < T lowers scores, and the clamp keeps them in [0, 1]
+    assert any(a.score > b.score for a, b in zip(tables["ctc"], tables["ctc by reference"]))
+    assert any(r.distance > r.ref_len and not r.infeasible for r in tables["ctc by reference"])
+    assert all(0.0 <= r.score <= 1.0 for r in tables["ctc by reference"])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -58,7 +59,7 @@ def test_same_seed_reproduces_exactly():
     b = generate(spec(mistake_rate=0.3), n=40)
     assert a.corpus.examples == b.corpus.examples
     assert a.modes == b.modes and a.mistakes == b.mistakes
-    c = generate(spec(mistake_rate=0.3), n=40, seed=999)
+    c = generate(dataclasses.replace(spec(mistake_rate=0.3), seed=999), n=40)
     assert c.corpus.examples != a.corpus.examples
 
 
