@@ -584,6 +584,7 @@ _ERROR_CODES = (
     ((corpus_mod.CorpusFormatError, corpus_mod.VocabularyMismatchError,
       scoring.ScoringError, cur.SelectionError, align_mod.AlignmentError,
       metrics_mod.MetricsError, nat.CheckpointError), EXIT_FORMAT),
+    (UnicodeDecodeError, EXIT_FORMAT),  # a ValueError, but a fault of the input file
     (ValueError, EXIT_CONFIG),
 )
 

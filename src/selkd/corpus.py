@@ -4,7 +4,17 @@ File format: UTF-8 text, LF line endings, one sentence per line, tokens
 separated by single spaces. A training unit joins one line from each of
 three parallel files: source, raw target, distilled target. Tokens are
 opaque strings; any upstream segmentation (words, subwords) passes
-through unchanged.
+through unchanged. On reading, only the ASCII whitespace ``str.split()``
+uses separates tokens, so a U+00A0 or other Unicode space stays inside
+its token.
+
+``load_corpus`` reads the source file, then the raw target file, then
+the distilled target file, and turns each line into ids as it reads it:
+every line is checked (valid UTF-8, not empty, at most
+``MAX_SENTENCE_LEN`` tokens, no reserved surface) and its tokens are
+registered in the side's vocabulary in the same step. So only one
+file's text and the ids are held at a time, never every token string of
+the corpus.
 
 Corpora are immutable after construction and safe to share across
 threads without coordination.
@@ -13,6 +23,7 @@ threads without coordination.
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass
 
 BLANK_ID = 0
@@ -22,6 +33,11 @@ RESERVED_SURFACES = ("<blank>", "<unk>")
 # Longer lines are rejected at load time; silent truncation would corrupt
 # downstream scores.
 MAX_SENTENCE_LEN = 1024
+
+# A token is a run of anything but the ASCII whitespace ``str.split()``
+# splits on; ``str.split()`` itself would also split on U+00A0, U+3000 etc.
+_ASCII_WHITESPACE = "".join(c for c in map(chr, range(128)) if c.isspace())
+_TOKEN = re.compile(f"[^{re.escape(_ASCII_WHITESPACE)}]+")
 
 Sentence = tuple[int, ...]
 
@@ -110,63 +126,57 @@ class Corpus:
         raise ValueError(f"unknown side selector {selector!r}; expected source/raw/distilled")
 
 
-def _read_token_lines(path: str) -> list[list[str]]:
+def _read_ids(path: str, vocab: Vocabulary) -> list[Sentence]:
+    """Each line of ``path`` as a sentence of ids, in one pass: a line's
+    tokens are checked and registered in ``vocab`` as it is read, so no
+    token string outlives its line unless it is a new surface."""
     with open(path, "r", encoding="utf-8") as fh:
-        raw_lines = fh.read().split("\n")
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            # ``exc.object`` holds the whole file's bytes: read() decodes them in one call.
+            lineno = exc.object.count(b"\n", 0, exc.start) + 1
+            raise CorpusFormatError(f"{path}:{lineno}: not valid UTF-8 ({exc})") from exc
+    lines = text.split("\n")
     # A trailing newline produces one final empty chunk; drop it.
-    if raw_lines and raw_lines[-1] == "":
-        raw_lines.pop()
-    out = []
-    for lineno, line in enumerate(raw_lines, start=1):
-        tokens = line.split()
+    if lines[-1] == "":
+        lines.pop()
+    sentences = []
+    for lineno, line in enumerate(lines, start=1):
+        tokens = _TOKEN.findall(line)
         if not tokens:
             raise CorpusFormatError(f"{path}:{lineno}: empty line")
         if len(tokens) > MAX_SENTENCE_LEN:
             raise CorpusFormatError(
                 f"{path}:{lineno}: sentence has {len(tokens)} tokens, limit is {MAX_SENTENCE_LEN}"
             )
-        for t in tokens:
-            if t in RESERVED_SURFACES:
-                raise CorpusFormatError(f"{path}:{lineno}: reserved surface {t!r} may not appear in a corpus")
-        out.append(tokens)
-    return out
+        ids = tuple(map(vocab.add, tokens))
+        if min(ids) < len(RESERVED_SURFACES):  # a reserved surface maps to its reserved id
+            surface = next(t for t in tokens if t in RESERVED_SURFACES)
+            raise CorpusFormatError(f"{path}:{lineno}: reserved surface {surface!r} may not appear in a corpus")
+        sentences.append(ids)
+    return sentences
 
 
 def load_corpus(src_path: str, raw_path: str, kd_path: str) -> Corpus:
     """Load three parallel files into a Corpus.
 
-    Vocabularies are built from the files in reading order (source file,
-    then raw target file, then distilled target file), so id assignment is
-    reproducible.
+    The files are read in order (source, raw target, distilled target),
+    each line turned into ids as it is read, so ids are assigned in
+    first-occurrence order over that reading order and are reproducible.
     """
-    src_lines = _read_token_lines(src_path)
-    raw_lines = _read_token_lines(raw_path)
-    kd_lines = _read_token_lines(kd_path)
-    counts = {src_path: len(src_lines), raw_path: len(raw_lines), kd_path: len(kd_lines)}
+    src_vocab = Vocabulary()
+    tgt_vocab = Vocabulary()
+    sources = _read_ids(src_path, src_vocab)
+    raws = _read_ids(raw_path, tgt_vocab)
+    kds = _read_ids(kd_path, tgt_vocab)
+    counts = {src_path: len(sources), raw_path: len(raws), kd_path: len(kds)}
     if len(set(counts.values())) != 1:
         detail = ", ".join(f"{p}: {n} lines" for p, n in counts.items())
         raise CorpusFormatError(f"line-count mismatch across parallel files ({detail})")
-
-    src_vocab = Vocabulary()
-    tgt_vocab = Vocabulary()
-    for tokens in src_lines:
-        for t in tokens:
-            src_vocab.add(t)
-    for tokens in raw_lines:
-        for t in tokens:
-            tgt_vocab.add(t)
-    for tokens in kd_lines:
-        for t in tokens:
-            tgt_vocab.add(t)
-
     examples = tuple(
-        TriExample(
-            index=i,
-            source=tuple(src_vocab.id_of(t) for t in src_lines[i]),
-            raw_target=tuple(tgt_vocab.id_of(t) for t in raw_lines[i]),
-            distilled_target=tuple(tgt_vocab.id_of(t) for t in kd_lines[i]),
-        )
-        for i in range(len(src_lines))
+        TriExample(index=i, source=s, raw_target=r, distilled_target=k)
+        for i, (s, r, k) in enumerate(zip(sources, raws, kds))
     )
     return Corpus(examples=examples, src_vocab=src_vocab, tgt_vocab=tgt_vocab)
 

@@ -267,6 +267,26 @@ def test_format_error_exit_code_and_incomplete_marker(tmp_path):
     assert not (out / "checkpoint.txt").exists()
 
 
+@pytest.mark.parametrize("kind", ["bitext", "scores", "checkpoint"])
+def test_invalid_utf8_input_is_format_error(tmp_path, synth_dir, capsys, kind):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"a b\n\xff\xfe c\n")
+    if kind == "bitext":
+        argv = ["train-evaluator", "--src", str(bad), "--raw", str(synth_dir / "raw.txt"),
+                "--kd", str(synth_dir / "kd.txt"), *FAST_MODEL]
+    elif kind == "scores":
+        argv = ["select", *corpus_flags(synth_dir), "--scores", str(bad), "--threshold", "0.5"]
+    else:
+        argv = ["score", *corpus_flags(synth_dir), "--checkpoint", str(bad)]
+    out = tmp_path / "out"
+    assert main([argv[0], "--out", str(out), *argv[1:]]) == EXIT_FORMAT
+    assert (out / "INCOMPLETE").exists()
+    err = capsys.readouterr().err
+    assert "can't decode byte 0xff" in err
+    if kind == "bitext":
+        assert f"{bad}:2: not valid UTF-8" in err
+
+
 def test_checksum_mismatch_detected(tmp_path, synth_dir):
     # tamper with a manifest-tracked artifact, then consume it
     with open(synth_dir / "raw.txt", "a", encoding="utf-8") as fh:

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from selkd import nat
-from selkd.nat import ModelConfig, NatModel, decode_greedy, decode_positional, forward, min_frames, viterbi_align
+from selkd.nat import ModelConfig, NatModel, decode_positional, forward, min_frames, param_shapes, viterbi_align
 from selkd.scoring import (
     ScoreRecord,
     ScoringError,
@@ -74,34 +74,41 @@ def test_score_ctc_perfect_match(memorized_setup):
 
 
 def test_score_ctc_fraction_of_mismatched_frames():
-    # Hand-built lattice: greedy argmax differs from the aligned path at
-    # exactly 2 of 8 frames -> score 0.75. Aligned path for (a, b) is
-    # (a _ b b _ _ _ _); greedy reads (a _ a b a _ _ _).
+    # A hand-built evaluator whose 8 frames for the one-token source emit
+    # a fixed lattice over (blank, unk, a, b). The greedy labels differ
+    # from the reference's Viterbi path at exactly 2 of 8 frames: the
+    # path for (a, b) is (a _ b b _ _ _ _), greedy reads (a _ a b a _ _ _).
+    from conftest import make_corpus
+
+    corpus = make_corpus([("p", "a b", "a b")])
     eps = 1e-9
-    frames = [
-        [eps, 1.0, eps],   # both a
-        [1.0, eps, eps],   # both blank
-        [eps, 0.6, 0.4],   # greedy a; aligned cannot re-emit a -> takes b
-        [eps, eps, 1.0],   # both b
-        [0.1, 0.9, eps],   # greedy a; aligned past the a state -> blank
-        [1.0, eps, eps],
-        [1.0, eps, eps],
-        [1.0, eps, eps],
-    ]
-    e = np.log(np.array(frames))
-    e -= np.log(np.exp(e).sum(axis=1, keepdims=True))
-
-    class FakeModel:
-        pass
-
-    from selkd.nat import viterbi_align
-
-    aligned = viterbi_align(e, (1, 2))
-    greedy = decode_greedy(e).path.frames
-    d = sum(1 for a, b in zip(aligned.frames, greedy) if a != b)
-    assert d == 2
-    # score semantics mirror score_ctc's arithmetic
-    assert 1 - d / 8 == 0.75
+    lattice = np.array([
+        [eps, eps, 1.0, eps],  # both a
+        [1.0, eps, eps, eps],  # both blank
+        [eps, eps, 0.6, 0.4],  # greedy a; the path cannot re-emit a -> takes b
+        [eps, eps, eps, 1.0],  # both b
+        [0.1, eps, 0.9, eps],  # greedy a; the path is past the a state -> blank
+        [1.0, eps, eps, eps],
+        [1.0, eps, eps, eps],
+        [1.0, eps, eps, eps],
+    ])
+    config = ModelConfig(embed_dim=1, hidden_dim=8, upsample=8)
+    params = {name: np.zeros(shape) for name, shape in
+              param_shapes(config, len(corpus.src_vocab), len(corpus.tgt_vocab)).items()}
+    # With zero embeddings and position weights, frame t's only input is
+    # its phase one-hot (t mod 8 = t): route it through hidden unit t of
+    # both layers to row t of the lattice's logits.
+    frames = np.arange(8)
+    params["w1"][2 * config.embed_dim + frames, frames] = 1.0
+    params["w2"][frames, frames] = 1.0
+    params["w_out"][:] = np.log(lattice) / np.tanh(np.tanh(1.0))
+    model = NatModel(config, params, len(corpus.src_vocab), len(corpus.tgt_vocab),
+                     corpus.src_vocab.content_hash(), corpus.tgt_vocab.content_hash())
+    [rec] = score_corpus(model, corpus).records
+    assert (rec.distance, rec.ref_len, rec.frame_len, rec.infeasible) == (2, 2, 8, False)
+    assert rec.score == 0.75  # 1 - 2/8
+    [rec] = score_corpus(model, corpus, normalize_by_reference=True).records
+    assert (rec.distance, rec.score) == (2, 0.0)  # 1 - 2/|Y|
 
 
 def test_score_ctc_infeasible_flags_zero(memorized_setup):
