@@ -156,12 +156,16 @@ def _load_corpus_args(stage: Stage, args) -> corpus_mod.Corpus:
     return corpus_mod.load_corpus(args.src, args.raw, args.kd)
 
 
+# Each model flag and the ``nat.ModelConfig`` field it sets; the field's
+# default is the flag's.
+_MODEL_FLAGS = {"--embed-dim": "embed_dim", "--hidden-dim": "hidden_dim", "--upsample": "upsample",
+                "--window": "window", "--lr": "learning_rate", "--epochs": "epochs",
+                "--batch-size": "batch_size", "--clip-norm": "clip_norm", "--seed": "seed"}
+
+
 def _model_config(args) -> nat.ModelConfig:
-    return nat.ModelConfig(
-        embed_dim=args.embed_dim, hidden_dim=args.hidden_dim, upsample=args.upsample,
-        window=args.window, learning_rate=args.lr, epochs=args.epochs,
-        batch_size=args.batch_size, clip_norm=args.clip_norm, seed=args.seed,
-    )
+    return nat.ModelConfig(**{field: getattr(args, flag[2:].replace("-", "_"))
+                              for flag, field in _MODEL_FLAGS.items()})
 
 
 def _schedule(args) -> cur.ThresholdSchedule:
@@ -202,9 +206,7 @@ def run_train_evaluator(args) -> int:
     with Stage(args.out, "train-evaluator") as stage:
         corpus = _load_corpus_args(stage, args)
         config = _model_config(args)
-        pairs = [(ex.source, ex.distilled_target if args.target_side == "distilled" else ex.raw_target)
-                 for ex in corpus.examples]
-        result = nat.train(pairs, config, corpus.src_vocab, corpus.tgt_vocab,
+        result = nat.train(corpus.pairs(args.target_side), config, corpus.src_vocab, corpus.tgt_vocab,
                            snapshot_at=args.snapshot_updates,
                            progress=lambda epoch, loss: print(f"epoch {epoch}: mean loss {loss:.6f}",
                                                               file=sys.stderr))
@@ -239,12 +241,14 @@ def run_select(args) -> int:
         corpus = _load_corpus_args(stage, args)
         stage.input(args.scores)
         table = scoring.read_score_tsv(args.scores)
-        decisions = cur.select_for_update(table, corpus, threshold)
-        targets = cur.selected_targets(corpus, decisions)
+        scoring.validate_table_covers(table, corpus)
+        keep = cur.keeps_raw(table, threshold).tolist()
+        targets = [ex.raw_target if raw else ex.distilled_target
+                   for ex, raw in zip(corpus.examples, keep)]
         corpus_mod.write_bitext(corpus, "source", stage.path("selected_source.txt"))
         corpus_mod.write_sentences(targets, corpus.tgt_vocab, stage.path("selected_target.txt"))
-        cur.write_decisions_tsv(decisions, stage.path("decisions.tsv"))
-        raw_share = sum(1 for d in decisions if d.choice is cur.Choice.RAW) / len(decisions) if decisions else 0.0
+        cur.write_decisions_tsv(table, threshold, stage.path("decisions.tsv"))
+        raw_share = cur.raw_ratio(table, threshold) if keep else 0.0
         stage.finish(config={"threshold": threshold, "raw_ratio": raw_share})
         return EXIT_OK
 
@@ -318,7 +322,7 @@ def run_metrics(args) -> int:
                 table = scoring.read_score_tsv(args.scores)
                 scoring.validate_table_covers(table, corpus)
 
-        raw = metrics_mod.view_raw(corpus)
+        raw = corpus.pairs("raw")
         model = align_mod.em_train(raw, iterations=args.align_iterations,
                                    tension=args.tension, null_prob=args.null_prob)
         # Every view is a subset of the raw or the distilled pairs, so each
@@ -329,7 +333,7 @@ def run_metrics(args) -> int:
         if args.tgt:
             views = [("bitext", raw_stats)]
         else:
-            distilled = metrics_mod.view_distilled(corpus)
+            distilled = corpus.pairs("distilled")
             distilled_stats = metrics_mod.pair_stats(distilled,
                                                      metrics_mod.align_bitext(distilled, model))
             views = [("raw", raw_stats), ("distilled", distilled_stats)]
@@ -459,15 +463,10 @@ def _add_corpus_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--embed-dim", type=int, default=16)
-    p.add_argument("--hidden-dim", type=int, default=32)
-    p.add_argument("--upsample", type=int, default=2)
-    p.add_argument("--window", type=int, default=1)
-    p.add_argument("--lr", type=float, default=0.15)
-    p.add_argument("--epochs", type=int, default=5)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--clip-norm", type=float, default=5.0)
-    p.add_argument("--seed", type=int, default=0)
+    defaults = nat.ModelConfig()
+    for flag, field in _MODEL_FLAGS.items():
+        default = getattr(defaults, field)
+        p.add_argument(flag, type=type(default), default=default)
 
 
 def _add_align_flags(p: argparse.ArgumentParser) -> None:

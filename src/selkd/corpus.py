@@ -40,6 +40,7 @@ _ASCII_WHITESPACE = "".join(c for c in map(chr, range(128)) if c.isspace())
 _TOKEN = re.compile(f"[^{re.escape(_ASCII_WHITESPACE)}]+")
 
 Sentence = tuple[int, ...]
+Bitext = list[tuple[Sentence, Sentence]]
 
 
 class CorpusFormatError(ValueError):
@@ -101,7 +102,6 @@ class Vocabulary:
 class TriExample:
     """One training unit: source, raw target, distilled target."""
 
-    index: int
     source: Sentence
     raw_target: Sentence
     distilled_target: Sentence
@@ -125,19 +125,29 @@ class Corpus:
             return [ex.distilled_target for ex in self.examples]
         raise ValueError(f"unknown side selector {selector!r}; expected source/raw/distilled")
 
+    def pairs(self, side: str) -> Bitext:
+        """(source, target) of every example, in corpus order, the target
+        taken from ``side`` ("raw" or "distilled")."""
+        return list(zip(self.side("source"), self.side(side)))
+
+
+def read_utf8(path: str, error: type[ValueError]) -> str:
+    """The whole text of ``path``; bytes that are not UTF-8 raise
+    ``error`` naming ``path:line``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            # ``exc.object`` holds the whole file's bytes: read() decodes them in one call.
+            lineno = exc.object.count(b"\n", 0, exc.start) + 1
+            raise error(f"{path}:{lineno}: not valid UTF-8 ({exc})") from exc
+
 
 def _read_ids(path: str, vocab: Vocabulary) -> list[Sentence]:
     """Each line of ``path`` as a sentence of ids, in one pass: a line's
     tokens are checked and registered in ``vocab`` as it is read, so no
     token string outlives its line unless it is a new surface."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            # ``exc.object`` holds the whole file's bytes: read() decodes them in one call.
-            lineno = exc.object.count(b"\n", 0, exc.start) + 1
-            raise CorpusFormatError(f"{path}:{lineno}: not valid UTF-8 ({exc})") from exc
-    lines = text.split("\n")
+    lines = read_utf8(path, CorpusFormatError).split("\n")
     # A trailing newline produces one final empty chunk; drop it.
     if lines[-1] == "":
         lines.pop()
@@ -174,26 +184,22 @@ def load_corpus(src_path: str, raw_path: str, kd_path: str) -> Corpus:
     if len(set(counts.values())) != 1:
         detail = ", ".join(f"{p}: {n} lines" for p, n in counts.items())
         raise CorpusFormatError(f"line-count mismatch across parallel files ({detail})")
-    examples = tuple(
-        TriExample(index=i, source=s, raw_target=r, distilled_target=k)
-        for i, (s, r, k) in enumerate(zip(sources, raws, kds))
-    )
+    examples = tuple(map(TriExample, sources, raws, kds))
     return Corpus(examples=examples, src_vocab=src_vocab, tgt_vocab=tgt_vocab)
+
+
+def _write_lines(sentences: list[Sentence], vocab: Vocabulary, path: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for sent in sentences:
+            fh.write(" ".join(vocab.decode(sent)))
+            fh.write("\n")
 
 
 def write_bitext(corpus: Corpus, side: str, path: str) -> None:
     """Write one side of the corpus, one sentence per line, LF endings."""
-    vocab = corpus.src_vocab if side == "source" else corpus.tgt_vocab
-    sentences = corpus.side(side)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for sent in sentences:
-            fh.write(" ".join(vocab.decode(sent)))
-            fh.write("\n")
+    _write_lines(corpus.side(side), corpus.src_vocab if side == "source" else corpus.tgt_vocab, path)
 
 
 def write_sentences(sentences: list[Sentence], vocab: Vocabulary, path: str) -> None:
     """Write arbitrary sentences (e.g. a selected target side) as bitext."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for sent in sentences:
-            fh.write(" ".join(vocab.decode(sent)))
-            fh.write("\n")
+    _write_lines(sentences, vocab, path)

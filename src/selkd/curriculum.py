@@ -13,11 +13,10 @@ deselects everything, since scores never exceed 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .corpus import Corpus, Sentence
+from .corpus import Corpus
 from .nat import ModelConfig, NatModel, PairTable, TrainingError, sgd
 from .rng import Rng
 from .scoring import ScoreTable, validate_table_covers
@@ -39,11 +38,6 @@ def check_threshold(value: float, name: str) -> float:
     if not 0.0 <= value <= MAX_THRESHOLD:
         raise ScheduleError(f"{name} {value} outside [0, {MAX_THRESHOLD}]")
     return value + 0.0
-
-
-class Choice(str, Enum):
-    RAW = "RAW"
-    KD = "KD"
 
 
 @dataclass(frozen=True)
@@ -73,41 +67,22 @@ def threshold_at(schedule: ThresholdSchedule, k: int) -> float:
     return schedule.start + (k / schedule.total_updates) * (schedule.end - schedule.start)
 
 
-@dataclass(frozen=True)
-class SelectionDecision:
-    index: int
-    choice: Choice
-    score: float
-    threshold: float
+def _scores(table: ScoreTable) -> np.ndarray:
+    return np.array([r.score for r in table.records], dtype=np.float64)
 
 
-def select_for_update(table: ScoreTable, corpus: Corpus, threshold: float) -> list[SelectionDecision]:
-    """Materialize the per-example choices at one threshold.
-
-    RAW exactly when score >= threshold (ties select raw); the two
-    branches partition the corpus, output in corpus order.
-    """
-    validate_table_covers(table, corpus)
-    decisions = []
-    for ex in corpus.examples:
-        score = table.records[ex.index].score
-        choice = Choice.RAW if score >= threshold else Choice.KD
-        decisions.append(SelectionDecision(index=ex.index, choice=choice, score=score, threshold=threshold))
-    return decisions
-
-
-def selected_targets(corpus: Corpus, decisions: list[SelectionDecision]) -> list[Sentence]:
-    out = []
-    for ex, d in zip(corpus.examples, decisions):
-        out.append(ex.raw_target if d.choice is Choice.RAW else ex.distilled_target)
-    return out
+def keeps_raw(table: ScoreTable, threshold: float) -> np.ndarray:
+    """The selection rule, per record: True where the example keeps its
+    raw target at this threshold, i.e. score >= threshold (a tie keeps
+    raw); False where its distilled target replaces it."""
+    return _scores(table) >= threshold
 
 
 def raw_ratio(table: ScoreTable, threshold: float) -> float:
     """Fraction of examples whose raw target survives at this threshold."""
     if len(table) == 0:
         raise SelectionError("raw_ratio of an empty score table")
-    return sum(1 for r in table.records if r.score >= threshold) / len(table)
+    return int(keeps_raw(table, threshold).sum()) / len(table)
 
 
 def exposure_period(score: float, schedule: ThresholdSchedule) -> float:
@@ -170,7 +145,7 @@ def train_student(corpus: Corpus, table: ScoreTable, schedule: ThresholdSchedule
         model = init_model.copy()
     else:
         model = NatModel.initialize(config, corpus.src_vocab, corpus.tgt_vocab)
-    scores = np.array([table.records[ex.index].score for ex in corpus.examples])
+    scores = _scores(table)  # compared with T_k batch by batch, as ``keeps_raw`` would
     n = len(corpus)
 
     log: list[UpdateLogRow] = []
@@ -193,9 +168,7 @@ def train_student(corpus: Corpus, table: ScoreTable, schedule: ThresholdSchedule
         if progress is not None and (k % every == 0 or k == schedule.total_updates - 1):
             progress(row)
 
-    pair_table = PairTable.of([(ex.source, ex.raw_target) for ex in corpus.examples]
-                              + [(ex.source, ex.distilled_target) for ex in corpus.examples],
-                              config.upsample)
+    pair_table = PairTable.of(corpus.pairs("raw") + corpus.pairs("distilled"), config.upsample)
     _, skipped = sgd(model, pair_table, batches(), config, after_step)
     return StudentResult(model=model, log=tuple(log), skipped=skipped)
 
@@ -207,8 +180,8 @@ def write_update_log(log, path: str) -> None:
             fh.write(f"{row.update}\t{row.threshold:.6f}\t{row.raw_fraction:.6f}\t{row.loss:.6f}\n")
 
 
-def write_decisions_tsv(decisions, path: str) -> None:
-    """TSV: index, choice, score, threshold."""
+def write_decisions_tsv(table: ScoreTable, threshold: float, path: str) -> None:
+    """TSV: index, choice (RAW or KD, by ``keeps_raw``), score, threshold."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for d in decisions:
-            fh.write(f"{d.index}\t{d.choice.value}\t{d.score:.6f}\t{d.threshold:.6f}\n")
+        for r, raw in zip(table.records, keeps_raw(table, threshold).tolist()):
+            fh.write(f"{r.index}\t{'RAW' if raw else 'KD'}\t{r.score:.6f}\t{threshold:.6f}\n")

@@ -28,11 +28,10 @@ from itertools import chain, compress
 from typing import TypeVar
 
 from .align import NULL_LINK, AlignmentLinks, AlignmentModel, align_pair
-from .corpus import Corpus, Sentence
-from .curriculum import ThresholdSchedule, exposure_period
+from .corpus import Bitext, Corpus, Sentence
+from .curriculum import ThresholdSchedule, exposure_period, keeps_raw
 from .scoring import ScoreTable, validate_table_covers
 
-Bitext = list[tuple[Sentence, Sentence]]
 T = TypeVar("T")
 
 LENGTH_BUCKETS = ((0, 10), (10, 20), (20, 30), (30, 40), (40, 50), (50, 60), (60, None))
@@ -190,14 +189,6 @@ def corpus_bleu(hypotheses: list[Sentence], references: list[Sentence]) -> float
 # Corpus views and the consolidated report
 # ---------------------------------------------------------------------------
 
-def view_raw(corpus: Corpus) -> Bitext:
-    return [(ex.source, ex.raw_target) for ex in corpus.examples]
-
-
-def view_distilled(corpus: Corpus) -> Bitext:
-    return [(ex.source, ex.distilled_target) for ex in corpus.examples]
-
-
 def threshold_views(corpus: Corpus, table: ScoreTable, threshold: float,
                     raw: Sequence[T], distilled: Sequence[T]) -> list[tuple[str, list[T]]]:
     """(label, items) of the selected, replaced and mix views at one
@@ -205,14 +196,14 @@ def threshold_views(corpus: Corpus, table: ScoreTable, threshold: float,
     ``distilled``, which hold one item per corpus pair of that view (the
     metrics stage passes ``pair_stats`` records).
 
-    A pair is selected when its score is >= threshold. Selected holds the
-    raw pairs selection keeps, replaced the raw pairs it rejects (their raw
-    side, before replacement), and mix what the student actually sees: the
-    selected raw pairs and the distilled replacements, in corpus order.
+    A pair is selected when its score is >= threshold (``keeps_raw``).
+    Selected holds the raw pairs selection keeps, replaced the raw pairs it
+    rejects (their raw side, before replacement), and mix what the student
+    actually sees: the selected raw pairs and the distilled replacements,
+    in corpus order.
     """
     validate_table_covers(table, corpus)
-    rows = list(zip((record.score >= threshold for record in table.records), raw, distilled,
-                    strict=True))
+    rows = list(zip(keeps_raw(table, threshold).tolist(), raw, distilled, strict=True))
     return [("selected", [r for keep, r, _ in rows if keep]),
             ("replaced", [r for keep, r, _ in rows if not keep]),
             ("mix", [r if keep else d for keep, r, d in rows])]

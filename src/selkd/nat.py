@@ -68,7 +68,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .corpus import BLANK_ID, Sentence, UNK_ID, Vocabulary
+from .corpus import BLANK_ID, Sentence, UNK_ID, Vocabulary, read_utf8
 from .rng import Rng
 
 NEG_INF = float("-inf")
@@ -798,8 +798,7 @@ def load_checkpoint(path: str, src_vocab: Vocabulary | None = None,
     """Load a checkpoint; vocabulary hashes and sizes must match when
     vocabularies are supplied, and every parameter must be finite and have
     the shape the config and the recorded vocabulary sizes imply."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_utf8(path, CheckpointError).splitlines()
     if not lines or lines[0] != _CKPT_MAGIC:
         raise CheckpointError(f"{path}: not a {_CKPT_MAGIC!r} file")
     if lines[-1] != "end":

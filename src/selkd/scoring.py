@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus, Sentence
+from .corpus import Bitext, Corpus, Sentence, read_utf8
 from .nat import (
     NatModel,
     PairTable,
@@ -57,23 +57,22 @@ class ScoreRecord:
     distance: int
     ref_len: int
     frame_len: int  # 0 for the plain variant
-    variant: str
     infeasible: bool = False
 
 
 @dataclass(frozen=True)
 class ScoreTable:
     records: tuple[ScoreRecord, ...]
-    variant: str
     checkpoint_id: str = ""
 
     def __len__(self) -> int:
         return len(self.records)
 
 
-def _score_pairs(model: NatModel, pairs: list[tuple[Sentence, Sentence]], indices: list[int],
-                 variant: str, normalize_by_reference: bool) -> list[ScoreRecord]:
-    """Records for (source, reference) ``pairs``, tagged with ``indices``.
+def _score_pairs(model: NatModel, pairs: Bitext, variant: str,
+                 normalize_by_reference: bool) -> list[ScoreRecord]:
+    """Records for (source, reference) ``pairs``, each tagged with its
+    position.
 
     The pairs run in the length-sorted groups of their ``nat.PairTable``,
     as a training batch does, cut to at most one training batch of pairs
@@ -88,7 +87,7 @@ def _score_pairs(model: NatModel, pairs: list[tuple[Sentence, Sentence]], indice
     feasible = np.ones(len(pairs), dtype=bool) if plain else table.feasible
     records: list[ScoreRecord | None] = [None] * len(pairs)
     for i in np.flatnonzero(~feasible).tolist():
-        records[i] = _infeasible_record(indices[i], pairs[i][1], int(table.frames[i]))
+        records[i] = _infeasible_record(i, pairs[i][1], int(table.frames[i]))
     todo = np.flatnonzero(feasible)
     size = model.config.batch_size
     for whole in _length_groups(table.frames[todo], table.states[todo]):
@@ -113,17 +112,17 @@ def _score_pairs(model: NatModel, pairs: list[tuple[Sentence, Sentence]], indice
             for i, t_frames, denom, distance, ok in zip(group.tolist(), frames.tolist(), denoms.tolist(),
                                                         distances.tolist(), found.tolist()):
                 if not ok:
-                    records[i] = _infeasible_record(indices[i], pairs[i][1], t_frames)
+                    records[i] = _infeasible_record(i, pairs[i][1], t_frames)
                     continue
-                records[i] = ScoreRecord(index=indices[i], score=min(1.0, max(0.0, 1.0 - distance / denom)),
+                records[i] = ScoreRecord(index=i, score=min(1.0, max(0.0, 1.0 - distance / denom)),
                                          distance=distance, ref_len=len(pairs[i][1]),
-                                         frame_len=0 if plain else t_frames, variant=variant)
+                                         frame_len=0 if plain else t_frames)
     return records
 
 
 def _infeasible_record(index: int, reference: Sentence, frames: int) -> ScoreRecord:
     return ScoreRecord(index=index, score=0.0, distance=frames, ref_len=len(reference),
-                       frame_len=frames, variant="ctc", infeasible=True)
+                       frame_len=frames, infeasible=True)
 
 
 def score_corpus(model: NatModel, corpus: Corpus, variant: str = "ctc",
@@ -136,9 +135,8 @@ def score_corpus(model: NatModel, corpus: Corpus, variant: str = "ctc",
     if model.src_vocab_hash != corpus.src_vocab.content_hash() or \
             model.tgt_vocab_hash != corpus.tgt_vocab.content_hash():
         raise ScoringError("evaluator checkpoint was trained on different vocabularies than this corpus")
-    records = _score_pairs(model, [(ex.source, ex.raw_target) for ex in corpus.examples],
-                           [ex.index for ex in corpus.examples], variant, normalize_by_reference)
-    return ScoreTable(records=tuple(records), variant=variant, checkpoint_id=model_digest(model))
+    records = _score_pairs(model, corpus.pairs("raw"), variant, normalize_by_reference)
+    return ScoreTable(records=tuple(records), checkpoint_id=model_digest(model))
 
 
 def write_score_tsv(table: ScoreTable, path: str) -> None:
@@ -149,26 +147,28 @@ def write_score_tsv(table: ScoreTable, path: str) -> None:
             fh.write(f"{r.index}\t{r.score:.6f}\t{r.distance}\t{r.ref_len}\t{r.frame_len}\n")
 
 
-def read_score_tsv(path: str, variant: str = "ctc") -> ScoreTable:
+def read_score_tsv(path: str) -> ScoreTable:
     """Parse a ``write_score_tsv`` file; every score must be a number in
-    [0, 1]."""
+    [0, 1]. The file does not say which variant made it, nor which
+    records were infeasible."""
+    lines = read_utf8(path, ScoringError).split("\n")
+    if lines[-1] == "":  # the final newline
+        lines.pop()
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 5:
-                raise ScoringError(f"{path}:{lineno}: expected 5 columns, got {len(parts)}")
-            idx, score, dist, ref_len, frame_len = parts
-            try:
-                record = ScoreRecord(index=int(idx), score=float(score), distance=int(dist),
-                                     ref_len=int(ref_len), frame_len=int(frame_len),
-                                     variant=variant)
-            except ValueError as exc:
-                raise ScoringError(f"{path}:{lineno}: {exc}") from exc
-            if not 0.0 <= record.score <= 1.0:  # also rejects nan
-                raise ScoringError(f"{path}:{lineno}: score {score!r} is not a number in [0, 1]")
-            records.append(record)
-    return ScoreTable(records=tuple(records), variant=variant)
+    for lineno, line in enumerate(lines, start=1):
+        parts = line.split("\t")
+        if len(parts) != 5:
+            raise ScoringError(f"{path}:{lineno}: expected 5 columns, got {len(parts)}")
+        idx, score, dist, ref_len, frame_len = parts
+        try:
+            record = ScoreRecord(index=int(idx), score=float(score), distance=int(dist),
+                                 ref_len=int(ref_len), frame_len=int(frame_len))
+        except ValueError as exc:
+            raise ScoringError(f"{path}:{lineno}: {exc}") from exc
+        if not 0.0 <= record.score <= 1.0:  # also rejects nan
+            raise ScoringError(f"{path}:{lineno}: score {score!r} is not a number in [0, 1]")
+        records.append(record)
+    return ScoreTable(records=tuple(records))
 
 
 def validate_table_covers(table: ScoreTable, corpus: Corpus) -> None:

@@ -132,7 +132,7 @@ def generate(spec: SynthTaskSpec, n: int) -> SynthCorpus:
     modes: list[int] = []
     mistakes: list[bool] = []
     span = spec.len_max - spec.len_min + 1
-    for idx in range(n):
+    for _ in range(n):
         length = spec.len_min + rng.randint(span)
         src_idx = [rng.randint(spec.source_vocab_size) for _ in range(length)]
         mode = rng.categorical(spec.mode_probs)
@@ -156,7 +156,7 @@ def generate(spec: SynthTaskSpec, n: int) -> SynthCorpus:
         source: Sentence = tuple(i + 2 for i in src_idx)
         raw: Sentence = tuple(j + 2 for j in raw_idx)
         kd: Sentence = tuple(j + 2 for j in kd_idx)
-        examples.append(TriExample(index=idx, source=source, raw_target=raw, distilled_target=kd))
+        examples.append(TriExample(source=source, raw_target=raw, distilled_target=kd))
         modes.append(mode)
         mistakes.append(corrupted)
 
@@ -186,8 +186,8 @@ def oracle_report(sc: SynthCorpus) -> SynthReport:
 def write_sidecar(sc: SynthCorpus, path: str) -> None:
     """TSV sidecar: index, mode label, mistake flag."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for ex, mode, mistake in zip(sc.corpus.examples, sc.modes, sc.mistakes):
-            fh.write(f"{ex.index}\t{mode}\t{int(mistake)}\n")
+        for index, (mode, mistake) in enumerate(zip(sc.modes, sc.mistakes)):
+            fh.write(f"{index}\t{mode}\t{int(mistake)}\n")
 
 
 def read_sidecar(path: str) -> tuple[tuple[int, ...], tuple[bool, ...]]:

@@ -21,11 +21,11 @@ def make_corpus(rows: list[tuple[str, str, str]]) -> Corpus:
     """Corpus from (source, raw, distilled) whitespace strings."""
     src_vocab, tgt_vocab = Vocabulary(), Vocabulary()
     examples = []
-    for i, (s, r, k) in enumerate(rows):
+    for s, r, k in rows:
         src = tuple(src_vocab.add(t) for t in s.split())
         raw = tuple(tgt_vocab.add(t) for t in r.split())
         kd = tuple(tgt_vocab.add(t) for t in k.split())
-        examples.append(TriExample(index=i, source=src, raw_target=raw, distilled_target=kd))
+        examples.append(TriExample(source=src, raw_target=raw, distilled_target=kd))
     return Corpus(examples=tuple(examples), src_vocab=src_vocab, tgt_vocab=tgt_vocab)
 
 

@@ -408,10 +408,10 @@ def validate_emissions(emissions, tol: float = 1e-9) -> None:
         raise ValueError(f"emission rows not normalized (max |lse| = {np.max(np.abs(lse))})")
 
 
-def score_ctc(model, source, reference, index=0, normalize_by_reference=False):
+def score_ctc(model, source, reference, normalize_by_reference=False):
     """The ctc score record of one pair: ``score_corpus``'s grouped path
     at B = 1. Infeasible references score 0 and carry a flag."""
-    return _score_pairs(model, [(source, reference)], [index], "ctc", normalize_by_reference)[0]
+    return _score_pairs(model, [(source, reference)], "ctc", normalize_by_reference)[0]
 
 
 def hamming_distance(a, b) -> int:

@@ -18,11 +18,10 @@ from selkd import synth
 from selkd.align import em_train, align_pair
 from selkd.cli import main as cli_main
 from selkd.curriculum import (
-    Choice,
     ThresholdSchedule,
     exposure_period,
+    keeps_raw,
     raw_ratio,
-    select_for_update,
     train_student,
 )
 from selkd.metrics import (
@@ -31,8 +30,6 @@ from selkd.metrics import (
     pair_stats,
     repetition_ratio,
     threshold_views,
-    view_distilled,
-    view_raw,
 )
 from selkd.nat import (
     ModelConfig,
@@ -45,7 +42,7 @@ from selkd.nat import (
 )
 from selkd.scoring import ScoreRecord, ScoreTable, score_corpus
 
-from conftest import make_corpus, random_lattice
+from conftest import random_lattice
 from oracles import brute_best_paths, brute_total_prob, ctc_loss, fd_gradient, frame_path_logprob
 
 
@@ -151,7 +148,7 @@ def test_criterion_5_em_aligner():
                                len_min=3, len_max=8, num_modes=2,
                                mode_probs=(0.7, 0.3), mistake_rate=0.0, seed=50)
     sc = synth.generate(spec, n=1000)
-    model = em_train(view_raw(sc.corpus), iterations=10)
+    model = em_train(sc.corpus.pairs("raw"), iterations=10)
     lls = model.log_likelihood
     assert len(lls) == 10
     for a, b in zip(lls, lls[1:]):
@@ -180,15 +177,15 @@ def _selection_complexity_seed(seed):
     corpus = sc.corpus
     cfg = ModelConfig(embed_dim=16, hidden_dim=32, upsample=2, window=0,
                       learning_rate=0.25, epochs=3, batch_size=64, seed=seed)
-    pairs = [(ex.source, ex.distilled_target) for ex in corpus.examples]
-    evaluator = train(pairs, cfg, corpus.src_vocab, corpus.tgt_vocab).model
+    evaluator = train(corpus.pairs("distilled"), cfg, corpus.src_vocab, corpus.tgt_vocab).model
     table = score_corpus(evaluator, corpus, variant="ctc")
     threshold = next(t for t in sorted({r.score for r in table.records})
                      if 0.4 <= raw_ratio(table, t) <= 0.6)
     ratio = raw_ratio(table, threshold)
-    align_model = em_train(view_raw(corpus), iterations=4)
-    raw = pair_stats(view_raw(corpus), align_bitext(view_raw(corpus), align_model))
-    distilled = pair_stats(view_distilled(corpus), align_bitext(view_distilled(corpus), align_model))
+    raw_pairs, distilled_pairs = corpus.pairs("raw"), corpus.pairs("distilled")
+    align_model = em_train(raw_pairs, iterations=4)
+    raw = pair_stats(raw_pairs, align_bitext(raw_pairs, align_model))
+    distilled = pair_stats(distilled_pairs, align_bitext(distilled_pairs, align_model))
     reports = {label: metric_report(stats, label)
                for label, stats in threshold_views(corpus, table, threshold, raw, distilled)}
     selected, replaced = reports["selected"], reports["replaced"]
@@ -222,17 +219,16 @@ def test_criterion_7_selection_algebra():
         n = int(rng.integers(1, 60))
         scores = [float(x) for x in rng.random(n)]
         table = ScoreTable(records=tuple(
-            ScoreRecord(index=i, score=s, distance=0, ref_len=1, frame_len=2, variant="ctc")
-            for i, s in enumerate(scores)), variant="ctc")
+            ScoreRecord(index=i, score=s, distance=0, ref_len=1, frame_len=2)
+            for i, s in enumerate(scores)))
         assert raw_ratio(table, 0.0) == 1.0
         assert raw_ratio(table, 1.01) == 0.0
         thresholds = sorted(float(x) for x in rng.random(6) * 1.01)
         ratios = [raw_ratio(table, t) for t in thresholds]
         assert all(a >= b for a, b in zip(ratios, ratios[1:]))
-        corpus = make_corpus([(f"s{i}", f"r{i}", f"k{i}") for i in range(n)])
         t_k = float(rng.random() * 1.01)
-        for d, s in zip(select_for_update(table, corpus, t_k), scores):
-            assert (d.choice is Choice.RAW) == (s >= t_k)
+        for keep, s in zip(keeps_raw(table, t_k).tolist(), scores, strict=True):
+            assert keep == (s >= t_k)
 
 
 # -- 8 ----------------------------------------------------------------------
@@ -255,8 +251,8 @@ def _students_seed(seed, updates=1800, n=800):
     held = synth.generate(replace(spec, mistake_rate=0.0, seed=seed + 1000), n=800)
     ev_cfg = ModelConfig(embed_dim=16, hidden_dim=32, upsample=2, window=0,
                          learning_rate=0.25, epochs=3, batch_size=64, seed=seed)
-    evaluator = train([(ex.source, ex.distilled_target) for ex in sc.corpus.examples],
-                      ev_cfg, sc.corpus.src_vocab, sc.corpus.tgt_vocab).model
+    evaluator = train(sc.corpus.pairs("distilled"), ev_cfg, sc.corpus.src_vocab,
+                      sc.corpus.tgt_vocab).model
     table = score_corpus(evaluator, sc.corpus, variant="ctc")
     stu_cfg = ModelConfig(embed_dim=32, hidden_dim=64, upsample=2, window=1,
                           learning_rate=0.3, epochs=1, batch_size=12, seed=seed + 7)

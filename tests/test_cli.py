@@ -15,12 +15,14 @@ from selkd.cli import (
     EXIT_MISSING_INPUT,
     EXIT_OK,
     EXIT_TRAINING,
+    _model_config,
     _report_row,
     build_parser,
     main,
 )
 from selkd.corpus import load_corpus
 from selkd.curriculum import raw_ratio
+from selkd.nat import ModelConfig
 from selkd.scoring import read_score_tsv
 
 
@@ -114,6 +116,39 @@ def test_select_sentinel_reproduces_distilled_file(tmp_path, synth_dir):
     assert read_bytes(sel0 / "selected_target.txt") == read_bytes(synth_dir / "raw.txt")
 
 
+def test_select_and_metrics_apply_one_selection_rule(tmp_path, synth_dir):
+    # Hand-written scores; every fifth one equals the threshold, and a tie
+    # keeps raw. decisions.tsv, select's raw_ratio and the metrics report's
+    # ratio and selected/replaced/mix counts must all agree with the rule.
+    n, threshold = 40, 0.5
+    scores = [(i % 5) / 4 for i in range(n)]
+    assert threshold in scores
+    keep = [s >= threshold for s in scores]
+    kept = sum(keep)
+    path = tmp_path / "scores.tsv"
+    path.write_text("".join(f"{i}\t{s:.6f}\t0\t4\t8\n" for i, s in enumerate(scores)))
+    sel, met = tmp_path / "sel", tmp_path / "met"
+    assert main(["select", "--out", str(sel), *corpus_flags(synth_dir), "--scores", str(path),
+                 "--threshold", str(threshold)]) == EXIT_OK
+    assert main(["metrics", "--out", str(met), *corpus_flags(synth_dir), "--scores", str(path),
+                 "--thresholds", str(threshold), "--align-iterations", "2"]) == EXIT_OK
+
+    decisions = [line.split("\t") for line in (sel / "decisions.tsv").read_text().splitlines()]
+    assert [row[1] == "RAW" for row in decisions] == keep
+    raw_lines = (synth_dir / "raw.txt").read_text().splitlines()
+    kd_lines = (synth_dir / "kd.txt").read_text().splitlines()
+    assert (sel / "selected_target.txt").read_text().splitlines() == [
+        r if k else d for r, d, k in zip(raw_lines, kd_lines, keep)]
+    ratio = json.loads((sel / "manifest.json").read_text())["config"]["raw_ratio"]
+    assert ratio == kept / n
+
+    rows = [line.split("\t") for line in (met / "report.tsv").read_text().splitlines()[1:]]
+    swept = {row[0]: row for row in rows if row[1] == f"{threshold:.6f}"}
+    assert sorted(swept) == ["mix", "replaced", "selected"]
+    assert all(row[2] == f"{ratio:.6f}" for row in swept.values())
+    assert [int(swept[label][3]) for label in ("selected", "replaced", "mix")] == [kept, n - kept, n]
+
+
 def test_train_student_runs_and_logs(tmp_path, synth_dir):
     ev = tmp_path / "ev"
     assert main(["train-evaluator", "--out", str(ev), *corpus_flags(synth_dir),
@@ -197,7 +232,7 @@ def test_metrics_aligns_each_distinct_pair_once(tmp_path, synth_dir, monkeypatch
     corpus = load_corpus(str(synth_dir / "src.txt"), str(synth_dir / "raw.txt"),
                          str(synth_dir / "kd.txt"))
     table = read_score_tsv(str(scores))
-    raw, distilled = metrics_mod.view_raw(corpus), metrics_mod.view_distilled(corpus)
+    raw, distilled = corpus.pairs("raw"), corpus.pairs("distilled")
     model = em_train(raw, iterations=2)
 
     def row(label, view, t=None):
@@ -283,8 +318,7 @@ def test_invalid_utf8_input_is_format_error(tmp_path, synth_dir, capsys, kind):
     assert (out / "INCOMPLETE").exists()
     err = capsys.readouterr().err
     assert "can't decode byte 0xff" in err
-    if kind == "bitext":
-        assert f"{bad}:2: not valid UTF-8" in err
+    assert f"{bad}:2: not valid UTF-8" in err
 
 
 def test_checksum_mismatch_detected(tmp_path, synth_dir):
@@ -476,6 +510,7 @@ def test_each_subcommand_has_exactly_its_flags():
 
 # The flags each subcommand requires, with placeholder values: enough to parse.
 _REQUIRED_FLAGS = {
+    "train-evaluator": ["--src", "s", "--raw", "r", "--kd", "k"],
     "score": ["--src", "s", "--raw", "r", "--kd", "k", "--checkpoint", "c"],
     "select": ["--src", "s", "--raw", "r", "--kd", "k", "--scores", "t", "--threshold", "0.5"],
     "train-student": ["--src", "s", "--raw", "r", "--kd", "k", "--scores", "t"],
@@ -489,6 +524,12 @@ _UNREAD_FLAGS = [
     *[("select", flag) for flag in ("--k", "--t0", "--t1", "--updates", "--fixed-threshold")],
     ("train-student", "--fixed-threshold"), ("full", "--fixed-threshold"),
 ]
+
+
+@pytest.mark.parametrize("command", ["train-evaluator", "train-student", "full"])
+def test_model_flags_default_to_the_model_config_defaults(command):
+    args = build_parser().parse_args([command, *_REQUIRED_FLAGS[command]])
+    assert _model_config(args) == ModelConfig()
 
 
 @pytest.mark.parametrize("command,flag", _UNREAD_FLAGS,

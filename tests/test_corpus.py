@@ -36,7 +36,7 @@ def test_single_line_identical_targets(tmp_path):
     assert len(c) == 1
     ex = c.examples[0]
     assert ex.raw_target == ex.distilled_target
-    assert ex.index == 0
+    assert c.pairs("raw") == c.pairs("distilled") == [(ex.source, ex.raw_target)]
 
 
 def test_line_count_mismatch_names_files(tmp_path):

@@ -1,18 +1,21 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from selkd.cli import EXIT_FORMAT, main
 from selkd.curriculum import (
-    Choice,
     ScheduleError,
     ThresholdSchedule,
     exposure_period,
+    keeps_raw,
     raw_ratio,
-    select_for_update,
-    selected_targets,
     threshold_at,
     train_student,
+    write_decisions_tsv,
 )
 from selkd.nat import ModelConfig
 from selkd.scoring import ScoreRecord, ScoreTable
@@ -22,10 +25,10 @@ from conftest import make_corpus
 
 def table_from_scores(scores) -> ScoreTable:
     recs = tuple(
-        ScoreRecord(index=i, score=s, distance=0, ref_len=1, frame_len=2, variant="ctc")
+        ScoreRecord(index=i, score=s, distance=0, ref_len=1, frame_len=2)
         for i, s in enumerate(scores)
     )
-    return ScoreTable(records=recs, variant="ctc")
+    return ScoreTable(records=recs)
 
 
 LINEAR = ThresholdSchedule(start=0.4, end=1.0, total_updates=300000)
@@ -79,43 +82,51 @@ def two_target_corpus(n=4):
 
 
 def test_select_all_raw_at_zero():
-    corpus = two_target_corpus()
-    decisions = select_for_update(table_from_scores([0.0, 0.3, 0.9, 1.0]), corpus, 0.0)
-    assert all(d.choice is Choice.RAW for d in decisions)
+    assert keeps_raw(table_from_scores([0.0, 0.3, 0.9, 1.0]), 0.0).tolist() == [True] * 4
 
 
 def test_select_all_kd_at_sentinel():
-    corpus = two_target_corpus()
-    decisions = select_for_update(table_from_scores([0.0, 0.3, 0.9, 1.0]), corpus, 1.01)
-    assert all(d.choice is Choice.KD for d in decisions)
-    targets = selected_targets(corpus, decisions)
-    assert targets == [ex.distilled_target for ex in corpus.examples]
+    # The targets this picks are checked end to end by
+    # test_cli.py::test_select_sentinel_reproduces_distilled_file.
+    assert keeps_raw(table_from_scores([0.0, 0.3, 0.9, 1.0]), 1.01).tolist() == [False] * 4
 
 
 def test_select_mixed_and_tie_goes_raw():
-    corpus = two_target_corpus(2)
-    decisions = select_for_update(table_from_scores([0.9, 0.3]), corpus, 0.5)
-    assert [d.choice for d in decisions] == [Choice.RAW, Choice.KD]
-    tie = select_for_update(table_from_scores([0.5, 0.3]), corpus, 0.5)
-    assert tie[0].choice is Choice.RAW  # score == threshold selects raw
+    assert keeps_raw(table_from_scores([0.9, 0.3]), 0.5).tolist() == [True, False]
+    tie = keeps_raw(table_from_scores([0.5, 0.3]), 0.5)
+    assert tie[0]  # score == threshold selects raw
 
 
-def test_select_missing_score_errors():
-    corpus = two_target_corpus(3)
-    from selkd.scoring import ScoringError
-
-    with pytest.raises(ScoringError):
-        select_for_update(table_from_scores([0.5, 0.5]), corpus, 0.5)
+def test_select_missing_score_errors(tmp_path, capsys):
+    # The select stage checks that the table covers the corpus before it
+    # applies the rule.
+    for name in ("src", "raw", "kd"):
+        (tmp_path / f"{name}.txt").write_text("a\nb\nc\n")
+    (tmp_path / "scores.tsv").write_text("0\t0.500000\t0\t1\t2\n1\t0.500000\t0\t1\t2\n")
+    out = tmp_path / "sel"
+    assert main(["select", "--out", str(out), "--src", str(tmp_path / "src.txt"),
+                 "--raw", str(tmp_path / "raw.txt"), "--kd", str(tmp_path / "kd.txt"),
+                 "--scores", str(tmp_path / "scores.tsv"), "--threshold", "0.5"]) == EXIT_FORMAT
+    assert "score table has 2 rows for a corpus of 3" in capsys.readouterr().err
+    assert (out / "INCOMPLETE").exists()
 
 
 @given(st.lists(st.floats(min_value=0, max_value=1), min_size=1, max_size=30),
        st.floats(min_value=0, max_value=1.01))
 def test_select_rule_holds_per_record(scores, threshold):
-    corpus = two_target_corpus(len(scores))
-    decisions = select_for_update(table_from_scores(scores), corpus, threshold)
-    for d, s in zip(decisions, scores):
-        assert (d.choice is Choice.RAW) == (s >= threshold)
-        assert d.threshold == threshold
+    table = table_from_scores(scores)
+    keep = keeps_raw(table, threshold)
+    assert keep.dtype == bool and len(keep) == len(scores)
+    for k, s in zip(keep.tolist(), scores):
+        assert k == (s >= threshold)
+    # decisions.tsv states the same choice and the threshold on every row
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "decisions.tsv")
+        write_decisions_tsv(table, threshold, path)
+        with open(path, encoding="utf-8") as fh:
+            rows = [line.rstrip("\n").split("\t") for line in fh]
+    assert [row[1] for row in rows] == ["RAW" if s >= threshold else "KD" for s in scores]
+    assert all(row[3] == f"{threshold:.6f}" for row in rows)
 
 
 def test_raw_ratio_cases():
@@ -172,8 +183,7 @@ def replace_side(corpus, raw_from_distilled: bool):
     examples = []
     for ex in corpus.examples:
         tgt = ex.distilled_target if raw_from_distilled else ex.raw_target
-        examples.append(TriExample(index=ex.index, source=ex.source,
-                                   raw_target=tgt, distilled_target=tgt))
+        examples.append(TriExample(source=ex.source, raw_target=tgt, distilled_target=tgt))
     return Corpus(examples=tuple(examples), src_vocab=corpus.src_vocab,
                   tgt_vocab=corpus.tgt_vocab)
 

@@ -18,8 +18,6 @@ from selkd.metrics import (
     pair_stats,
     repetition_ratio,
     threshold_views,
-    view_distilled,
-    view_raw,
 )
 from selkd import synth
 from selkd.scoring import ScoreRecord, ScoreTable, ScoringError
@@ -60,8 +58,8 @@ def test_multimodal_raw_more_uncertain_than_distilled():
                                len_min=3, len_max=6, num_modes=4,
                                mode_probs=(0.25,) * 4, mistake_rate=0.0, seed=21)
     sc = synth.generate(spec, n=800)
-    raw = view_raw(sc.corpus)
-    kd = view_distilled(sc.corpus)
+    raw = sc.corpus.pairs("raw")
+    kd = sc.corpus.pairs("distilled")
     model = em_train(raw, iterations=4)
     assert report(raw, align_bitext(raw, model)).uncertainty > \
         report(kd, align_bitext(kd, model)).uncertainty
@@ -96,7 +94,7 @@ def test_reversed_modes_shift_more():
     pairs = list(zip(sc.corpus.examples, sc.modes))
     canonical = [(ex.source, ex.raw_target) for ex, m in pairs if m == 0]
     reversed_ = [(ex.source, ex.raw_target) for ex, m in pairs if m == 1]
-    model = em_train(view_raw(sc.corpus), iterations=4)
+    model = em_train(sc.corpus.pairs("raw"), iterations=4)
     assert report(reversed_, align_bitext(reversed_, model)).shift > \
         report(canonical, align_bitext(canonical, model)).shift
 
@@ -180,7 +178,7 @@ def test_metric_report_single_mode_distilled_has_zero_uncertainty():
                                len_min=3, len_max=6, num_modes=1,
                                mode_probs=(1.0,), mistake_rate=0.0, seed=5)
     sc = synth.generate(spec, n=400)
-    kd = view_distilled(sc.corpus)
+    kd = sc.corpus.pairs("distilled")
     model = em_train(kd, iterations=4)
     rep = metric_report(pair_stats(kd, align_bitext(kd, model)), "distilled")
     assert rep.uncertainty == 0.0
@@ -199,10 +197,11 @@ def test_views_partition_corpus(memorized_setup):
     from selkd.scoring import score_corpus
 
     table = score_corpus(result.model, corpus)
-    model = em_train(view_raw(corpus), iterations=2)
+    raw, distilled = corpus.pairs("raw"), corpus.pairs("distilled")
+    model = em_train(raw, iterations=2)
     views = {label: unzip_view(items) for label, items in threshold_views(
-        corpus, table, 0.5, list(zip(view_raw(corpus), align_bitext(view_raw(corpus), model))),
-        list(zip(view_distilled(corpus), align_bitext(view_distilled(corpus), model))))}
+        corpus, table, 0.5, list(zip(raw, align_bitext(raw, model))),
+        list(zip(distilled, align_bitext(distilled, model))))}
     selected, replaced, mix = (views[label][0] for label in ("selected", "replaced", "mix"))
     assert len(selected) + len(replaced) == len(corpus)
     assert len(mix) == len(corpus)
@@ -214,8 +213,8 @@ def test_views_partition_corpus(memorized_setup):
 def test_threshold_views_reject_short_table():
     corpus = make_corpus([("a b", "p q", "x y"), ("b a", "q p", "y x"), ("a a", "p p", "x x")])
     table = ScoreTable(records=tuple(
-        ScoreRecord(index=i, score=0.5, distance=0, ref_len=2, frame_len=4, variant="ctc")
-        for i in range(len(corpus) - 1)), variant="ctc")
+        ScoreRecord(index=i, score=0.5, distance=0, ref_len=2, frame_len=4)
+        for i in range(len(corpus) - 1)))
     links = [(1, 2)] * len(corpus)
     with pytest.raises(ScoringError, match="2 rows for a corpus of 3"):
         threshold_views(corpus, table, 0.5, links, links)
@@ -253,8 +252,8 @@ def _views_against_oracle(corpus, table, thresholds, raw_links, distilled_links)
     def items(view, links):
         return list(zip(view, links, pair_stats(view, links)))
 
-    raw = items(view_raw(corpus), raw_links)
-    distilled = items(view_distilled(corpus), distilled_links)
+    raw = items(corpus.pairs("raw"), raw_links)
+    distilled = items(corpus.pairs("distilled"), distilled_links)
     views = [("raw", raw), ("distilled", distilled)]
     for t in thresholds:
         views += [(f"{label}@{t}", picked)
@@ -271,8 +270,8 @@ def _views_against_oracle(corpus, table, thresholds, raw_links, distilled_links)
 
 def _score_table(scores) -> ScoreTable:
     return ScoreTable(records=tuple(
-        ScoreRecord(index=i, score=s, distance=0, ref_len=1, frame_len=0, variant="ctc")
-        for i, s in enumerate(scores)), variant="ctc")
+        ScoreRecord(index=i, score=s, distance=0, ref_len=1, frame_len=0)
+        for i, s in enumerate(scores)))
 
 
 def test_metric_report_matches_link_walk_on_hand_built_views():
@@ -298,12 +297,12 @@ def test_metric_report_matches_link_walk_on_aligned_synth_corpus():
                                len_min=3, len_max=9, num_modes=4,
                                mode_probs=(0.4, 0.3, 0.2, 0.1), mistake_rate=0.1, seed=12)
     corpus = synth.generate(spec, n=400).corpus
-    model = em_train(view_raw(corpus), iterations=2)
+    model = em_train(corpus.pairs("raw"), iterations=2)
     rng = random.Random(12)
     table = _score_table([rng.choice((0.25, 0.5, 0.75, 1.0)) for _ in range(len(corpus))])
     results = _views_against_oracle(corpus, table, (0.4, 0.7, 0.9),
-                                    align_bitext(view_raw(corpus), model),
-                                    align_bitext(view_distilled(corpus), model))
+                                    align_bitext(corpus.pairs("raw"), model),
+                                    align_bitext(corpus.pairs("distilled"), model))
     assert len(results) == 11
     assert all(isinstance(r, MetricReport) for r in results.values())
 

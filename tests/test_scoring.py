@@ -70,7 +70,6 @@ def test_score_ctc_perfect_match(memorized_setup):
     assert rec.score == 1.0
     assert rec.distance == 0
     assert rec.frame_len == result.model.config.upsample * len(ex.source)
-    assert rec.variant == "ctc"
 
 
 def test_score_ctc_fraction_of_mismatched_frames():
@@ -132,7 +131,6 @@ def test_score_corpus_overfit_all_ones(memorized_setup):
 def test_score_corpus_plain_variant(memorized_setup):
     corpus, result = memorized_setup
     table = score_corpus(result.model, corpus, variant="plain")
-    assert all(r.variant == "plain" for r in table.records)
     assert all(r.frame_len == 0 for r in table.records)
     assert all(r.score == 1.0 for r in table.records)  # memorized
 
@@ -173,7 +171,7 @@ def test_read_score_tsv_rejects_scores_outside_unit_interval(tmp_path, bad):
 def test_validate_table_covers_rejects_gaps(memorized_setup):
     corpus, result = memorized_setup
     table = score_corpus(result.model, corpus)
-    broken = type(table)(records=table.records[1:], variant=table.variant)
+    broken = type(table)(records=table.records[1:])
     with pytest.raises(ScoringError):
         validate_table_covers(broken, corpus)
 
@@ -188,18 +186,18 @@ def _ctc_record_alone(model, index, source, reference, normalize_by_reference=Fa
     em = forward(model, source)
     frames = em.frames
     if min_frames(reference) > frames:
-        return ScoreRecord(index, 0.0, frames, len(reference), frames, "ctc", infeasible=True)
+        return ScoreRecord(index, 0.0, frames, len(reference), frames, infeasible=True)
     aligned = viterbi_align(em, reference).frames
     distance = sum(1 for a, g in zip(aligned, np.argmax(em.log_probs, axis=1)) if a != g)
     denom = len(reference) if normalize_by_reference else frames
     return ScoreRecord(index, min(1.0, max(0.0, 1.0 - distance / denom)), distance,
-                       len(reference), frames, "ctc")
+                       len(reference), frames)
 
 
 def _plain_record_alone(model, index, source, reference):
     decoded = decode_positional(model, source, len(reference))
     return ScoreRecord(index, score_plain(reference, decoded), hamming_distance(reference, decoded),
-                       len(reference), 0, "plain")
+                       len(reference), 0)
 
 
 def test_padded_scoring_groups_match_each_pair_alone(monkeypatch):
@@ -222,7 +220,7 @@ def test_padded_scoring_groups_match_each_pair_alone(monkeypatch):
     for param in model.params.values():
         param *= 4  # sharper emissions, so the greedy labels vary
     monkeypatch.setattr(nat, "_GROUP_CELLS", 200)
-    table = nat.PairTable.of([(ex.source, ex.raw_target) for ex in corpus.examples], 2)
+    table = nat.PairTable.of(corpus.pairs("raw"), 2)
     assert len(nat._length_groups(table.frames, table.states)) >= 2
     cases = {
         "ctc": ({}, _ctc_record_alone),
@@ -233,7 +231,7 @@ def test_padded_scoring_groups_match_each_pair_alone(monkeypatch):
     tables = {}
     for name, (kwargs, alone) in cases.items():
         tables[name] = score_corpus(model, corpus, **kwargs).records
-        expected = [alone(model, ex.index, ex.source, ex.raw_target) for ex in corpus.examples]
+        expected = [alone(model, i, src, ref) for i, (src, ref) in enumerate(corpus.pairs("raw"))]
         assert list(tables[name]) == expected
     for name in ("ctc", "ctc by reference"):
         assert [r.infeasible for r in tables[name]] == [i == 1 for i in range(len(corpus))]
