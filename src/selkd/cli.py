@@ -401,17 +401,18 @@ def run_report(args) -> int:
         if os.path.exists(score_path):
             stage.input(score_path)
             table = scoring.read_score_tsv(score_path)
-            lines.append("")
-            lines.append("score quantiles (for choosing a starting threshold):")
-            for q, v in _quantiles([r.score for r in table.records]):
-                lines.append(f"  p{q:<3d} {v:.6f}")
+            if table.records:
+                lines.append("")
+                lines.append("score quantiles (for choosing a starting threshold):")
+                for q, v in _quantiles([r.score for r in table.records]):
+                    lines.append(f"  p{q:<3d} {v:.6f}")
         report_path = os.path.join(run_dir, "metrics", "report.tsv")
         if os.path.exists(report_path):
             stage.input(report_path)
             lines.append("")
             lines.append("metrics report:")
-            with open(report_path, "r", encoding="utf-8") as fh:
-                lines.extend("  " + ln for ln in fh.read().splitlines())
+            text = corpus_mod.read_utf8(report_path, metrics_mod.MetricsError)
+            lines.extend("  " + ln for ln in text.splitlines())
         with open(stage.path("summary.txt"), "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
         stage.finish(config={"run": run_dir})

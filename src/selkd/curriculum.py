@@ -55,10 +55,6 @@ class ThresholdSchedule:
         if self.total_updates < 1:
             raise ScheduleError("total_updates must be >= 1")
 
-    @classmethod
-    def fixed(cls, threshold: float, total_updates: int = 1) -> "ThresholdSchedule":
-        return cls(start=threshold, end=threshold, total_updates=total_updates)
-
 
 def threshold_at(schedule: ThresholdSchedule, k: int) -> float:
     """T_k by linear interpolation between the endpoints."""
@@ -146,30 +142,27 @@ def train_student(corpus: Corpus, table: ScoreTable, schedule: ThresholdSchedule
     else:
         model = NatModel.initialize(config, corpus.src_vocab, corpus.tgt_vocab)
     scores = _scores(table)  # compared with T_k batch by batch, as ``keeps_raw`` would
-    n = len(corpus)
+    n, total = len(corpus), schedule.total_updates
+    order = list(range(n))
+    Rng(config.seed ^ 0x57D).shuffle(order)
+    order = np.array(order)
+    thresholds = [threshold_at(schedule, k) for k in range(total)]
+    drawn = (order[(k * config.batch_size + np.arange(config.batch_size)) % n] for k in range(total))
+    batches = (np.where(scores[examples] >= t, examples, examples + n)
+               for examples, t in zip(drawn, thresholds))
+    pair_table = PairTable.of(corpus.pairs("raw") + corpus.pairs("distilled"), config.upsample)
 
     log: list[UpdateLogRow] = []
-    every = max(1, schedule.total_updates // 10)
-
-    def batches():
-        order = list(range(n))
-        Rng(config.seed ^ 0x57D).shuffle(order)
-        order = np.array(order)
-        for k in range(schedule.total_updates):
-            examples = order[(k * config.batch_size + np.arange(config.batch_size)) % n]
-            yield np.where(scores[examples] >= threshold_at(schedule, k), examples, examples + n)
-
-    def after_step(slots, loss, skipped, updates):
-        k = len(log)
-        row = UpdateLogRow(update=k, threshold=threshold_at(schedule, k),
+    skipped = 0
+    every = max(1, total // 10)
+    for k, (slots, loss, step_skipped) in enumerate(sgd(model, pair_table, batches, config)):
+        skipped += step_skipped
+        row = UpdateLogRow(update=k, threshold=thresholds[k],
                            raw_fraction=int((slots < n).sum()) / config.batch_size,
                            loss=float("nan") if loss is None else loss)
         log.append(row)
-        if progress is not None and (k % every == 0 or k == schedule.total_updates - 1):
+        if progress is not None and (k % every == 0 or k == total - 1):
             progress(row)
-
-    pair_table = PairTable.of(corpus.pairs("raw") + corpus.pairs("distilled"), config.upsample)
-    _, skipped = sgd(model, pair_table, batches(), config, after_step)
     return StudentResult(model=model, log=tuple(log), skipped=skipped)
 
 

@@ -64,7 +64,7 @@ import hashlib
 import itertools
 import json
 import operator
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -113,17 +113,6 @@ class ModelConfig:
             raise ValueError("learning_rate and clip_norm must be positive")
 
 
-@dataclass(frozen=True)
-class EmissionMatrix:
-    """Per-frame log-probabilities over the target vocabulary (incl. blank)."""
-
-    log_probs: np.ndarray  # (T, V) float64, rows log-sum-exp to 0
-
-    @property
-    def frames(self) -> int:
-        return self.log_probs.shape[0]
-
-
 def collapse(frames) -> Sentence:
     """CTC collapse: merge adjacent duplicate frames, then drop blanks.
 
@@ -142,15 +131,9 @@ def collapse(frames) -> Sentence:
 
 
 @dataclass(frozen=True)
-class FramePath:
-    frames: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class GreedyDecode:
-    path: FramePath
+    frames: tuple[int, ...]
     output: Sentence
-    is_empty: bool
 
 
 def param_shapes(config: ModelConfig, src_vocab_size: int, tgt_vocab_size: int) -> dict[str, tuple[int, ...]]:
@@ -169,18 +152,17 @@ def param_shapes(config: ModelConfig, src_vocab_size: int, tgt_vocab_size: int) 
     }
 
 
+@dataclass(frozen=True, eq=False)
 class NatModel:
-    """Parameter container; forward passes are pure functions of it."""
+    """Parameter container; forward passes are pure functions of it. Two
+    models are equal only if they are the same object."""
 
-    def __init__(self, config: ModelConfig, params: dict[str, np.ndarray],
-                 src_vocab_size: int, tgt_vocab_size: int,
-                 src_vocab_hash: str, tgt_vocab_hash: str):
-        self.config = config
-        self.params = params
-        self.src_vocab_size = src_vocab_size
-        self.tgt_vocab_size = tgt_vocab_size
-        self.src_vocab_hash = src_vocab_hash
-        self.tgt_vocab_hash = tgt_vocab_hash
+    config: ModelConfig
+    params: dict[str, np.ndarray]
+    src_vocab_size: int
+    tgt_vocab_size: int
+    src_vocab_hash: str
+    tgt_vocab_hash: str
 
     @classmethod
     def initialize(cls, config: ModelConfig, src_vocab: Vocabulary, tgt_vocab: Vocabulary) -> "NatModel":
@@ -199,14 +181,7 @@ class NatModel:
         return cls(config, params, vs, vt, src_vocab.content_hash(), tgt_vocab.content_hash())
 
     def copy(self) -> "NatModel":
-        return NatModel(
-            self.config,
-            {k: v.copy() for k, v in self.params.items()},
-            self.src_vocab_size,
-            self.tgt_vocab_size,
-            self.src_vocab_hash,
-            self.tgt_vocab_hash,
-        )
+        return replace(self, params={k: v.copy() for k, v in self.params.items()})
 
 
 def _padded(seqs: list[Sentence], lengths: np.ndarray, fill: int) -> np.ndarray:
@@ -274,12 +249,13 @@ def _forward_packed(model: NatModel, sources: list[Sentence], frames: np.ndarray
     }
 
 
-def forward(model: NatModel, source: Sentence) -> EmissionMatrix:
-    """Emission lattice for a source sentence, T = upsample * |source|."""
+def forward(model: NatModel, source: Sentence) -> np.ndarray:
+    """(T, V) log-probabilities over the target vocabulary (incl. blank)
+    for a source sentence, T = upsample * |source|; each row log-sum-exps
+    to 0."""
     t_frames = model.config.upsample * len(source)
     _check_decoder_input(source, t_frames)
-    cache = _forward_packed(model, [source], np.array([t_frames]))
-    return EmissionMatrix(log_probs=cache["logp"])
+    return _forward_packed(model, [source], np.array([t_frames]))["logp"]
 
 
 def _tanh_backward(dout: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -290,10 +266,15 @@ def _tanh_backward(dout: np.ndarray, out: np.ndarray) -> np.ndarray:
     return dout
 
 
-def _check_decoder_input(source: Sentence, frames: int) -> None:
-    """The decoder needs a nonempty source and at least one frame."""
+def _check_source(source: Sentence) -> None:
+    """The decoder needs a nonempty source."""
     if len(source) == 0:
         raise ValueError("cannot run the decoder on an empty source")
+
+
+def _check_decoder_input(source: Sentence, frames: int) -> None:
+    """The decoder needs a nonempty source and at least one frame."""
+    _check_source(source)
     if frames < 1:
         raise ValueError(f"frame count must be >= 1, got {frames}")
 
@@ -357,19 +338,16 @@ def _check_feasible(n_frames: int, target: Sentence) -> None:
         )
 
 
-def _unwrap(emissions) -> np.ndarray:
-    return emissions.log_probs if isinstance(emissions, EmissionMatrix) else np.asarray(emissions, dtype=np.float64)
-
-
 def ctc_loss_and_grad(emissions, target: Sentence) -> tuple[float, np.ndarray]:
-    """Forward/backward over the extended sequence.
+    """Forward/backward over the extended sequence of a (T, V) lattice of
+    log-probabilities (any array-like).
 
     Returns the loss -log p(target | emissions) and its gradient with
     respect to each log-probability entry (same shape as the lattice).
     The gradient at (t, v) is minus the posterior probability that frame
     t emits v on a path collapsing to the target.
     """
-    e = _unwrap(emissions)
+    e = np.asarray(emissions, dtype=np.float64)
     target = tuple(target)
     _check_feasible(e.shape[0], target)
     losses, grad = _ctc_packed(e, np.array([e.shape[0]]), [target])
@@ -542,28 +520,28 @@ def _viterbi_packed(logp: np.ndarray, frames: np.ndarray,
     return labels[np.arange(t_max) < frames[:, None]], found
 
 
-def viterbi_align(emissions, target: Sentence) -> FramePath:
-    """Highest-log-probability frame path whose collapse equals the target.
+def viterbi_align(emissions, target: Sentence) -> tuple[int, ...]:
+    """Labels of the highest-log-probability frame path through a (T, V)
+    lattice (any array-like) whose collapse equals the target.
 
     ``_viterbi_packed`` at B = 1. Ties prefer the smaller extended-state
     index at every choice, which places blanks at the earliest possible
     frames; the rule is deterministic.
     """
-    e = _unwrap(emissions)
+    e = np.asarray(emissions, dtype=np.float64)
     target = tuple(target)
     _check_feasible(e.shape[0], target)
     labels, found = _viterbi_packed(e, np.array([e.shape[0]]), [target])
     if not found[0]:
         raise CtcInfeasibleError("no feasible alignment despite frame-count check")
-    return FramePath(frames=tuple(labels.tolist()))
+    return tuple(labels.tolist())
 
 
-def decode_greedy(emissions) -> GreedyDecode:
-    """Per-frame argmax and its collapse; argmax ties go to the lowest id."""
-    e = _unwrap(emissions)
-    frame_labels = tuple(int(v) for v in np.argmax(e, axis=1))
-    out = collapse(frame_labels)
-    return GreedyDecode(path=FramePath(frames=frame_labels), output=out, is_empty=len(out) == 0)
+def decode_greedy(emissions: np.ndarray) -> GreedyDecode:
+    """Per-frame argmax of a (T, V) lattice and its collapse; argmax ties
+    go to the lowest id."""
+    frames = tuple(np.argmax(emissions, axis=1).tolist())
+    return GreedyDecode(frames=frames, output=collapse(frames))
 
 
 def _positional_packed(model: NatModel, sources: list[Sentence], lengths: np.ndarray) -> np.ndarray:
@@ -598,8 +576,7 @@ class TrainResult:
 def sentence_loss_and_grads(model: NatModel, source: Sentence, target: Sentence):
     """CTC loss of one pair plus parameter gradients: the grouped training
     path at B = 1, kept as the per-pair reference."""
-    if len(source) == 0:
-        raise ValueError("cannot run the decoder on an empty source")
+    _check_source(source)
     cache = _forward_packed(model, [source], np.array([model.config.upsample * len(source)]))
     loss, dlogp = ctc_loss_and_grad(cache["logp"], target)
     return loss, _backprop_packed(model, cache, dlogp)
@@ -621,8 +598,7 @@ class PairTable:
     def of(cls, pairs: list[tuple[Sentence, Sentence]], upsample: int) -> "PairTable":
         """ValueError for an empty source or target."""
         for source, target in pairs:
-            if len(source) == 0:
-                raise ValueError("cannot run the decoder on an empty source")
+            _check_source(source)
             if len(target) == 0:
                 raise ValueError("target must be nonempty")
         frames = upsample * np.array([len(source) for source, _ in pairs], dtype=np.int64)
@@ -696,70 +672,64 @@ def batch_step(model: NatModel, slots: np.ndarray, table: PairTable,
     return float(losses[kept].sum()) / counted, skipped
 
 
-def sgd(model: NatModel, table: PairTable, batches, config: ModelConfig, after_step) -> tuple[int, int]:
+def sgd(model: NatModel, table: PairTable, batches, config: ModelConfig):
     """The SGD loop of the evaluator and the student: one ``batch_step`` on
-    each array of ``table`` slots that ``batches`` yields, then
-    ``after_step(slots, loss, skipped, updates)`` with that step's result
-    and the number of updates made so far. Returns (updates, skipped
-    pairs). TrainingError if no update happened, because every pair drawn
-    was infeasible."""
-    updates = skipped_total = 0
+    each array of ``table`` slots that ``batches`` yields, yielding that
+    step's (slots, loss, skipped) as it goes; loss is None where every
+    pair of the batch was infeasible and no update happened. Raises
+    TrainingError when ``batches`` runs out if no step made an update."""
+    updated = False
     for slots in batches:
         loss, skipped = batch_step(model, slots, table, config.learning_rate, config.clip_norm)
-        skipped_total += skipped
-        updates += loss is not None
-        after_step(slots, loss, skipped, updates)
-    if updates == 0:
+        updated |= loss is not None
+        yield slots, loss, skipped
+    if not updated:
         raise TrainingError("no update happened: every pair drawn was infeasible")
-    return updates, skipped_total
 
 
 def train(pairs: list[tuple[Sentence, Sentence]], config: ModelConfig,
           src_vocab: Vocabulary, tgt_vocab: Vocabulary,
           snapshot_at: int | None = None,
           progress=None) -> TrainResult:
-    """Mini-batch SGD on the mean CTC loss: ``sgd`` over the table of
-    ``pairs``, walked in an order the seeded portable shuffle permutes in
-    place each epoch, so a seed fixes the whole trajectory. Pairs whose
-    target cannot fit the frame count are skipped and counted; a run with
-    no update stops after its first epoch and raises TrainingError.
-    ``snapshot_at`` captures a copy of the parameters after that many
-    optimizer updates (for warm-starting students).
+    """Mini-batch SGD on the mean CTC loss: one ``sgd`` pass per epoch over
+    the table of ``pairs``, walked in an order the seeded portable shuffle
+    permutes in place each epoch, so a seed fixes the whole trajectory.
+    Pairs whose target cannot fit the frame count are skipped and counted.
+    Every epoch visits every pair, so a run with no feasible pair stops in
+    its first epoch with TrainingError. ``snapshot_at`` captures a copy of
+    the parameters after that many optimizer updates (for warm-starting
+    students); ``progress(epoch, loss)`` follows each epoch.
     """
     if not pairs:
         raise TrainingError("empty training set")
     model = NatModel.initialize(config, src_vocab, tgt_vocab)
+    table = PairTable.of(pairs, config.upsample)
+    rng = Rng(config.seed ^ 0x5E1ECD)
+    order = list(range(len(pairs)))
     epoch_losses: list[float] = []
-    loss_sum, counted, snapshot = 0.0, 0, None
-
-    def batches():
-        nonlocal loss_sum, counted
-        rng = Rng(config.seed ^ 0x5E1ECD)
-        order = list(range(len(pairs)))
-        for epoch in range(config.epochs):
-            rng.shuffle(order)
-            loss_sum, counted = 0.0, 0
-            for start in range(0, len(order), config.batch_size):
-                yield np.array(order[start:start + config.batch_size])
-            if not counted:
-                return  # every epoch visits every pair, so none is feasible; sgd fails the run
-            epoch_losses.append(loss_sum / counted)
-            if progress is not None:
-                progress(epoch, epoch_losses[-1])
-
-    def after_step(slots, loss, skipped, updates):
-        nonlocal loss_sum, counted, snapshot
-        if loss is not None:
+    updates = skipped_total = 0
+    snapshot = None
+    for epoch in range(config.epochs):
+        rng.shuffle(order)
+        batches = (np.array(order[start:start + config.batch_size])
+                   for start in range(0, len(order), config.batch_size))
+        loss_sum, counted = 0.0, 0
+        for slots, loss, skipped in sgd(model, table, batches, config):
+            skipped_total += skipped
+            if loss is None:
+                continue
             loss_sum += loss * (len(slots) - skipped)
             counted += len(slots) - skipped
+            updates += 1
             if updates == snapshot_at:
                 snapshot = model.copy()
-
-    updates, skipped = sgd(model, PairTable.of(pairs, config.upsample), batches(), config, after_step)
+        epoch_losses.append(loss_sum / counted)  # sgd raised if no step updated
+        if progress is not None:
+            progress(epoch, epoch_losses[-1])
     if snapshot_at is not None and snapshot is None:
         snapshot = model.copy()  # fewer total updates than requested
     return TrainResult(model=model, epoch_losses=tuple(epoch_losses),
-                       skipped=skipped, updates=updates, snapshot=snapshot)
+                       skipped=skipped_total, updates=updates, snapshot=snapshot)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .corpus import Corpus, CorpusFormatError, Sentence, TriExample, Vocabulary
+from .corpus import Corpus, CorpusFormatError, Sentence, TriExample, Vocabulary, read_utf8
 from .rng import Rng
 
 MISTAKE_KINDS = ("repeat-token", "synonym-swap")
@@ -191,18 +191,21 @@ def write_sidecar(sc: SynthCorpus, path: str) -> None:
 
 
 def read_sidecar(path: str) -> tuple[tuple[int, ...], tuple[bool, ...]]:
-    """Parse a ``write_sidecar`` file; a line without three integer fields
-    raises ``CorpusFormatError`` naming ``path:line``."""
+    """Parse a ``write_sidecar`` file; a line without three integer fields,
+    or bytes that are not UTF-8, raise ``CorpusFormatError`` naming
+    ``path:line``."""
+    lines = read_utf8(path, CorpusFormatError).split("\n")
+    if lines[-1] == "":  # the final newline
+        lines.pop()
     modes, mistakes = [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 3:
-                raise CorpusFormatError(f"{path}:{lineno}: expected 3 columns, got {len(parts)}")
-            try:
-                _, mode, mistake = (int(x) for x in parts)
-            except ValueError as exc:
-                raise CorpusFormatError(f"{path}:{lineno}: {exc}") from exc
-            modes.append(mode)
-            mistakes.append(bool(mistake))
+    for lineno, line in enumerate(lines, start=1):
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise CorpusFormatError(f"{path}:{lineno}: expected 3 columns, got {len(parts)}")
+        try:
+            _, mode, mistake = (int(x) for x in parts)
+        except ValueError as exc:
+            raise CorpusFormatError(f"{path}:{lineno}: {exc}") from exc
+        modes.append(mode)
+        mistakes.append(bool(mistake))
     return tuple(modes), tuple(mistakes)

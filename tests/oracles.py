@@ -392,14 +392,14 @@ def ctc_loss(emissions, target) -> float:
 
 def frame_path_logprob(emissions, path) -> float:
     """Sum of the log-probabilities a frame path reads."""
-    e = np.asarray(getattr(emissions, "log_probs", emissions), dtype=np.float64)
-    return float(sum(e[t, f] for t, f in enumerate(path.frames)))
+    e = np.asarray(emissions, dtype=np.float64)
+    return float(sum(e[t, f] for t, f in enumerate(path)))
 
 
 def validate_emissions(emissions, tol: float = 1e-9) -> None:
-    """ValueError unless every entry of the ``EmissionMatrix`` is finite
-    and every row log-sum-exps to 0 within ``tol``."""
-    e = emissions.log_probs
+    """ValueError unless every entry of the (T, V) lattice is finite and
+    every row log-sum-exps to 0 within ``tol``."""
+    e = np.asarray(emissions, dtype=np.float64)
     if not np.all(np.isfinite(e)):
         raise ValueError("emission matrix contains non-finite entries")
     top = e.max(axis=1)

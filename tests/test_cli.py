@@ -302,11 +302,14 @@ def test_format_error_exit_code_and_incomplete_marker(tmp_path):
     assert not (out / "checkpoint.txt").exists()
 
 
-@pytest.mark.parametrize("kind", ["bitext", "scores", "checkpoint"])
+@pytest.mark.parametrize("kind", ["bitext", "scores", "checkpoint", "report"])
 def test_invalid_utf8_input_is_format_error(tmp_path, synth_dir, capsys, kind):
-    bad = tmp_path / "bad.txt"
+    bad = tmp_path / ("run/metrics/report.tsv" if kind == "report" else "bad.txt")
+    bad.parent.mkdir(parents=True, exist_ok=True)
     bad.write_bytes(b"a b\n\xff\xfe c\n")
-    if kind == "bitext":
+    if kind == "report":
+        argv = ["report", "--run", str(tmp_path / "run")]
+    elif kind == "bitext":
         argv = ["train-evaluator", "--src", str(bad), "--raw", str(synth_dir / "raw.txt"),
                 "--kd", str(synth_dir / "kd.txt"), *FAST_MODEL]
     elif kind == "scores":
@@ -616,6 +619,17 @@ def test_metrics_rejects_ignored_or_missing_flags(tmp_path, synth_dir, case):
                  "--align-iterations", "1"])
     assert code == EXIT_CONFIG
     assert not out.exists()
+
+
+def test_report_on_empty_score_table_leaves_out_quantiles(tmp_path):
+    run = tmp_path / "run"
+    (run / "scores").mkdir(parents=True)
+    (run / "scores" / "scores.tsv").write_text("")
+    out = tmp_path / "rep"
+    assert main(["report", "--out", str(out), "--run", str(run)]) == EXIT_OK
+    summary = (out / "summary.txt").read_text()
+    assert "[scores] INCOMPLETE" in summary
+    assert "quantiles" not in summary
 
 
 def test_report_requires_run_dir(tmp_path):

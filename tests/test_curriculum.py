@@ -43,7 +43,7 @@ def test_threshold_endpoints_and_midpoint():
 @pytest.mark.parametrize("total", [1, 7, 10, 300000])
 @pytest.mark.parametrize("t", [0.0, 0.55, 1.01])
 def test_threshold_fixed_mode(t, total):
-    sched = ThresholdSchedule.fixed(t, total_updates=total)
+    sched = ThresholdSchedule(t, t, total)
     assert (sched.start, sched.end, sched.total_updates) == (t, t, total)
     assert all(threshold_at(sched, k) == t for k in range(total + 1))
 
@@ -65,7 +65,7 @@ def test_schedule_validation():
         ThresholdSchedule(start=-0.1, end=1.0, total_updates=10)
     with pytest.raises(ScheduleError):
         ThresholdSchedule(start=0.2, end=1.02, total_updates=10)
-    ThresholdSchedule.fixed(1.01, total_updates=5)  # the deselect-all sentinel is legal
+    ThresholdSchedule(1.01, 1.01, 5)  # the deselect-all sentinel is legal
 
 
 @given(st.integers(min_value=1, max_value=1000), st.data())
@@ -165,7 +165,7 @@ def test_exposure_below_start_is_zero():
 
 
 def test_exposure_fixed_schedule_step():
-    sched = ThresholdSchedule.fixed(0.5, total_updates=10)
+    sched = ThresholdSchedule(0.5, 0.5, 10)
     assert exposure_period(0.5, sched) == 1.0
     assert exposure_period(0.49, sched) == 0.0
 
@@ -198,9 +198,9 @@ def test_student_fixed_sentinel_equals_training_on_distilled():
     kd_as_raw = replace_side(corpus, raw_from_distilled=True)
     table = table_from_scores([0.5, 0.5, 0.5, 0.5])
     updates = 12
-    r_sentinel = train_student(corpus, table, ThresholdSchedule.fixed(1.01, updates),
+    r_sentinel = train_student(corpus, table, ThresholdSchedule(1.01, 1.01, updates),
                                student_config())
-    r_kd = train_student(kd_as_raw, table, ThresholdSchedule.fixed(0.0, updates),
+    r_kd = train_student(kd_as_raw, table, ThresholdSchedule(0.0, 0.0, updates),
                          student_config())
     assert [row.loss for row in r_sentinel.log] == [row.loss for row in r_kd.log]
     for name in r_sentinel.model.params:
@@ -216,9 +216,9 @@ def test_student_fixed_zero_equals_training_on_raw():
     raw_only = replace_side(corpus, raw_from_distilled=False)
     table = table_from_scores([0.7, 0.2])
     updates = 8
-    r_zero = train_student(corpus, table, ThresholdSchedule.fixed(0.0, updates),
+    r_zero = train_student(corpus, table, ThresholdSchedule(0.0, 0.0, updates),
                            student_config())
-    r_raw = train_student(raw_only, table, ThresholdSchedule.fixed(1.01, updates),
+    r_raw = train_student(raw_only, table, ThresholdSchedule(1.01, 1.01, updates),
                           student_config())
     assert [row.loss for row in r_zero.log] == [row.loss for row in r_raw.log]
 
@@ -267,7 +267,7 @@ def test_student_init_model_used():
 def test_student_init_architecture_mismatch_rejected():
     corpus = two_target_corpus(2)
     table = table_from_scores([0.5, 0.5])
-    sched = ThresholdSchedule.fixed(0.5, 4)
+    sched = ThresholdSchedule(0.5, 0.5, 4)
     from selkd.nat import NatModel, TrainingError
 
     other_cfg = ModelConfig(embed_dim=4, hidden_dim=8, upsample=2, window=1,
@@ -281,7 +281,7 @@ def test_student_init_wrong_vocab_rejected():
     corpus = two_target_corpus(2)
     other = make_corpus([("zz", "qq", "ww")])
     table = table_from_scores([0.5, 0.5])
-    sched = ThresholdSchedule.fixed(0.5, 4)
+    sched = ThresholdSchedule(0.5, 0.5, 4)
     from selkd.nat import NatModel, TrainingError
 
     wrong = NatModel.initialize(student_config(), other.src_vocab, other.tgt_vocab)
@@ -296,7 +296,7 @@ def test_student_without_any_update_raises():
     from selkd.nat import TrainingError
 
     with pytest.raises(TrainingError, match="no update happened"):
-        train_student(corpus, table_from_scores([0.5, 0.5]), ThresholdSchedule.fixed(1.01, 5),
+        train_student(corpus, table_from_scores([0.5, 0.5]), ThresholdSchedule(1.01, 1.01, 5),
                       student_config())
 
 

@@ -5,7 +5,6 @@ from selkd import nat
 from selkd.corpus import BLANK_ID, Vocabulary
 from selkd.nat import (
     CheckpointError,
-    EmissionMatrix,
     ModelConfig,
     NatModel,
     PairTable,
@@ -44,15 +43,14 @@ def tiny_model():
 def test_forward_shape_and_normalization(tiny_model):
     model, _, tgt = tiny_model
     em = forward(model, (2, 3, 4))
-    assert em.frames == 6
-    assert em.log_probs.shape == (6, len(tgt))
+    assert em.shape == (6, len(tgt))
     validate_emissions(em, tol=1e-9)
 
 
 def test_forward_is_deterministic(tiny_model):
     model, _, _ = tiny_model
-    a = forward(model, (2, 3, 4, 5)).log_probs
-    b = forward(model, (2, 3, 4, 5)).log_probs
+    a = forward(model, (2, 3, 4, 5))
+    b = forward(model, (2, 3, 4, 5))
     np.testing.assert_array_equal(a, b)
 
 
@@ -62,16 +60,16 @@ def test_frames_outside_window_ignore_distant_tokens(tiny_model):
     model, _, _ = tiny_model
     x1 = (2, 3, 4, 5, 6, 7)
     x2 = (2, 3, 7, 6, 5, 4)
-    a = forward(model, x1).log_probs
-    b = forward(model, x2).log_probs
+    a = forward(model, x1)
+    b = forward(model, x2)
     np.testing.assert_array_equal(a[0], b[0])
     np.testing.assert_array_equal(a[1], b[1])  # frame 1 also reads {0, 1}
 
 
 def test_unknown_source_ids_fall_back_to_unk(tiny_model):
     model, _, _ = tiny_model
-    a = forward(model, (2, 999)).log_probs
-    b = forward(model, (2, 1)).log_probs
+    a = forward(model, (2, 999))
+    b = forward(model, (2, 1))
     np.testing.assert_array_equal(a, b)
 
 
@@ -81,24 +79,23 @@ def test_decode_greedy_collapse_rule():
     for t, tok in enumerate((a, a, BLANK_ID, b)):
         rows[t, tok] = 0.0
     res = decode_greedy(rows)
-    assert res.path.frames == (a, a, BLANK_ID, b)
+    assert res.frames == (a, a, BLANK_ID, b)
     assert res.output == (a, b)
-    assert not res.is_empty
 
 
 def test_decode_greedy_all_blank_flags_empty():
     rows = np.full((3, 3), -10.0)
     rows[:, BLANK_ID] = 0.0
     res = decode_greedy(rows)
+    assert res.frames == (BLANK_ID,) * 3
     assert res.output == ()
-    assert res.is_empty
 
 
 def test_decode_greedy_matches_recomputed_argmax(np_rng):
     e = random_lattice(np_rng, 9, 5)
     res = decode_greedy(e)
     expect = tuple(int(np.argmax(e[t])) for t in range(9))
-    assert res.path.frames == expect
+    assert res.frames == expect
     from selkd.nat import collapse
 
     assert res.output == collapse(expect)
@@ -172,6 +169,61 @@ def test_train_snapshot_taken_at_requested_update():
         not np.array_equal(result.snapshot.params[n], result.model.params[n])
         for n in result.model.params
     )
+
+
+def record_steps(monkeypatch) -> list:
+    """Make ``nat.batch_step`` append (slots, loss, skipped, parameters
+    after the step) to the returned list for every step it runs."""
+    steps = []
+    real = nat.batch_step
+
+    def recording(model, slots, table, learning_rate, clip_norm):
+        loss, skipped = real(model, slots, table, learning_rate, clip_norm)
+        steps.append((slots.copy(), loss, skipped, {n: p.copy() for n, p in model.params.items()}))
+        return loss, skipped
+
+    monkeypatch.setattr(nat, "batch_step", recording)
+    return steps
+
+
+def test_train_bookkeeping_follows_the_steps(monkeypatch):
+    # Three of seven pairs are infeasible, so some steps skip pairs and
+    # some skip their whole batch.
+    src = vocab_of([f"s{i}" for i in range(4)])
+    tgt = vocab_of([f"t{i}" for i in range(4)])
+    pairs = [((2, 3), (2, 3)), ((2,), (2, 3, 4)), ((3, 2), (3, 2)), ((3,), (4, 5, 3)),
+             ((4, 5), (4, 5)), ((5,), (2, 2)), ((4,), (5,))]
+    cfg = ModelConfig(embed_dim=6, hidden_dim=8, epochs=3, batch_size=2, seed=3)
+    steps = record_steps(monkeypatch)
+    result = train(pairs, cfg, src, tgt, snapshot_at=2)
+    per_epoch = -(-len(pairs) // cfg.batch_size)
+    assert len(steps) == cfg.epochs * per_epoch
+    assert any(loss is None for _, loss, _, _ in steps)
+    assert any(loss is not None and 0 < skipped for _, loss, skipped, _ in steps)
+    for epoch, epoch_loss in enumerate(result.epoch_losses):
+        counted = [(loss, len(slots) - skipped)
+                   for slots, loss, skipped, _ in steps[epoch * per_epoch:(epoch + 1) * per_epoch]
+                   if loss is not None]
+        assert epoch_loss == pytest.approx(sum(loss * n for loss, n in counted)
+                                           / sum(n for _, n in counted), rel=1e-12)
+    assert len(result.epoch_losses) == cfg.epochs
+    assert result.updates == sum(loss is not None for _, loss, _, _ in steps)
+    assert result.skipped == sum(skipped for _, _, skipped, _ in steps)
+    second_update = [params for _, loss, _, params in steps if loss is not None][1]
+    for name, value in second_update.items():
+        np.testing.assert_array_equal(result.snapshot.params[name], value, err_msg=name)
+
+
+def test_train_without_feasible_pair_stops_after_one_epoch(monkeypatch):
+    src = vocab_of(["s0"])
+    tgt = vocab_of(["t0", "t1", "t2"])
+    pairs = [((2,), (2, 3, 4))] * 5
+    cfg = ModelConfig(embed_dim=4, hidden_dim=4, epochs=3, batch_size=2, seed=0)
+    steps = record_steps(monkeypatch)
+    with pytest.raises(TrainingError, match="no update happened"):
+        train(pairs, cfg, src, tgt)
+    assert len(steps) == 3  # ceil(5 / 2): the first epoch only
+    assert all(loss is None for _, loss, _, _ in steps)
 
 
 def test_length_groups_sort_ties_in_batch_order():
@@ -290,7 +342,7 @@ def test_checkpoint_rejects_garbage(tmp_path):
 
 
 def test_emission_matrix_validate_catches_bad_rows():
-    bad = EmissionMatrix(log_probs=np.zeros((2, 3)))
+    bad = np.zeros((2, 3))
     with pytest.raises(ValueError):
         validate_emissions(bad)
 

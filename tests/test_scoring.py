@@ -184,11 +184,11 @@ def test_unknown_variant_rejected(memorized_setup):
 
 def _ctc_record_alone(model, index, source, reference, normalize_by_reference=False):
     em = forward(model, source)
-    frames = em.frames
+    frames = len(em)
     if min_frames(reference) > frames:
         return ScoreRecord(index, 0.0, frames, len(reference), frames, infeasible=True)
-    aligned = viterbi_align(em, reference).frames
-    distance = sum(1 for a, g in zip(aligned, np.argmax(em.log_probs, axis=1)) if a != g)
+    aligned = viterbi_align(em, reference)
+    distance = sum(1 for a, g in zip(aligned, np.argmax(em, axis=1)) if a != g)
     denom = len(reference) if normalize_by_reference else frames
     return ScoreRecord(index, min(1.0, max(0.0, 1.0 - distance / denom)), distance,
                        len(reference), frames)

@@ -1,9 +1,11 @@
 """Static checks over the package source, with the standard library only."""
 
 import ast
+import importlib
 import pathlib
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "selkd"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "selkd"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -35,3 +37,15 @@ def test_package_has_no_unused_import():
              for path in sorted(SRC.glob("*.py"))}
     assert len(found) >= 10
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_benchmark_traced_functions_exist():
+    # perfbench/tracing.py skips a traced name that no longer exists, so a
+    # rename would silently drop its per-layer metrics.
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text(encoding="utf-8"))
+    traced = next(ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+                  and [target.id for target in node.targets if isinstance(target, ast.Name)] == ["TRACED"])
+    assert "decode_positional" in traced["nat"]
+    missing = [f"selkd.{module}.{name}" for module, names in traced.items() for name in names
+               if not callable(getattr(importlib.import_module(f"selkd.{module}"), name, None))]
+    assert missing == []

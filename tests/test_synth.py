@@ -140,13 +140,14 @@ def test_sidecar_round_trip(tmp_path):
 
 
 @pytest.mark.parametrize("body,lineno", [
-    ("0\t1\t0\n1\t0\n", 2),
-    ("0\tx\t0\n", 1),
-    ("0\t1\t0\n1\t0\t0.5\n", 2),
-], ids=["two-columns", "non-integer-mode", "non-integer-mistake"])
+    (b"0\t1\t0\n1\t0\n", 2),
+    (b"0\tx\t0\n", 1),
+    (b"0\t1\t0\n1\t0\t0.5\n", 2),
+    (b"0\t1\t0\n1\t\xff\t0\n", 2),
+], ids=["two-columns", "non-integer-mode", "non-integer-mistake", "not-utf8"])
 def test_read_sidecar_rejects_malformed_line(tmp_path, body, lineno):
     path = tmp_path / "modes.tsv"
-    path.write_text(body)
+    path.write_bytes(body)
     with pytest.raises(CorpusFormatError, match=f"^{re.escape(str(path))}:{lineno}: ") as info:
         read_sidecar(str(path))
     # the CLI reports it as a format error (exit 5)
