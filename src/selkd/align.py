@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .corpus import Sentence
+from .corpus import Sentence, write_lines
 
 NULL_LINK = 0  # per-target link value meaning "aligned to nothing"
 NULL_TOKEN = -1  # row of the NULL source word in the lexical table (the last row)
@@ -188,8 +188,5 @@ def align_pair(model: AlignmentModel, src: Sentence, tgt: Sentence) -> Alignment
 def write_pharaoh(links_per_pair: list[AlignmentLinks], path: str) -> None:
     """Pharaoh dump: "i-j" pairs, 0-based, one line per sentence, NULL
     links omitted."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for links in links_per_pair:
-            cells = [f"{i - 1}-{j}" for j, i in enumerate(links) if i != NULL_LINK]
-            fh.write(" ".join(cells))
-            fh.write("\n")
+    write_lines(path, (" ".join(f"{i - 1}-{j}" for j, i in enumerate(links) if i != NULL_LINK)
+                       for links in links_per_pair))

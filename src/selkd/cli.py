@@ -72,8 +72,7 @@ def _read_manifest(path: str) -> dict:
     """Parse a stage manifest: a JSON object whose ``outputs``, if
     present, maps file names to sha256 digests."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
+        manifest = json.loads(corpus_mod.read_utf8(path, ValueError))
     except (OSError, ValueError) as exc:
         raise StageError(f"unreadable manifest {path}: {exc}", EXIT_FORMAT) from exc
     outputs = manifest.get("outputs", {}) if isinstance(manifest, dict) else None
@@ -110,8 +109,8 @@ class Stage:
         for p in [*self.outputs, os.path.join(self.out_dir, "manifest.json")]:
             if os.path.exists(p):
                 os.remove(p)
-        with open(os.path.join(self.out_dir, "INCOMPLETE"), "w", encoding="utf-8") as fh:
-            fh.write(f"{self.subcommand} failed: {exc}\n")
+        marker = os.path.join(self.out_dir, "INCOMPLETE")
+        corpus_mod.write_lines(marker, [f"{self.subcommand} failed: {exc}"])
 
     def input(self, *paths: str | None) -> None:
         """Record each file the stage reads, skipping ``None``. The file
@@ -145,10 +144,8 @@ class Stage:
             "inputs": {p: _sha256(p) for p in self.inputs},
             "outputs": {os.path.basename(p): _sha256(p) for p in self.outputs},
         }
-        with open(os.path.join(self.out_dir, "manifest.json"), "w", encoding="utf-8",
-                  newline="\n") as fh:
-            json.dump(manifest, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        text = json.dumps(manifest, sort_keys=True, indent=2, allow_nan=False)
+        corpus_mod.write_lines(os.path.join(self.out_dir, "manifest.json"), text.split("\n"))
 
 
 def _load_corpus_args(stage: Stage, args) -> corpus_mod.Corpus:
@@ -213,8 +210,8 @@ def run_train_evaluator(args) -> int:
         nat.save_checkpoint(result.model, stage.path("checkpoint.txt"))
         if args.snapshot_updates is not None:
             nat.save_checkpoint(result.snapshot, stage.path("snapshot.txt"))
-        with open(stage.path("train_log.tsv"), "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(f"{epoch}\t{loss:.6f}\n" for epoch, loss in enumerate(result.epoch_losses))
+        corpus_mod.write_lines(stage.path("train_log.tsv"),
+                               (f"{epoch}\t{loss:.6f}" for epoch, loss in enumerate(result.epoch_losses)))
         stage.finish(config={"model": config.__dict__, "target_side": args.target_side,
                              "snapshot_updates": args.snapshot_updates,
                              "skipped_pairs": result.skipped, "updates": result.updates})
@@ -350,14 +347,12 @@ def run_metrics(args) -> int:
                 except metrics_mod.MetricsError:
                     rep = None  # not enough data at this threshold; report a hole
                 rows.append(_report_row(label, t, ratio, rep))
-        with open(stage.path("report.tsv"), "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(rows) + "\n")
+        corpus_mod.write_lines(stage.path("report.tsv"), rows)
 
         if table is not None:
             # Exposure depends on the endpoints only, so one update suffices.
             schedule = cur.ThresholdSchedule(start=args.t0, end=args.t1, total_updates=1)
-            with open(stage.path("buckets.tsv"), "w", encoding="utf-8", newline="\n") as fh:
-                fh.write("\n".join(metrics_mod.bucket_table(table, schedule)) + "\n")
+            corpus_mod.write_lines(stage.path("buckets.tsv"), metrics_mod.bucket_table(table, schedule))
 
         if args.dump_links:
             align_mod.write_pharaoh(raw_links, stage.path("links.txt"))
@@ -411,10 +406,8 @@ def run_report(args) -> int:
             stage.input(report_path)
             lines.append("")
             lines.append("metrics report:")
-            text = corpus_mod.read_utf8(report_path, metrics_mod.MetricsError)
-            lines.extend("  " + ln for ln in text.splitlines())
-        with open(stage.path("summary.txt"), "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+            lines.extend("  " + ln for ln in corpus_mod.read_lines(report_path, metrics_mod.MetricsError))
+        corpus_mod.write_lines(stage.path("summary.txt"), lines)
         stage.finish(config={"run": run_dir})
         return EXIT_OK
 
@@ -424,9 +417,11 @@ def _stage_args(args, out: str, **overrides) -> argparse.Namespace:
 
 
 def run_full(args) -> int:
-    """Chain every stage under one output directory. The aligner flags and
-    the schedule are checked first, so bad ones fail before any stage runs."""
+    """Chain every stage under one output directory. The aligner flags, the
+    model config and the schedule are checked first, so bad ones fail
+    before any stage runs."""
     align_mod.check_em_params(args.align_iterations, args.tension, args.null_prob)
+    _model_config(args)
     schedule = _schedule(args)
     out = args.out
     run_synth(_stage_args(args, os.path.join(out, "synth")))
@@ -584,7 +579,6 @@ _ERROR_CODES = (
     ((corpus_mod.CorpusFormatError, corpus_mod.VocabularyMismatchError,
       scoring.ScoringError, cur.SelectionError, align_mod.AlignmentError,
       metrics_mod.MetricsError, nat.CheckpointError), EXIT_FORMAT),
-    (UnicodeDecodeError, EXIT_FORMAT),  # a ValueError, but a fault of the input file
     (ValueError, EXIT_CONFIG),
 )
 

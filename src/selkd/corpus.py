@@ -1,12 +1,15 @@
-"""Tokenized parallel corpora with raw and distilled target sides.
+"""Tokenized parallel corpora, and the one text-file layout of every
+selkd artifact: ``write_lines``, ``read_lines`` and ``read_rows`` (or
+``read_utf8`` for a manifest) write and read UTF-8, one record per line,
+each ended by LF. On reading, CR and CRLF also end a line, and bytes
+that are not UTF-8 raise the caller's error naming ``path:line``.
 
-File format: UTF-8 text, LF line endings, one sentence per line, tokens
-separated by single spaces. A training unit joins one line from each of
-three parallel files: source, raw target, distilled target. Tokens are
-opaque strings; any upstream segmentation (words, subwords) passes
-through unchanged. On reading, only the ASCII whitespace ``str.split()``
-uses separates tokens, so a U+00A0 or other Unicode space stays inside
-its token.
+Bitext format: one sentence per line, tokens separated by single
+spaces. A training unit joins one line from each of three parallel
+files: source, raw target, distilled target. Tokens are opaque strings;
+any upstream segmentation (words, subwords) passes through unchanged.
+On reading, only the ASCII whitespace ``str.split()`` uses separates
+tokens, so a U+00A0 or other Unicode space stays inside its token.
 
 ``load_corpus`` reads the source file, then the raw target file, then
 the distilled target file, and turns each line into ids as it reads it:
@@ -143,16 +146,46 @@ def read_utf8(path: str, error: type[ValueError]) -> str:
             raise error(f"{path}:{lineno}: not valid UTF-8 ({exc})") from exc
 
 
+def read_lines(path: str, error: type[ValueError]) -> list[str]:
+    """The lines of ``path`` without their ends; bytes that are not UTF-8
+    raise ``error`` naming ``path:line``."""
+    lines = read_utf8(path, error).split("\n")
+    # A trailing newline produces one final empty chunk; drop it.
+    if lines[-1] == "":
+        lines.pop()
+    return lines
+
+
+def read_rows(path: str, types: tuple, error: type[ValueError]) -> list[tuple]:
+    """Each line of ``path`` as exactly ``len(types)`` tab-separated fields,
+    each converted by its type; a wrong field count or a ``ValueError``
+    from a conversion raises ``error`` naming ``path:line``."""
+    rows = []
+    for lineno, line in enumerate(read_lines(path, error), start=1):
+        fields = line.split("\t")
+        if len(fields) != len(types):
+            raise error(f"{path}:{lineno}: expected {len(types)} columns, got {len(fields)}")
+        try:
+            rows.append(tuple(convert(field) for convert, field in zip(types, fields)))
+        except ValueError as exc:
+            raise error(f"{path}:{lineno}: {exc}") from exc
+    return rows
+
+
+def write_lines(path: str, lines) -> None:
+    """Write each of ``lines`` followed by LF, in UTF-8."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for line in lines:
+            fh.write(line)
+            fh.write("\n")
+
+
 def _read_ids(path: str, vocab: Vocabulary) -> list[Sentence]:
     """Each line of ``path`` as a sentence of ids, in one pass: a line's
     tokens are checked and registered in ``vocab`` as it is read, so no
     token string outlives its line unless it is a new surface."""
-    lines = read_utf8(path, CorpusFormatError).split("\n")
-    # A trailing newline produces one final empty chunk; drop it.
-    if lines[-1] == "":
-        lines.pop()
     sentences = []
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(read_lines(path, CorpusFormatError), start=1):
         tokens = _TOKEN.findall(line)
         if not tokens:
             raise CorpusFormatError(f"{path}:{lineno}: empty line")
@@ -188,18 +221,12 @@ def load_corpus(src_path: str, raw_path: str, kd_path: str) -> Corpus:
     return Corpus(examples=examples, src_vocab=src_vocab, tgt_vocab=tgt_vocab)
 
 
-def _write_lines(sentences: list[Sentence], vocab: Vocabulary, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for sent in sentences:
-            fh.write(" ".join(vocab.decode(sent)))
-            fh.write("\n")
-
-
 def write_bitext(corpus: Corpus, side: str, path: str) -> None:
-    """Write one side of the corpus, one sentence per line, LF endings."""
-    _write_lines(corpus.side(side), corpus.src_vocab if side == "source" else corpus.tgt_vocab, path)
+    """Write one side of the corpus, one sentence per line."""
+    vocab = corpus.src_vocab if side == "source" else corpus.tgt_vocab
+    write_lines(path, (" ".join(vocab.decode(sent)) for sent in corpus.side(side)))
 
 
 def write_sentences(sentences: list[Sentence], vocab: Vocabulary, path: str) -> None:
     """Write arbitrary sentences (e.g. a selected target side) as bitext."""
-    _write_lines(sentences, vocab, path)
+    write_lines(path, (" ".join(vocab.decode(sent)) for sent in sentences))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus
+from .corpus import Corpus, write_lines
 from .nat import ModelConfig, NatModel, PairTable, TrainingError, sgd
 from .rng import Rng
 from .scoring import ScoreTable, validate_table_covers
@@ -168,13 +168,11 @@ def train_student(corpus: Corpus, table: ScoreTable, schedule: ThresholdSchedule
 
 def write_update_log(log, path: str) -> None:
     """TSV: update, threshold, batch raw fraction, loss."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for row in log:
-            fh.write(f"{row.update}\t{row.threshold:.6f}\t{row.raw_fraction:.6f}\t{row.loss:.6f}\n")
+    write_lines(path, (f"{row.update}\t{row.threshold:.6f}\t{row.raw_fraction:.6f}\t{row.loss:.6f}"
+                       for row in log))
 
 
 def write_decisions_tsv(table: ScoreTable, threshold: float, path: str) -> None:
     """TSV: index, choice (RAW or KD, by ``keeps_raw``), score, threshold."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for r, raw in zip(table.records, keeps_raw(table, threshold).tolist()):
-            fh.write(f"{r.index}\t{'RAW' if raw else 'KD'}\t{r.score:.6f}\t{threshold:.6f}\n")
+    write_lines(path, (f"{r.index}\t{'RAW' if raw else 'KD'}\t{r.score:.6f}\t{threshold:.6f}"
+                       for r, raw in zip(table.records, keeps_raw(table, threshold).tolist())))

@@ -68,7 +68,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .corpus import BLANK_ID, Sentence, UNK_ID, Vocabulary, read_utf8
+from .corpus import BLANK_ID, Sentence, UNK_ID, Vocabulary, read_lines, write_lines
 from .rng import Rng
 
 NEG_INF = float("-inf")
@@ -109,8 +109,8 @@ class ModelConfig:
             raise ValueError("window must be >= 0")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
-        if self.learning_rate <= 0 or self.clip_norm <= 0:
-            raise ValueError("learning_rate and clip_norm must be positive")
+        if not (0 < self.learning_rate < float("inf") and 0 < self.clip_norm < float("inf")):
+            raise ValueError("learning_rate and clip_norm must be finite and positive")
 
 
 def collapse(frames) -> Sentence:
@@ -739,10 +739,11 @@ def train(pairs: list[tuple[Sentence, Sentence]], config: ModelConfig,
 _CKPT_MAGIC = "selkd-checkpoint v1"
 
 
-def serialize_model(model: NatModel) -> str:
+def serialize_model(model: NatModel) -> list[str]:
+    """The checkpoint's lines, without their ends."""
     lines = [_CKPT_MAGIC]
     cfg = asdict(model.config)
-    lines.append("config\t" + json.dumps(cfg, sort_keys=True))
+    lines.append("config\t" + json.dumps(cfg, sort_keys=True, allow_nan=False))
     lines.append(f"src_vocab\t{model.src_vocab_hash}\t{model.src_vocab_size}")
     lines.append(f"tgt_vocab\t{model.tgt_vocab_hash}\t{model.tgt_vocab_size}")
     for name in PARAM_NAMES:
@@ -751,16 +752,17 @@ def serialize_model(model: NatModel) -> str:
         values = " ".join(float(v).hex() for v in arr.ravel())
         lines.append(f"param\t{name}\t{shape}\t{values}")
     lines.append("end")
-    return "\n".join(lines) + "\n"
+    return lines
 
 
 def model_digest(model: NatModel) -> str:
-    return hashlib.sha256(serialize_model(model).encode("utf-8")).hexdigest()
+    """sha256 of the bytes ``save_checkpoint`` writes."""
+    text = "".join(line + "\n" for line in serialize_model(model))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def save_checkpoint(model: NatModel, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(serialize_model(model))
+    write_lines(path, serialize_model(model))
 
 
 def load_checkpoint(path: str, src_vocab: Vocabulary | None = None,
@@ -768,7 +770,7 @@ def load_checkpoint(path: str, src_vocab: Vocabulary | None = None,
     """Load a checkpoint; vocabulary hashes and sizes must match when
     vocabularies are supplied, and every parameter must be finite and have
     the shape the config and the recorded vocabulary sizes imply."""
-    lines = read_utf8(path, CheckpointError).splitlines()
+    lines = read_lines(path, CheckpointError)
     if not lines or lines[0] != _CKPT_MAGIC:
         raise CheckpointError(f"{path}: not a {_CKPT_MAGIC!r} file")
     if lines[-1] != "end":

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Bitext, Corpus, Sentence, read_utf8
+from .corpus import Bitext, Corpus, Sentence, read_rows, write_lines
 from .nat import (
     NatModel,
     PairTable,
@@ -142,33 +142,23 @@ def score_corpus(model: NatModel, corpus: Corpus, variant: str = "ctc",
 def write_score_tsv(table: ScoreTable, path: str) -> None:
     """Five-column TSV: index, score (6 decimals), distance, ref length,
     frame length (0 for plain records)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for r in table.records:
-            fh.write(f"{r.index}\t{r.score:.6f}\t{r.distance}\t{r.ref_len}\t{r.frame_len}\n")
+    write_lines(path, (f"{r.index}\t{r.score:.6f}\t{r.distance}\t{r.ref_len}\t{r.frame_len}"
+                       for r in table.records))
+
+
+def _score(text: str) -> float:
+    score = float(text)
+    if not 0.0 <= score <= 1.0:  # also rejects nan
+        raise ValueError(f"score {text!r} is not a number in [0, 1]")
+    return score
 
 
 def read_score_tsv(path: str) -> ScoreTable:
     """Parse a ``write_score_tsv`` file; every score must be a number in
     [0, 1]. The file does not say which variant made it, nor which
     records were infeasible."""
-    lines = read_utf8(path, ScoringError).split("\n")
-    if lines[-1] == "":  # the final newline
-        lines.pop()
-    records = []
-    for lineno, line in enumerate(lines, start=1):
-        parts = line.split("\t")
-        if len(parts) != 5:
-            raise ScoringError(f"{path}:{lineno}: expected 5 columns, got {len(parts)}")
-        idx, score, dist, ref_len, frame_len = parts
-        try:
-            record = ScoreRecord(index=int(idx), score=float(score), distance=int(dist),
-                                 ref_len=int(ref_len), frame_len=int(frame_len))
-        except ValueError as exc:
-            raise ScoringError(f"{path}:{lineno}: {exc}") from exc
-        if not 0.0 <= record.score <= 1.0:  # also rejects nan
-            raise ScoringError(f"{path}:{lineno}: score {score!r} is not a number in [0, 1]")
-        records.append(record)
-    return ScoreTable(records=tuple(records))
+    rows = read_rows(path, (int, _score, int, int, int), ScoringError)
+    return ScoreTable(records=tuple(ScoreRecord(*row) for row in rows))
 
 
 def validate_table_covers(table: ScoreTable, corpus: Corpus) -> None:

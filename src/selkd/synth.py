@@ -22,9 +22,10 @@ reproduces byte-identical corpora on any platform.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .corpus import Corpus, CorpusFormatError, Sentence, TriExample, Vocabulary, read_utf8
+from .corpus import Corpus, CorpusFormatError, Sentence, TriExample, Vocabulary, read_rows, write_lines
 from .rng import Rng
 
 MISTAKE_KINDS = ("repeat-token", "synonym-swap")
@@ -51,10 +52,10 @@ class SynthTaskSpec:
             raise SynthConfigError("num_modes must be >= 1")
         if len(self.mode_probs) != self.num_modes:
             raise SynthConfigError(f"mode_probs has {len(self.mode_probs)} entries for {self.num_modes} modes")
+        if not all(0 <= p < math.inf for p in self.mode_probs):  # also rejects nan
+            raise SynthConfigError(f"mode_probs must be finite and nonnegative, got {list(self.mode_probs)}")
         if abs(sum(self.mode_probs) - 1.0) > 1e-12:
             raise SynthConfigError(f"mode_probs sum to {sum(self.mode_probs)!r}, expected 1")
-        if any(p < 0 for p in self.mode_probs):
-            raise SynthConfigError("mode_probs must be nonnegative")
         if self.len_min < 1 or self.len_max < self.len_min:
             raise SynthConfigError(f"invalid length range [{self.len_min}, {self.len_max}]")
         if self.target_vocab_size < 2 * self.num_modes:
@@ -185,27 +186,13 @@ def oracle_report(sc: SynthCorpus) -> SynthReport:
 
 def write_sidecar(sc: SynthCorpus, path: str) -> None:
     """TSV sidecar: index, mode label, mistake flag."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for index, (mode, mistake) in enumerate(zip(sc.modes, sc.mistakes)):
-            fh.write(f"{index}\t{mode}\t{int(mistake)}\n")
+    write_lines(path, (f"{index}\t{mode}\t{int(mistake)}"
+                       for index, (mode, mistake) in enumerate(zip(sc.modes, sc.mistakes))))
 
 
 def read_sidecar(path: str) -> tuple[tuple[int, ...], tuple[bool, ...]]:
     """Parse a ``write_sidecar`` file; a line without three integer fields,
     or bytes that are not UTF-8, raise ``CorpusFormatError`` naming
     ``path:line``."""
-    lines = read_utf8(path, CorpusFormatError).split("\n")
-    if lines[-1] == "":  # the final newline
-        lines.pop()
-    modes, mistakes = [], []
-    for lineno, line in enumerate(lines, start=1):
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise CorpusFormatError(f"{path}:{lineno}: expected 3 columns, got {len(parts)}")
-        try:
-            _, mode, mistake = (int(x) for x in parts)
-        except ValueError as exc:
-            raise CorpusFormatError(f"{path}:{lineno}: {exc}") from exc
-        modes.append(mode)
-        mistakes.append(bool(mistake))
-    return tuple(modes), tuple(mistakes)
+    rows = read_rows(path, (int, int, int), CorpusFormatError)
+    return tuple(mode for _, mode, _ in rows), tuple(bool(mistake) for _, _, mistake in rows)

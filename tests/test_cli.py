@@ -302,12 +302,13 @@ def test_format_error_exit_code_and_incomplete_marker(tmp_path):
     assert not (out / "checkpoint.txt").exists()
 
 
-@pytest.mark.parametrize("kind", ["bitext", "scores", "checkpoint", "report"])
+@pytest.mark.parametrize("kind", ["bitext", "scores", "checkpoint", "report", "manifest"])
 def test_invalid_utf8_input_is_format_error(tmp_path, synth_dir, capsys, kind):
-    bad = tmp_path / ("run/metrics/report.tsv" if kind == "report" else "bad.txt")
+    bad = tmp_path / {"report": "run/metrics/report.tsv",
+                      "manifest": "run/synth/manifest.json"}.get(kind, "bad.txt")
     bad.parent.mkdir(parents=True, exist_ok=True)
     bad.write_bytes(b"a b\n\xff\xfe c\n")
-    if kind == "report":
+    if kind in ("report", "manifest"):
         argv = ["report", "--run", str(tmp_path / "run")]
     elif kind == "bitext":
         argv = ["train-evaluator", "--src", str(bad), "--raw", str(synth_dir / "raw.txt"),
@@ -661,6 +662,22 @@ def test_bad_aligner_flag_is_config_error(tmp_path, synth_dir, flag, value):
     code = main(["metrics", "--out", str(out), *corpus_flags(synth_dir), flag, value])
     assert code == EXIT_CONFIG
     assert (out / "INCOMPLETE").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("flag", ["--lr", "--clip-norm"])
+@pytest.mark.parametrize("command", ["train-evaluator", "full"])
+def test_non_finite_model_flag_is_config_error(tmp_path, synth_dir, capsys, command, flag, value):
+    # NaN passes a ``<= 0`` check, and neither NaN nor inf is valid JSON in a manifest.
+    out = tmp_path / "out"
+    extra = corpus_flags(synth_dir) if command == "train-evaluator" else [*SYNTH_ARGS, "--updates", "8"]
+    assert main([command, "--out", str(out), *FAST_MODEL, *extra, flag, value]) == EXIT_CONFIG
+    assert "learning_rate and clip_norm must be finite and positive" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+    if command == "full":  # checked before any stage runs
+        assert not out.exists() or os.listdir(out) == []
+    else:
+        assert (out / "INCOMPLETE").exists()
 
 
 @pytest.mark.parametrize("flag,value", [("--tension", "nan"), ("--align-iterations", "0")])

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -309,6 +311,8 @@ def test_checkpoint_round_trip(tiny_model, tmp_path):
         np.testing.assert_array_equal(loaded.params[name], model.params[name])
     assert serialize_model(loaded) == serialize_model(model)
     assert model_digest(loaded) == model_digest(model)
+    # the digest a score table records is the checkpoint file's own sha256
+    assert model_digest(model) == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_checkpoint_rejects_vocab_mismatch(tiny_model, tmp_path):
@@ -354,3 +358,8 @@ def test_config_validation():
         ModelConfig(embed_dim=0)
     with pytest.raises(ValueError):
         ModelConfig(learning_rate=0.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite and positive"):
+            ModelConfig(learning_rate=bad)
+        with pytest.raises(ValueError, match="finite and positive"):
+            ModelConfig(clip_norm=bad)

@@ -49,3 +49,30 @@ def test_benchmark_traced_functions_exist():
     missing = [f"selkd.{module}.{name}" for module, names in traced.items() for name in names
                if not callable(getattr(importlib.import_module(f"selkd.{module}"), name, None))]
     assert missing == []
+
+
+def open_calls(source: str) -> list[tuple[str, int]]:
+    """``(mode, line)`` of every ``open(...)`` call; the mode is ``"r"``
+    when not given, and ``"?"`` when it is not a string literal."""
+    calls = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "open":
+            mode = node.args[1] if len(node.args) > 1 else next(
+                (kw.value for kw in node.keywords if kw.arg == "mode"), ast.Constant("r"))
+            calls.append((mode.value if isinstance(mode, ast.Constant) else "?", node.lineno))
+    return calls
+
+
+def test_open_calls_reads_positional_keyword_and_default_modes():
+    source = 'open(a, "rb")\nopen(a, mode="w")\nopen(a)\nopen(a, m)\nos.open(a)\n'
+    assert open_calls(source) == [("rb", 1), ("w", 2), ("r", 3), ("?", 4)]
+
+
+def test_only_corpus_knows_the_text_file_layout():
+    # Text files are written and read through corpus.write_lines,
+    # read_lines, read_rows and read_utf8; any other module may open a
+    # file only in binary, to hash it.
+    found = {path.name: [call for call in open_calls(path.read_text(encoding="utf-8")) if call[0] != "rb"]
+             for path in sorted(SRC.glob("*.py")) if path.name != "corpus.py"}
+    assert len(found) >= 10
+    assert {name: calls for name, calls in found.items() if calls} == {}

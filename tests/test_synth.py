@@ -157,6 +157,9 @@ def test_read_sidecar_rejects_malformed_line(tmp_path, body, lineno):
 def test_spec_validation():
     with pytest.raises(SynthConfigError):
         spec(mode_probs=(0.7, 0.7))
+    # NaN passes the sum check (``abs(nan - 1) > 1e-12`` is false) and the sign check
+    with pytest.raises(SynthConfigError, match="finite"):
+        spec(num_modes=4, mode_probs=(float("nan"), 0.5, 0.25, 0.25))
     with pytest.raises(SynthConfigError):
         spec(target_vocab_size=3)
     with pytest.raises(SynthConfigError):
