@@ -14,9 +14,11 @@ and token order could not be learned at all. There is no length
 predictor; the blank symbol absorbs length variation, and the positional
 scoring variant simply runs the decoder at exactly the reference length.
 
-All dynamic programming (loss, alignment) runs in log space over the
-blank-interleaved extended label sequence, in double precision. The
-deliberately tiny architecture keeps a full train/score/select cycle in
+The dynamic programming (loss, alignment) runs over the blank-interleaved
+extended label sequence, in double precision: the CTC loss in probability
+space, falling back to log space for the rare lattice whose path mass
+float64 cannot hold (``_ctc_packed``), and Viterbi alignment in log space.
+The deliberately tiny architecture keeps a full train/score/select cycle in
 seconds while leaving every quantity exact enough for finite-difference
 and enumeration checks.
 
@@ -24,21 +26,22 @@ Training is one SGD loop, ``sgd``, over a ``PairTable`` built once per
 run. A batch runs as a few groups, not pair by pair: its feasible pairs
 are stable-sorted by source length and cut into groups. Each group
 makes one forward over the frames of all its pairs, packed row-wise (pair
-b owns T_b consecutive rows). It then runs CTC over a padded, time-major
-(T_max, B, S_max) lattice, where padded frames and states read -inf, and
-one backprop over the packed rows. The CTC pass keeps alpha and beta for
-every frame, beta in the emission rows it has finished reading, and
-turns all the group's posteriors into dL/dlogp with one exp and one
-bincount; the backprop scatters the embedding gradient with one bincount
-per embedding column. The DP loops cost a few numpy steps per frame
-whatever B is, so a group pays the Python overhead once for all its
-pairs. Padding costs memory: a group's padded DP cells B * T_max * S_max
-stay within ``_GROUP_CELLS``. Sorting by length keeps that padding small,
-and the bound keeps the working set small on long lattices: at most two
-(T_max, B, S_max) arrays are live at once, so that the allocator can
-reuse their memory from one group to the next instead of returning it to
-the system and faulting it back in. A lattice's
-loss and gradient do not depend on what it is padded with or next to, and
+b owns T_b consecutive rows). It then runs CTC over a padded, state-major
+(T_max, S_max, B) lattice of emission probabilities, where padded frames
+and states read 0, so that each frame of the recursions is a few numpy
+steps over contiguous (S, B) rows, and one backprop over the packed rows.
+The CTC pass keeps alpha and beta for every frame, beta in the emission
+rows it has finished reading, and turns all the group's posteriors into
+dL/dlogp with one bincount; the backprop scatters the embedding gradient
+with one bincount over (token, column) bins. The DP loops cost a few numpy
+steps per frame whatever B is, so a group pays the Python overhead once
+for all its pairs. Padding costs memory: a group's padded DP cells
+B * T_max * S_max stay within ``_GROUP_CELLS``. Sorting by length keeps
+that padding small, and the bound keeps the working set small on long
+lattices: at most two (T_max, S_max, B) arrays are live at once, so that
+the allocator can reuse their memory from one group to the next instead
+of returning it to the system and faulting it back in. A lattice's loss
+and gradient do not depend on what it is padded with or next to, and
 ``forward`` and ``ctc_loss_and_grad`` are the same code at B = 1.
 
 Scoring (``scoring.score_corpus``) uses the same groups, cut to at most
@@ -49,13 +52,13 @@ bincount. A plain group decodes at |reference| frames per pair
 (``_positional_packed``) and wants the reference itself. A ctc group runs
 one packed forward at T frames, takes its greedy argmax over the packed
 rows, and wants the labels of one Viterbi pass (``_viterbi_packed``) over
-the same padded lattice. That pass keeps the scores of one frame, each
-lane's scores at its own last frame, and a (T_max, B, S_max) int8 array
-of back-pointer choices: 0 from state s-2, 1 from s-1, 2 from s, the
-first maximum picked by two comparisons. One backtrace then walks all
-lanes back together from their final states, a lane moving only at its
-real frames. ``viterbi_align`` and ``decode_positional`` are that code at
-B = 1.
+the same padded lattice, in log-probabilities with padded cells -inf.
+That pass keeps the scores of one frame, each lane's scores at its own
+last frame, and a (T_max, S_max, B) int8 array of back-pointer choices:
+0 from state s-2, 1 from s-1, 2 from s, the first maximum picked by two
+comparisons. One backtrace then walks all lanes back together from their
+final states, a lane moving only at its real frames. ``viterbi_align``
+and ``decode_positional`` are that code at B = 1.
 """
 
 from __future__ import annotations
@@ -300,9 +303,9 @@ def _backprop_packed(model: NatModel, cache: dict, dlogp: np.ndarray) -> dict[st
     ids, pair, lo, hi = cache["ids"], cache["pair"], cache["lo"], cache["hi"]
     # The window average spreads its gradient evenly over the window: the
     # rows of window offset k add to the ids at lo + k. Phase and position
-    # features are constants. One bincount per column takes the center
-    # rows, then each offset's rows, in packed-row order, so every entry
-    # sums its addends in the order of one scatter per block.
+    # features are constants. One bincount over (token, column) bins takes
+    # the center rows, then each offset's rows, in packed-row order, so
+    # every entry sums its addends in the order of one scatter per block.
     at = lo + np.arange(2 * model.config.window + 1)[:, None]  # (offsets, rows)
     inside = at < hi
     rows = np.nonzero(inside)[1]
@@ -311,10 +314,9 @@ def _backprop_packed(model: NatModel, cache: dict, dlogp: np.ndarray) -> dict[st
     addends[:len(pair)] = dctx[:, :e]
     davg = dctx[:, e:2 * e] / cache["widths"][:, None]
     np.take(davg, rows, axis=0, out=addends[len(pair):])
-    demb = np.empty_like(p["emb"])
-    for column in range(e):
-        demb[:, column] = np.bincount(token, weights=addends[:, column], minlength=len(demb))
-    grads["emb"] = demb
+    bins = (token * e)[:, None] + np.arange(e)
+    grads["emb"] = np.bincount(bins.ravel(), weights=addends.ravel(),
+                               minlength=p["emb"].size).reshape(p["emb"].shape)
     return grads
 
 
@@ -345,7 +347,10 @@ def ctc_loss_and_grad(emissions, target: Sentence) -> tuple[float, np.ndarray]:
     Returns the loss -log p(target | emissions) and its gradient with
     respect to each log-probability entry (same shape as the lattice).
     The gradient at (t, v) is minus the posterior probability that frame
-    t emits v on a path collapsing to the target.
+    t emits v on a path collapsing to the target. ``_ctc_packed`` at
+    B = 1: normalised rows run in probability space; rows that are not
+    (probability mass above 1, NaN, overflow) or a path mass below
+    ``_MIN_PATH_MASS`` run in log space.
     """
     e = np.asarray(emissions, dtype=np.float64)
     target = tuple(target)
@@ -356,37 +361,42 @@ def ctc_loss_and_grad(emissions, target: Sentence) -> tuple[float, np.ndarray]:
     return float(losses[0]), grad
 
 
-def _padded_lattice(logp: np.ndarray, frames: np.ndarray, targets: list[Sentence]):
-    """The padded, time-major view of B lattices packed row-wise in ``logp``.
+def _padded_lattice(table: np.ndarray, pad: float, frames: np.ndarray, targets: list[Sentence]):
+    """The padded, state-major view of B lattices packed row-wise in
+    ``table``, a (rows, vocab) array of per-frame label values.
 
     Lattice b owns ``frames[b]`` consecutive rows and target b has S_b =
     2|y_b| + 1 extended states. Returns S_b per lattice, the extended
-    labels (B, S_max), the skip mask (B, |y|_max - 1) of the label states
-    s = 3, 5, ... (True where s may be entered from s-2, because its label
+    labels (S_max, B), the skip mask (S_max, B) (True at the label states
+    s = 3, 5, ... that may be entered from s-2, because their label
     differs from the previous one), the packed row of each frame
-    (T_max, B), and the emission of each cell of the (T_max, B, S_max)
-    lattice, gathered through ``_cells``. Padded states carry the
-    label ``vocab`` and padded frames the row ``rows``, both all -inf, so no
-    path leads from a padded cell into a real one.
+    (T_max, B), and the value of each cell of the (T_max, S_max, B)
+    lattice, gathered through ``_cells``. Padded states carry the label
+    ``vocab`` and padded frames the row ``rows``, and every cell of either
+    reads ``pad``, which the caller picks so that no path leads from a
+    padded cell into a real one (-inf for log-probabilities, 0 for
+    probabilities).
     """
-    rows, vocab = logp.shape
+    rows, vocab = table.shape
     lengths = np.array([len(target) for target in targets])
     states = 2 * lengths + 1
     t_max, s_max = int(frames.max()), int(states.max())
-    ext = np.where(np.arange(s_max) < states[:, None], BLANK_ID, vocab)
-    ext[:, 1::2] = _padded(targets, lengths, vocab)
-    skip = (ext[:, 3::2] != ext[:, 1:-2:2]) & (np.arange(3, s_max, 2) < states[:, None])
-    lattice = np.full((rows + 1, vocab + 1), NEG_INF)
-    lattice[:rows, :vocab] = logp
+    real = np.arange(s_max)[:, None] < states
+    ext = np.where(real, BLANK_ID, vocab)
+    ext[1::2] = _padded(targets, lengths, vocab).T
+    skip = np.zeros((s_max, len(targets)), dtype=bool)
+    skip[3::2] = (ext[3::2] != ext[1:-2:2]) & real[3::2]
+    padded = np.full((rows + 1, vocab + 1), pad)
+    padded[:rows, :vocab] = table
     t_index = np.arange(t_max)[:, None]
     frame_rows = np.where(t_index < frames, np.cumsum(frames) - frames + t_index, rows)
-    return states, ext, skip, frame_rows, np.take(lattice.ravel(), _cells(frame_rows, ext, vocab))
+    return states, ext, skip, frame_rows, np.take(padded.ravel(), _cells(frame_rows, ext, vocab))
 
 
 def _cells(frame_rows: np.ndarray, ext: np.ndarray, vocab: int) -> np.ndarray:
     """The flat (packed row, label) index into a (rows + 1, vocab + 1) table
-    of each cell of the (T_max, B, S_max) lattice."""
-    return (frame_rows * (vocab + 1))[:, :, None] + ext
+    of each cell of the (T_max, S_max, B) lattice."""
+    return (frame_rows * (vocab + 1))[:, None, :] + ext
 
 
 def _lanes_ending(last: np.ndarray) -> dict[int, list[int]]:
@@ -397,83 +407,181 @@ def _lanes_ending(last: np.ndarray) -> dict[int, list[int]]:
     return ends
 
 
+def _posteriors(gamma: np.ndarray, frame_rows: np.ndarray, ext: np.ndarray, rows: int, vocab: int) -> np.ndarray:
+    """-dL/dlogp: the (T_max, S_max, B) state posteriors ``gamma`` summed
+    into (packed row, label) bins by one bincount in (t, s, b) order. A
+    real bin's states all belong to one (t, b), so it adds them in state
+    order, as a per-frame accumulation would. Padded frames and states land
+    in an extra row and label column that are dropped."""
+    posterior = np.bincount(_cells(frame_rows, ext, vocab).ravel(), weights=gamma.ravel(),
+                            minlength=(rows + 1) * (vocab + 1))
+    return posterior.reshape(rows + 1, vocab + 1)[:rows, :vocab]
+
+
+# A lattice whose total path probability p is below this goes to the
+# log-space kernel. Over rows of probability mass at most 1, alpha and
+# beta are at most 1, because distinct state paths emit distinct label
+# sequences; so an alpha or beta that underflows (below 2.2e-308, where
+# float64 loses relative precision) enters a posterior alpha * beta / p
+# below 2.2e-308 / 1e-200 = 2.2e-108. Above the floor, which is a loss of
+# at most 460.5 nats, every result is accurate to float64 rounding.
+_MIN_PATH_MASS = 1e-200
+
+# How far a row's probability mass may exceed 1 and still count as
+# normalised: exp of a log-softmax row sums to 1 within a few ulps per
+# label, and (1 + 1e-9) ** T_max keeps alpha and beta within 1 + 1e-3 of
+# the bound above for any lattice shorter than a million frames.
+_MASS_SLACK = 1e-9
+
+
 def _ctc_packed(logp: np.ndarray, frames: np.ndarray, targets: list[Sentence]) -> tuple[np.ndarray, np.ndarray]:
     """CTC losses and gradients of B lattices packed row-wise in ``logp``.
 
-    Lattice b owns ``frames[b]`` consecutive rows. The recursions run over
-    the padded (T_max, B, S_max) array of ``_padded_lattice``, so every
-    lattice gets the numbers it would get alone. Alpha and beta are both
-    kept for every frame; beta at frame t overwrites the emissions of
-    frame t+1 once it has read them, so the pass holds two (T_max, B,
-    S_max) float arrays, and the bin index below is built only after the
-    emissions are freed. The s-2 term of each recursion is added only at
-    the label states, through a 0/-inf mask built once (``logaddexp(x,
-    -inf)`` is x exactly). All posteriors then come from one exp and one
-    bincount over (packed row, label) bins in (t, b, s) order, so each bin
-    sums its states in state order, as a per-frame accumulation would. The
-    posteriors of padded frames and states land in an extra row and label
-    column that are dropped.
-    Returns the per-lattice losses (inf where no path exists) and dL/dlogp
-    in the packed layout. The caller checks feasibility.
+    Lattice b owns ``frames[b]`` consecutive rows. The recursions run in
+    probability space over the padded (T_max, S_max, B) array of
+    ``_padded_lattice``, gathered from exp(logp) with padded cells 0, so
+    each frame of alpha and of beta is a few contiguous adds and
+    multiplies, and every lattice gets the numbers it would get alone. The
+    s-2 term is added through a 0/1 float mask of the states that may
+    take it. Alpha and beta are both kept for every frame: beta at frame t
+    overwrites the emissions of frame t+1 once it has read them, so the
+    pass holds two (T_max, S_max, B) float arrays, and the bin index of
+    ``_posteriors`` is built only after the emissions are freed. The loss
+    is -log p and the posteriors are alpha * beta / p.
+
+    A lattice whose rows are not normalised (a mass above 1, NaN or an
+    overflow) or whose p is below ``_MIN_PATH_MASS`` (a loss above 460.5
+    nats, or no path at all) is recomputed alone by ``_ctc_log``, and
+    only that lattice. Returns the per-lattice losses (inf where no path
+    exists) and dL/dlogp in the packed layout. The caller checks
+    feasibility.
     """
     rows, vocab = logp.shape
-    states, ext, skip, frame_rows, em_ext = _padded_lattice(logp, frames, targets)
-    t_max, count, s_max = em_ext.shape
+    with np.errstate(over="ignore"):
+        prob = np.exp(logp)
+    normal = prob.sum(axis=1) <= 1 + _MASS_SLACK  # False for NaN and overflow too
+    prob[~normal] = 0.0
+    states, ext, skip, frame_rows, em = _padded_lattice(prob, 0.0, frames, targets)
+    del prob
+    t_max, s_max, count = em.shape
     lanes = np.arange(count)
     last = frames - 1
-    skip_add = np.where(skip, 0.0, NEG_INF)
+    skip = skip[2:].astype(np.float64)
+    jump = np.empty_like(skip)
 
-    alpha = np.full((t_max, count, s_max), NEG_INF)
-    alpha[0, :, :2] = em_ext[0, :, :2]
+    alpha = np.zeros((t_max, s_max, count))
+    alpha[0, :2] = em[0, :2]
     for t in range(1, t_max):
         prev, cur = alpha[t - 1], alpha[t]
-        cur[:, 0] = prev[:, 0]
-        np.logaddexp(prev[:, 1:], prev[:, :-1], out=cur[:, 1:])
-        np.logaddexp(cur[:, 3::2], prev[:, 1:-2:2] + skip_add, out=cur[:, 3::2])
+        cur[0] = prev[0]
+        np.add(prev[1:], prev[:-1], out=cur[1:])
+        np.multiply(prev[:-2], skip, out=jump)
+        cur[2:] += jump
+        cur *= em[t]
+    final = alpha[last, :, lanes]  # (B, S_max)
+    mass = final[lanes, states - 1] + final[lanes, states - 2]
+    kept = np.logical_and.reduceat(normal, np.cumsum(frames) - frames) & (mass >= _MIN_PATH_MASS)
+    mass[~kept] = 1.0  # those lattices are recomputed below
+    losses = -np.log(mass)
+
+    # beta excludes the emission at t, so alpha * beta is the mass of all
+    # full paths through state s at time t. A lattice's beta is 0 after
+    # its last frame, and at that frame it is 1 in its final blank and
+    # last label. Frame t+1's emissions are read only to step beta from
+    # t+1 to t, so beta at t overwrites them: beta needs no
+    # (T_max, S_max, B) array of its own, only one for its last frame.
+    beta_last = np.zeros((s_max, count))
+    beta = beta_last
+    nxt = np.empty_like(beta_last)
+    ends = _lanes_ending(last)
+    for t in range(t_max - 1, -1, -1):
+        if t < t_max - 1:
+            np.multiply(beta, em[t + 1], out=nxt)
+            beta = em[t + 1]
+            beta[-1] = nxt[-1]
+            np.add(nxt[:-1], nxt[1:], out=beta[:-1])
+            np.multiply(nxt[2:], skip, out=jump)
+            beta[:-2] += jump
+        if t in ends:
+            b = ends[t]
+            beta[states[b] - 1, b] = 1.0
+            beta[states[b] - 2, b] = 1.0
+
+    gamma = alpha  # alpha is not needed again
+    gamma[:-1] *= em[1:]  # beta at frames 0 .. T_max - 2
+    gamma[-1] *= beta_last
+    del em, beta  # free the emission array before the bin index is built
+    gamma /= mass
+    grad = -_posteriors(gamma, frame_rows, ext, rows, vocab)
+    del gamma
+    if not kept.all():
+        redo = np.flatnonzero(~kept)
+        mine = ~kept[np.repeat(lanes, frames)]
+        losses[redo], grad[mine] = _ctc_log(logp[mine], frames[redo], [targets[b] for b in redo])
+    return losses, grad
+
+
+def _ctc_log(logp: np.ndarray, frames: np.ndarray, targets: list[Sentence]) -> tuple[np.ndarray, np.ndarray]:
+    """``_ctc_packed`` in log space, for the lattices it cannot represent.
+
+    The same recursions over the (T_max, S_max, B) lattice of
+    ``_padded_lattice``, gathered from ``logp`` with padded cells -inf,
+    with ``logaddexp`` for every sum. The s-2 term of each recursion is
+    added only at the label states, through a 0/-inf mask built once
+    (``logaddexp(x, -inf)`` is x exactly), and the posteriors come from
+    one exp and ``_posteriors``. It holds the same two lattice arrays.
+    Returns the losses (inf where no path exists) and dL/dlogp.
+    """
+    rows, vocab = logp.shape
+    states, ext, skip, frame_rows, em_ext = _padded_lattice(logp, NEG_INF, frames, targets)
+    t_max, s_max, count = em_ext.shape
+    lanes = np.arange(count)
+    last = frames - 1
+    skip_add = np.where(skip[3::2], 0.0, NEG_INF)
+
+    alpha = np.full((t_max, s_max, count), NEG_INF)
+    alpha[0, :2] = em_ext[0, :2]
+    for t in range(1, t_max):
+        prev, cur = alpha[t - 1], alpha[t]
+        cur[0] = prev[0]
+        np.logaddexp(prev[1:], prev[:-1], out=cur[1:])
+        np.logaddexp(cur[3::2], prev[1:-2:2] + skip_add, out=cur[3::2])
         cur += em_ext[t]
-    final = alpha[last, lanes]
+    final = alpha[last, :, lanes]  # (B, S_max)
     losses = -np.logaddexp(final[lanes, states - 1], final[lanes, states - 2])
 
-    # beta excludes the emission at t, so alpha + beta is the log-mass of
-    # all full paths through state s at time t. A lattice's beta is -inf
-    # after its last frame, and at that frame it is 0 in its final blank
-    # and last label. Frame t+1's emissions are read only to step beta
-    # from t+1 to t, so beta at t overwrites them: beta needs no
-    # (T_max, B, S_max) array of its own, only one for its last frame.
-    beta_last = np.full((count, s_max), NEG_INF)
+    beta_last = np.full((s_max, count), NEG_INF)
     beta = beta_last
     ends = _lanes_ending(last)
     for t in range(t_max - 1, -1, -1):
         if t < t_max - 1:
             nxt = beta + em_ext[t + 1]
             beta = em_ext[t + 1]
-            beta[:, -1] = nxt[:, -1]
-            np.logaddexp(nxt[:, :-1], nxt[:, 1:], out=beta[:, :-1])
-            np.logaddexp(beta[:, 1:-2:2], nxt[:, 3::2] + skip_add, out=beta[:, 1:-2:2])
+            beta[-1] = nxt[-1]
+            np.logaddexp(nxt[:-1], nxt[1:], out=beta[:-1])
+            np.logaddexp(beta[1:-2:2], nxt[3::2] + skip_add, out=beta[1:-2:2])
         if t in ends:
             b = ends[t]
-            beta[b, states[b] - 1] = 0.0
-            beta[b, states[b] - 2] = 0.0
+            beta[states[b] - 1, b] = 0.0
+            beta[states[b] - 2, b] = 0.0
 
     gamma = alpha  # alpha is not needed again
     gamma[:-1] += em_ext[1:]  # beta at frames 0 .. T_max - 2
     gamma[-1] += beta_last
     del em_ext, beta  # free the emission array before the bin index is built
     with np.errstate(invalid="ignore"):  # -inf + inf where a lattice has no path
-        gamma += losses[:, None]
+        gamma += losses
     np.exp(gamma, out=gamma)
     gamma[~np.isfinite(gamma)] = 0.0
-    posterior = np.bincount(_cells(frame_rows, ext, vocab).ravel(), weights=gamma.ravel(),
-                            minlength=(rows + 1) * (vocab + 1))
-    return losses, -posterior.reshape(rows + 1, vocab + 1)[:rows, :vocab]
+    return losses, -_posteriors(gamma, frame_rows, ext, rows, vocab)
 
 
 def _viterbi_packed(logp: np.ndarray, frames: np.ndarray,
                     targets: list[Sentence]) -> tuple[np.ndarray, np.ndarray]:
     """Best frame paths of B lattices packed row-wise in ``logp``.
 
-    The max-plus form of ``_ctc_packed``'s alpha recursion over the same
-    padded (T_max, B, S_max) lattice. Each cell stores an int8 back-pointer
+    The max-plus form of ``_ctc_log``'s alpha recursion over the same
+    padded (T_max, S_max, B) lattice. Each cell stores an int8 back-pointer
     choice among its predecessors, 0 = s-2 (jump), 1 = s-1 (step), 2 = s
     (stay), and the first maximum wins: two comparisons per frame pick it,
     which needs emissions free of NaN. Each lattice ends at its own last
@@ -483,20 +591,21 @@ def _viterbi_packed(logp: np.ndarray, frames: np.ndarray,
     each lattice has a finite path at all (the labels of one without are
     meaningless). The caller checks feasibility.
     """
-    states, ext, skip, _, em_ext = _padded_lattice(logp, frames, targets)
-    t_max, count, s_max = em_ext.shape
+    states, ext, skip, _, em_ext = _padded_lattice(logp, NEG_INF, frames, targets)
+    t_max, s_max, count = em_ext.shape
     lanes = np.arange(count)
     last = frames - 1
-    score = np.full((count, s_max), NEG_INF)
-    score[:, :2] = em_ext[0, :, :2]
-    final = np.where((last == 0)[:, None], score, NEG_INF)
-    back = np.zeros((t_max, count, s_max), dtype=np.int8)
-    jump = np.full((count, s_max), NEG_INF)
-    step = np.full((count, s_max), NEG_INF)
+    skip = skip[3::2]
+    score = np.full((s_max, count), NEG_INF)
+    score[:2] = em_ext[0, :2]
+    final = np.where(last == 0, score, NEG_INF)
+    back = np.zeros((t_max, s_max, count), dtype=np.int8)
+    jump = np.full((s_max, count), NEG_INF)
+    step = np.full((s_max, count), NEG_INF)
     ends = _lanes_ending(last)
     for t in range(1, t_max):
-        np.copyto(jump[:, 3::2], score[:, 1:-2:2], where=skip)
-        step[:, 1:] = score[:, :-1]
+        np.copyto(jump[3::2], score[1:-2:2], where=skip)
+        step[1:] = score[:-1]
         # Choice 2 - take_step, or 0 unless jump < best: a tie goes to the
         # earlier candidate, as the first maximum of (jump, step, stay).
         take_step = step >= score
@@ -507,16 +616,16 @@ def _viterbi_packed(logp: np.ndarray, frames: np.ndarray,
         back[t] *= not_jump
         np.add(best, em_ext[t], out=score)
         if t in ends:
-            final[ends[t]] = score[ends[t]]
+            final[:, ends[t]] = score[:, ends[t]]
 
-    state = np.where(final[lanes, states - 2] >= final[lanes, states - 1], states - 2, states - 1)
-    found = final[lanes, state] != NEG_INF
+    state = np.where(final[states - 2, lanes] >= final[states - 1, lanes], states - 2, states - 1)
+    found = final[state, lanes] != NEG_INF
     path = np.empty((t_max, count), dtype=np.int64)
     for t in range(t_max - 1, 0, -1):
         path[t] = state
-        state = np.where(found & (last >= t), state - 2 + back[t, lanes, state], state)
+        state = np.where(found & (last >= t), state - 2 + back[t, state, lanes], state)
     path[0] = state
-    labels = ext[lanes, path].T  # (B, T_max)
+    labels = ext[path, lanes].T  # (B, T_max)
     return labels[np.arange(t_max) < frames[:, None]], found
 
 

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from selkd import nat
+from selkd import nat, synth
 from selkd.corpus import BLANK_ID, Vocabulary
 from selkd.nat import (
     CheckpointError,
@@ -299,6 +299,46 @@ def test_batch_step_update_matches_finite_differences():
             fd[idx] = (plus - minus) / (2 * step)
         np.testing.assert_allclose(value - updated.params[name], fd, rtol=1e-5, atol=1e-8,
                                    err_msg=name)
+
+
+def test_training_trajectory_matches_log_space_ctc(monkeypatch):
+    """Training with the probability-space CTC follows the log-space
+    trajectory. 200 pairs of the README default task, batch 32, 3 epochs:
+    K = 21 updates at learning rate lr = 0.15.
+
+    The bound: per step, each dL/dlogp entry of the two kernels differs
+    by at most tau = 16 * eps * T * (L + 2) (``test_kernels.ctc_tolerance``,
+    T and L the longest lattice and largest loss met). Each update moves a
+    parameter by lr * clip scale (at most 1) times its gradient, so with
+    tau as the per-step tolerance of every parameter gradient entry the
+    runs differ by at most K * lr * tau after K steps. That takes backprop
+    and the mean over the batch's pairs not to amplify the kernel's
+    error, and neglects the feedback of a parameter difference into later
+    gradients. Neither is close to binding: the difference measured on
+    one x86 machine was 4.4e-16, four orders below the bound of 7e-12.
+    """
+    spec = synth.SynthTaskSpec(source_vocab_size=12, target_vocab_size=16, len_min=3, len_max=8,
+                               num_modes=4, mode_probs=(0.25,) * 4, mistake_rate=0.1, seed=7)
+    corpus = synth.generate(spec, n=200).corpus
+    pairs = [(ex.source, ex.distilled_target) for ex in corpus.examples]
+    cfg = ModelConfig(epochs=3, seed=7)
+    shipped = train(pairs, cfg, corpus.src_vocab, corpus.tgt_vocab)
+
+    seen = {"frames": 0, "loss": 0.0}
+
+    def log_space(logp, frames, targets):
+        losses, dlogp = nat._ctc_log(logp, frames, targets)
+        seen["frames"] = max(seen["frames"], int(frames.max()))
+        seen["loss"] = max(seen["loss"], float(losses.max()))
+        return losses, dlogp
+
+    monkeypatch.setattr(nat, "_ctc_packed", log_space)
+    reference = train(pairs, cfg, corpus.src_vocab, corpus.tgt_vocab)
+    assert shipped.updates == reference.updates == 21
+    tau = 16 * np.finfo(np.float64).eps * seen["frames"] * (seen["loss"] + 2)
+    bound = shipped.updates * cfg.learning_rate * tau
+    for name, value in shipped.model.params.items():
+        np.testing.assert_allclose(value, reference.model.params[name], rtol=0, atol=bound, err_msg=name)
 
 
 def test_checkpoint_round_trip(tiny_model, tmp_path):
