@@ -15,12 +15,13 @@ predictor; the blank symbol absorbs length variation, and the positional
 scoring variant simply runs the decoder at exactly the reference length.
 
 The dynamic programming (loss, alignment) runs over the blank-interleaved
-extended label sequence, in double precision: the CTC loss in probability
-space, falling back to log space for the rare lattice whose path mass
-float64 cannot hold (``_ctc_packed``), and Viterbi alignment in log space.
-The deliberately tiny architecture keeps a full train/score/select cycle in
-seconds while leaving every quantity exact enough for finite-difference
-and enumeration checks.
+extended label sequence, in double precision: the CTC loss as one
+forward-backward pass (``_forward_backward``) in the probability
+semiring, falling back to the log semiring for the rare lattice whose
+path mass float64 cannot hold (``_ctc_packed``), and Viterbi alignment in
+log space. The deliberately tiny architecture keeps a full
+train/score/select cycle in seconds while leaving every quantity exact
+enough for finite-difference and enumeration checks.
 
 Training is one SGD loop, ``sgd``, over a ``PairTable`` built once per
 run. A batch runs as a few groups, not pair by pair: its feasible pairs
@@ -340,6 +341,16 @@ def _check_feasible(n_frames: int, target: Sentence) -> None:
         )
 
 
+def _check_values(e: np.ndarray) -> None:
+    """ValueError naming the first (frame, label) of a (T, V) lattice that
+    is NaN or +inf. -inf (a blocked label) and rows that are not
+    normalised are allowed."""
+    bad = np.isnan(e) | (e == np.inf)
+    if bad.any():
+        t, v = np.argwhere(bad)[0]
+        raise ValueError(f"lattice value at (frame {t}, label {v}) is {e[t, v]}")
+
+
 def ctc_loss_and_grad(emissions, target: Sentence) -> tuple[float, np.ndarray]:
     """Forward/backward over the extended sequence of a (T, V) lattice of
     log-probabilities (any array-like).
@@ -349,12 +360,14 @@ def ctc_loss_and_grad(emissions, target: Sentence) -> tuple[float, np.ndarray]:
     The gradient at (t, v) is minus the posterior probability that frame
     t emits v on a path collapsing to the target. ``_ctc_packed`` at
     B = 1: normalised rows run in probability space; rows that are not
-    (probability mass above 1, NaN, overflow) or a path mass below
-    ``_MIN_PATH_MASS`` run in log space.
+    (probability mass above 1, overflow) or a path mass below
+    ``_MIN_PATH_MASS`` run in log space. A lattice holding NaN or +inf is
+    rejected with ValueError; -inf blocks a label.
     """
     e = np.asarray(emissions, dtype=np.float64)
     target = tuple(target)
     _check_feasible(e.shape[0], target)
+    _check_values(e)
     losses, grad = _ctc_packed(e, np.array([e.shape[0]]), [target])
     if losses[0] == np.inf:
         raise CtcInfeasibleError("no feasible path despite frame-count check")
@@ -434,162 +447,141 @@ _MIN_PATH_MASS = 1e-200
 _MASS_SLACK = 1e-9
 
 
-def _ctc_packed(logp: np.ndarray, frames: np.ndarray, targets: list[Sentence]) -> tuple[np.ndarray, np.ndarray]:
-    """CTC losses and gradients of B lattices packed row-wise in ``logp``.
+# The (plus, times, zero, one) semirings of ``_forward_backward``: sums and
+# products of probabilities, and the same over their logarithms.
+_PROBABILITY = (np.add, np.multiply, 0.0, 1.0)
+_LOG = (np.logaddexp, np.add, NEG_INF, 0.0)
 
-    Lattice b owns ``frames[b]`` consecutive rows. The recursions run in
-    probability space over the padded (T_max, S_max, B) array of
-    ``_padded_lattice``, gathered from exp(logp) with padded cells 0, so
-    each frame of alpha and of beta is a few contiguous adds and
-    multiplies, and every lattice gets the numbers it would get alone. The
-    s-2 term is added through a 0/1 float mask of the states that may
-    take it. Alpha and beta are both kept for every frame: beta at frame t
-    overwrites the emissions of frame t+1 once it has read them, so the
-    pass holds two (T_max, S_max, B) float arrays, and the bin index of
-    ``_posteriors`` is built only after the emissions are freed. The loss
-    is -log p and the posteriors are alpha * beta / p.
 
-    A lattice whose rows are not normalised (a mass above 1, NaN or an
-    overflow) or whose p is below ``_MIN_PATH_MASS`` (a loss above 460.5
-    nats, or no path at all) is recomputed alone by ``_ctc_log``, and
-    only that lattice. Returns the per-lattice losses (inf where no path
-    exists) and dL/dlogp in the packed layout. The caller checks
-    feasibility.
+def _forward_backward(table: np.ndarray, frames: np.ndarray, targets: list[Sentence], semiring):
+    """CTC forward-backward of B lattices packed row-wise in ``table``, in
+    ``semiring`` (``_PROBABILITY`` over probabilities, ``_LOG`` over
+    log-probabilities).
+
+    Lattice b owns ``frames[b]`` consecutive rows. The recursions run over
+    the padded (T_max, S_max, B) array of ``_padded_lattice``, gathered
+    with padded cells ``zero``, so each frame of alpha and of beta is a few
+    contiguous ufunc calls, and every lattice gets the values it would get
+    alone. The s-2 term is added at every state from 2 on, times a
+    ``one``/``zero`` mask of the states that may take it. beta excludes the
+    emission at t, so alpha (x) beta is the mass of all full paths through
+    state s at time t. Alpha and beta are both kept for every frame: beta
+    at frame t overwrites the emissions of frame t+1 once it has read them,
+    so the pass holds two (T_max, S_max, B) arrays, and the emissions are
+    freed when it returns.
+
+    Returns each lattice's path mass p (the sum of its final-blank and
+    last-label alpha), the state posteriors alpha (x) beta, not yet divided
+    by p, and the packed row of each frame and the extended labels that
+    ``_posteriors`` needs.
     """
-    rows, vocab = logp.shape
-    with np.errstate(over="ignore"):
-        prob = np.exp(logp)
-    normal = prob.sum(axis=1) <= 1 + _MASS_SLACK  # False for NaN and overflow too
-    prob[~normal] = 0.0
-    states, ext, skip, frame_rows, em = _padded_lattice(prob, 0.0, frames, targets)
-    del prob
+    plus, times, zero, one = semiring
+    states, ext, skip, frame_rows, em = _padded_lattice(table, zero, frames, targets)
     t_max, s_max, count = em.shape
     lanes = np.arange(count)
     last = frames - 1
-    skip = skip[2:].astype(np.float64)
+    skip = np.where(skip[2:], one, zero)
     jump = np.empty_like(skip)
 
-    alpha = np.zeros((t_max, s_max, count))
+    alpha = np.empty((t_max, s_max, count))
+    alpha[0] = zero
     alpha[0, :2] = em[0, :2]
     for t in range(1, t_max):
         prev, cur = alpha[t - 1], alpha[t]
         cur[0] = prev[0]
-        np.add(prev[1:], prev[:-1], out=cur[1:])
-        np.multiply(prev[:-2], skip, out=jump)
-        cur[2:] += jump
-        cur *= em[t]
+        plus(prev[1:], prev[:-1], cur[1:])
+        times(prev[:-2], skip, jump)
+        plus(cur[2:], jump, cur[2:])
+        times(cur, em[t], cur)
     final = alpha[last, :, lanes]  # (B, S_max)
-    mass = final[lanes, states - 1] + final[lanes, states - 2]
-    kept = np.logical_and.reduceat(normal, np.cumsum(frames) - frames) & (mass >= _MIN_PATH_MASS)
-    mass[~kept] = 1.0  # those lattices are recomputed below
-    losses = -np.log(mass)
+    mass = plus(final[lanes, states - 1], final[lanes, states - 2])
 
-    # beta excludes the emission at t, so alpha * beta is the mass of all
-    # full paths through state s at time t. A lattice's beta is 0 after
-    # its last frame, and at that frame it is 1 in its final blank and
-    # last label. Frame t+1's emissions are read only to step beta from
-    # t+1 to t, so beta at t overwrites them: beta needs no
-    # (T_max, S_max, B) array of its own, only one for its last frame.
-    beta_last = np.zeros((s_max, count))
+    # A lattice's beta is zero after its last frame, and at that frame it
+    # is one in its final blank and last label. Frame t+1's emissions are
+    # read only to step beta from t+1 to t, so beta at t overwrites them:
+    # beta needs no (T_max, S_max, B) array of its own, only one for its
+    # last frame.
+    beta_last = np.full((s_max, count), zero)
     beta = beta_last
     nxt = np.empty_like(beta_last)
     ends = _lanes_ending(last)
     for t in range(t_max - 1, -1, -1):
         if t < t_max - 1:
-            np.multiply(beta, em[t + 1], out=nxt)
+            times(beta, em[t + 1], nxt)
             beta = em[t + 1]
             beta[-1] = nxt[-1]
-            np.add(nxt[:-1], nxt[1:], out=beta[:-1])
-            np.multiply(nxt[2:], skip, out=jump)
-            beta[:-2] += jump
+            plus(nxt[:-1], nxt[1:], beta[:-1])
+            times(nxt[2:], skip, jump)
+            plus(beta[:-2], jump, beta[:-2])
         if t in ends:
             b = ends[t]
-            beta[states[b] - 1, b] = 1.0
-            beta[states[b] - 2, b] = 1.0
+            beta[states[b] - 1, b] = one
+            beta[states[b] - 2, b] = one
 
     gamma = alpha  # alpha is not needed again
-    gamma[:-1] *= em[1:]  # beta at frames 0 .. T_max - 2
-    gamma[-1] *= beta_last
-    del em, beta  # free the emission array before the bin index is built
+    times(gamma[:-1], em[1:], gamma[:-1])  # beta at frames 0 .. T_max - 2
+    times(gamma[-1], beta_last, gamma[-1])
+    return mass, gamma, frame_rows, ext
+
+
+def _ctc_packed(logp: np.ndarray, frames: np.ndarray, targets: list[Sentence]) -> tuple[np.ndarray, np.ndarray]:
+    """CTC losses and gradients of B lattices packed row-wise in ``logp``.
+
+    ``_forward_backward`` in probability space, on exp(logp): the loss is
+    -log p and the posteriors are alpha * beta / p. A lattice whose rows
+    are not normalised (a mass above 1, NaN or an overflow) or whose p is
+    below ``_MIN_PATH_MASS`` (a loss above 460.5 nats, or no path at all)
+    is recomputed alone by ``_ctc_log``, and only that lattice. Returns the
+    per-lattice losses (inf where no path exists) and dL/dlogp in the
+    packed layout. The caller checks feasibility.
+    """
+    with np.errstate(over="ignore"):
+        prob = np.exp(logp)
+    normal = prob.sum(axis=1) <= 1 + _MASS_SLACK  # False for NaN and overflow too
+    prob[~normal] = 0.0
+    mass, gamma, frame_rows, ext = _forward_backward(prob, frames, targets, _PROBABILITY)
+    del prob
+    kept = np.logical_and.reduceat(normal, np.cumsum(frames) - frames) & (mass >= _MIN_PATH_MASS)
+    mass[~kept] = 1.0  # those lattices are recomputed below
+    losses = -np.log(mass)
     gamma /= mass
-    grad = -_posteriors(gamma, frame_rows, ext, rows, vocab)
+    grad = -_posteriors(gamma, frame_rows, ext, *logp.shape)
     del gamma
     if not kept.all():
         redo = np.flatnonzero(~kept)
-        mine = ~kept[np.repeat(lanes, frames)]
+        mine = ~kept[np.repeat(np.arange(len(frames)), frames)]
         losses[redo], grad[mine] = _ctc_log(logp[mine], frames[redo], [targets[b] for b in redo])
     return losses, grad
 
 
 def _ctc_log(logp: np.ndarray, frames: np.ndarray, targets: list[Sentence]) -> tuple[np.ndarray, np.ndarray]:
-    """``_ctc_packed`` in log space, for the lattices it cannot represent.
-
-    The same recursions over the (T_max, S_max, B) lattice of
-    ``_padded_lattice``, gathered from ``logp`` with padded cells -inf,
-    with ``logaddexp`` for every sum. The s-2 term of each recursion is
-    added only at the label states, through a 0/-inf mask built once
-    (``logaddexp(x, -inf)`` is x exactly), and the posteriors come from
-    one exp and ``_posteriors``. It holds the same two lattice arrays.
-    Returns the losses (inf where no path exists) and dL/dlogp.
+    """``_ctc_packed`` in log space, for the lattices it cannot represent:
+    ``_forward_backward`` on ``logp`` itself, then one exp of the
+    posteriors. Returns the losses (inf where no path exists) and dL/dlogp.
     """
-    rows, vocab = logp.shape
-    states, ext, skip, frame_rows, em_ext = _padded_lattice(logp, NEG_INF, frames, targets)
-    t_max, s_max, count = em_ext.shape
-    lanes = np.arange(count)
-    last = frames - 1
-    skip_add = np.where(skip[3::2], 0.0, NEG_INF)
-
-    alpha = np.full((t_max, s_max, count), NEG_INF)
-    alpha[0, :2] = em_ext[0, :2]
-    for t in range(1, t_max):
-        prev, cur = alpha[t - 1], alpha[t]
-        cur[0] = prev[0]
-        np.logaddexp(prev[1:], prev[:-1], out=cur[1:])
-        np.logaddexp(cur[3::2], prev[1:-2:2] + skip_add, out=cur[3::2])
-        cur += em_ext[t]
-    final = alpha[last, :, lanes]  # (B, S_max)
-    losses = -np.logaddexp(final[lanes, states - 1], final[lanes, states - 2])
-
-    beta_last = np.full((s_max, count), NEG_INF)
-    beta = beta_last
-    ends = _lanes_ending(last)
-    for t in range(t_max - 1, -1, -1):
-        if t < t_max - 1:
-            nxt = beta + em_ext[t + 1]
-            beta = em_ext[t + 1]
-            beta[-1] = nxt[-1]
-            np.logaddexp(nxt[:-1], nxt[1:], out=beta[:-1])
-            np.logaddexp(beta[1:-2:2], nxt[3::2] + skip_add, out=beta[1:-2:2])
-        if t in ends:
-            b = ends[t]
-            beta[states[b] - 1, b] = 0.0
-            beta[states[b] - 2, b] = 0.0
-
-    gamma = alpha  # alpha is not needed again
-    gamma[:-1] += em_ext[1:]  # beta at frames 0 .. T_max - 2
-    gamma[-1] += beta_last
-    del em_ext, beta  # free the emission array before the bin index is built
+    log_mass, gamma, frame_rows, ext = _forward_backward(logp, frames, targets, _LOG)
+    losses = -log_mass
     with np.errstate(invalid="ignore"):  # -inf + inf where a lattice has no path
         gamma += losses
     np.exp(gamma, out=gamma)
     gamma[~np.isfinite(gamma)] = 0.0
-    return losses, -_posteriors(gamma, frame_rows, ext, rows, vocab)
+    return losses, -_posteriors(gamma, frame_rows, ext, *logp.shape)
 
 
 def _viterbi_packed(logp: np.ndarray, frames: np.ndarray,
                     targets: list[Sentence]) -> tuple[np.ndarray, np.ndarray]:
     """Best frame paths of B lattices packed row-wise in ``logp``.
 
-    The max-plus form of ``_ctc_log``'s alpha recursion over the same
-    padded (T_max, S_max, B) lattice. Each cell stores an int8 back-pointer
-    choice among its predecessors, 0 = s-2 (jump), 1 = s-1 (step), 2 = s
-    (stay), and the first maximum wins: two comparisons per frame pick it,
-    which needs emissions free of NaN. Each lattice ends at its own last
-    frame in S_b-2 (the last label) unless S_b-1 (the final blank) scores
-    higher, and one backtrace runs over all lanes at once. Returns the
-    labels of the best paths, packed like ``logp``'s rows, and whether
-    each lattice has a finite path at all (the labels of one without are
-    meaningless). The caller checks feasibility.
+    The max-plus form of ``_forward_backward``'s alpha recursion over the
+    same padded (T_max, S_max, B) lattice. Each cell stores an int8
+    back-pointer choice among its predecessors, 0 = s-2 (jump), 1 = s-1
+    (step), 2 = s (stay), and the first maximum wins: two comparisons per
+    frame pick it, which needs emissions free of NaN. Each lattice ends at
+    its own last frame in S_b-2 (the last label) unless S_b-1 (the final
+    blank) scores higher, and one backtrace runs over all lanes at once.
+    Returns the labels of the best paths, packed like ``logp``'s rows, and
+    whether each lattice has a finite path at all (the labels of one
+    without are meaningless). The caller checks feasibility.
     """
     states, ext, skip, _, em_ext = _padded_lattice(logp, NEG_INF, frames, targets)
     t_max, s_max, count = em_ext.shape
@@ -635,11 +627,13 @@ def viterbi_align(emissions, target: Sentence) -> tuple[int, ...]:
 
     ``_viterbi_packed`` at B = 1. Ties prefer the smaller extended-state
     index at every choice, which places blanks at the earliest possible
-    frames; the rule is deterministic.
+    frames; the rule is deterministic. A lattice holding NaN or +inf is
+    rejected with ValueError; -inf blocks a label.
     """
     e = np.asarray(emissions, dtype=np.float64)
     target = tuple(target)
     _check_feasible(e.shape[0], target)
+    _check_values(e)
     labels, found = _viterbi_packed(e, np.array([e.shape[0]]), [target])
     if not found[0]:
         raise CtcInfeasibleError("no feasible alignment despite frame-count check")
@@ -717,7 +711,7 @@ class PairTable:
 
 # Padded DP cells (B * T_max * S_max) allowed in one training or scoring
 # group. The DP loops cost per frame, not per cell, so bigger groups
-# amortize them over more pairs; the bound keeps the (T, B, S) working set
+# amortize them over more pairs; the bound keeps the (T, S, B) working set
 # of long lattices small. A default-size batch of short pairs fits in one.
 _GROUP_CELLS = 65_536
 

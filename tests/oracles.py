@@ -7,10 +7,11 @@ come from central finite differences, and the word aligner is plain
 nested loops over a dict-of-dicts lexical table. The exceptions are
 references the package's kernels are compared with bit for bit:
 ``em_per_pair``, a per-pair numpy EM that takes the package's position
-prior, and ``ctc_per_frame``, ``viterbi_argmax`` and ``backprop_add_at``,
-plainer forms of the packed CTC, Viterbi and backprop kernels (one exp
-and one bincount per frame, a (3, B, S) ``argmax`` per frame, and one
-``np.add.at`` per embedding scatter block) that must give the same bits,
+prior, and ``ctc_per_frame``, ``ctc_per_frame_probability``,
+``viterbi_argmax`` and ``backprop_add_at``, plainer lane-major forms of
+the packed CTC (in log and in probability space), Viterbi and backprop
+kernels (one bincount per frame, a (3, B, S) ``argmax`` per frame, and
+one ``np.add.at`` per embedding scatter block) that must give the same bits,
 and ``sentence_loss_and_grads``, one pair's loss and gradients from the
 package's B = 1 forward and CTC with ``backprop_add_at``. ``ctc_loss``,
 ``frame_path_logprob``, ``validate_emissions`` and ``score_ctc`` are test
@@ -248,10 +249,11 @@ def em_per_pair(bitext, iterations, tension, null_prob, prior):
     return table, tuple(lls)
 
 
-def _padded_lattice_per_target(logp, frames, targets):
-    """Extended labels, skip masks and emissions of B packed lattices,
-    built one target at a time (see ``nat._padded_lattice``)."""
-    rows, vocab = logp.shape
+def _padded_lattice_per_target(table, pad, frames, targets):
+    """Extended labels, skip masks and cell values of B lattices packed
+    row-wise in ``table``, built one target at a time, with padded cells
+    ``pad`` (see ``nat._padded_lattice``)."""
+    rows, vocab = table.shape
     states = np.array([2 * len(target) + 1 for target in targets])
     t_max, s_max = int(frames.max()), int(states.max())
     ext = np.full((len(targets), s_max), vocab, dtype=np.int64)
@@ -261,8 +263,8 @@ def _padded_lattice_per_target(logp, frames, targets):
         lane[1::2] = target
         ext[b, :states[b]] = lane
         skip[b, 3:states[b]:2] = lane[3::2] != lane[1:-2:2]
-    lattice = np.full((rows + 1, vocab + 1), -np.inf)
-    lattice[:rows, :vocab] = logp
+    lattice = np.full((rows + 1, vocab + 1), pad)
+    lattice[:rows, :vocab] = table
     t_index = np.arange(t_max)[:, None]
     frame_rows = np.where(t_index < frames, np.cumsum(frames) - frames + t_index, rows)
     return states, ext, skip, frame_rows, lattice[frame_rows[:, :, None], ext[None, :, :]]
@@ -272,7 +274,7 @@ def ctc_per_frame(logp, frames, targets):
     """Packed CTC losses and dL/dlogp with beta and the posteriors taken
     one frame at a time: each frame makes its own exp and bincount."""
     rows, vocab = logp.shape
-    states, ext, skip, frame_rows, em_ext = _padded_lattice_per_target(logp, frames, targets)
+    states, ext, skip, frame_rows, em_ext = _padded_lattice_per_target(logp, -np.inf, frames, targets)
     t_max, count, s_max = em_ext.shape
     lanes = np.arange(count)
     last = frames - 1
@@ -315,10 +317,57 @@ def ctc_per_frame(logp, frames, targets):
     return losses, grad[:rows]
 
 
+def ctc_per_frame_probability(logp, frames, targets):
+    """``ctc_per_frame`` in probability space, on exp(logp), for lattices
+    of normalised rows whose path mass p is not near underflow: the loss
+    is -log p, and each frame's posteriors alpha * beta / p make their
+    own bincount."""
+    rows, vocab = logp.shape
+    states, ext, skip, frame_rows, em = _padded_lattice_per_target(np.exp(logp), 0.0, frames, targets)
+    t_max, count, s_max = em.shape
+    lanes = np.arange(count)
+    last = frames - 1
+    back_skip = np.zeros_like(skip)
+    back_skip[:, :-2] = skip[:, 2:]
+
+    alpha = np.zeros((t_max, count, s_max))
+    alpha[0, :, :2] = em[0, :, :2]
+    step = np.zeros((count, s_max))
+    jump = np.zeros((count, s_max))
+    for t in range(1, t_max):
+        prev = alpha[t - 1]
+        step[:, 1:] = prev[:, :-1]
+        jump[:, 2:] = prev[:, :-2]
+        alpha[t] = (prev + step + np.where(skip, jump, 0.0)) * em[t]
+    final = alpha[last, lanes]
+    p = final[lanes, states - 1] + final[lanes, states - 2]
+
+    terminal = np.zeros((count, s_max))
+    terminal[lanes, states - 1] = 1.0
+    terminal[lanes, states - 2] = 1.0
+    beta = np.zeros((count, s_max))
+    step = np.zeros((count, s_max))
+    jump = np.zeros((count, s_max))
+    bins = (lanes[:, None] * (vocab + 1) + ext).ravel()
+    grad = np.zeros((rows + 1, vocab))
+    for t in range(t_max - 1, -1, -1):
+        if t < t_max - 1:
+            nxt = beta * em[t + 1]
+            step[:, :-1] = nxt[:, 1:]
+            jump[:, :-2] = nxt[:, 2:]
+            beta = nxt + step + np.where(back_skip, jump, 0.0)
+        ending = last == t
+        beta[ending] = terminal[ending]
+        gamma = alpha[t] * beta / p[:, None]
+        posterior = np.bincount(bins, weights=gamma.ravel(), minlength=count * (vocab + 1))
+        grad[frame_rows[t]] = -posterior.reshape(count, vocab + 1)[:, :vocab]
+    return -np.log(p), grad[:rows]
+
+
 def viterbi_argmax(logp, frames, targets):
     """Packed Viterbi paths and found flags, choosing each back-pointer by
     ``argmax`` over stacked (jump, step, stay) candidates."""
-    states, ext, skip, _, em_ext = _padded_lattice_per_target(logp, frames, targets)
+    states, ext, skip, _, em_ext = _padded_lattice_per_target(logp, -np.inf, frames, targets)
     t_max, count, s_max = em_ext.shape
     lanes = np.arange(count)
     last = frames - 1

@@ -132,6 +132,20 @@ def test_infeasible_target_raises():
     ctc_loss(e3, (1, 1))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_nan_and_plus_inf_are_rejected(value):
+    """The first NaN or +inf is named by its (frame, label). -inf blocks a
+    label, and rows that are not normalised run in log space, so both are
+    still accepted."""
+    e = np.full((4, 5), np.log(0.2))
+    e[1, 2] = e[3, 4] = value
+    with pytest.raises(ValueError, match=rf"\(frame 1, label 2\) is {value}$"):
+        ctc_loss_and_grad(e, (2, 3))
+    e[1, 2] = e[3, 4] = -np.inf
+    assert np.isfinite(ctc_loss_and_grad(e, (2, 3))[0])
+    assert np.isfinite(ctc_loss_and_grad(e + 300, (2, 3))[0])
+
+
 def test_min_frames_counts_adjacent_repeats():
     assert min_frames((1, 2, 3)) == 3
     assert min_frames((1, 1)) == 3

@@ -1,11 +1,11 @@
 """The packed kernels against their references.
 
-The log-space CTC, the Viterbi and the backprop kernels are checked bit
-for bit against their earlier forms in ``oracles``: every loss, gradient
-entry, path label and found flag must be equal, not merely close. The
-probability-space CTC is checked against the log-space one within a
-tolerance derived from float64 rounding, and exactly on the lattices its
-guard sends to the log-space kernel."""
+The CTC kernels in both semirings, the Viterbi and the backprop kernels
+are checked bit for bit against plainer forms in ``oracles``: every
+loss, gradient entry, path label and found flag must be equal, not
+merely close. The probability-space CTC is also checked against the
+log-space one within a tolerance derived from float64 rounding, and
+exactly on the lattices its guard sends to the log-space kernel."""
 
 import tracemalloc
 
@@ -25,7 +25,7 @@ from selkd.nat import (
     min_frames,
 )
 
-from oracles import backprop_add_at, ctc_per_frame, viterbi_argmax
+from oracles import backprop_add_at, ctc_per_frame, ctc_per_frame_probability, viterbi_argmax
 
 
 def random_batch(rng, vocab, ties=False):
@@ -89,7 +89,7 @@ def ctc_tolerance(frames, losses):
     return 16 * np.finfo(np.float64).eps * int(frames.max()) * (2 + float(losses.max()))
 
 
-def feasible_batch(rng, vocab, longest):
+def feasible_batch(rng, vocab, longest, ties=False):
     """Packed normalised lattices with targets of 1 .. ``longest`` labels
     full of repeats, each with T between min_frames and twice it, so
     every lane has a path."""
@@ -101,7 +101,10 @@ def feasible_batch(rng, vocab, longest):
         targets.append(target)
         frames.append(int(rng.integers(need, 2 * need + 1)))
     frames = np.array(frames)
-    return log_softmax(rng.normal(size=(frames.sum(), vocab))), frames, targets
+    scores = rng.normal(size=(frames.sum(), vocab))
+    if ties:
+        scores = np.round(scores)  # equal labels on every frame
+    return log_softmax(scores), frames, targets
 
 
 @pytest.mark.parametrize("longest", [6, 48])
@@ -115,6 +118,18 @@ def test_ctc_probability_space_matches_log_space(longest):
         tol = ctc_tolerance(frames, ref_losses)
         np.testing.assert_allclose(losses, ref_losses, rtol=0, atol=tol)
         np.testing.assert_allclose(dlogp, ref_dlogp, rtol=0, atol=tol)
+
+
+@pytest.mark.parametrize("ties", [False, True])
+def test_ctc_probability_space_matches_per_frame_reference(ties):
+    rng = np.random.default_rng(61)
+    for _ in range(100):
+        logp, frames, targets = feasible_batch(rng, int(rng.integers(2, 8)), 12, ties)
+        losses, dlogp = _ctc_packed(logp, frames, targets)
+        ref_losses, ref_dlogp = ctc_per_frame_probability(logp, frames, targets)
+        assert (ref_losses < -np.log(_MIN_PATH_MASS)).all()  # no lane trips the guard
+        np.testing.assert_array_equal(losses, ref_losses)
+        np.testing.assert_array_equal(dlogp, ref_dlogp)
 
 
 def tight_path_past_minus_700():
@@ -226,12 +241,13 @@ def test_backprop_matches_add_at_reference(window):
             np.testing.assert_array_equal(grads[name], ref[name], err_msg=name)
 
 
-def test_ctc_holds_at_most_two_lattice_arrays():
-    """On a long group the CTC pass peaks below three (T_max, B, S_max)
-    float arrays: beta lives in the emission rows it has read, and the bin
-    index is built after the emissions are freed. More live lattice arrays
-    outgrow the allocator's retained heap, which is then returned to the
-    system and faulted back in on every group."""
+@pytest.mark.parametrize("kernel", [_ctc_packed, _ctc_log], ids=["packed", "log"])
+def test_ctc_holds_at_most_two_lattice_arrays(kernel):
+    """On a long group the CTC pass peaks below three (T_max, S_max, B)
+    float arrays in either semiring: beta lives in the emission rows it
+    has read, and the bin index is built after the emissions are freed.
+    More live lattice arrays outgrow the allocator's retained heap, which
+    is then returned to the system and faulted back in on every group."""
     rng = np.random.default_rng(31)
     count, t_frames, length, vocab = 6, 90, 40, 18
     targets = [tuple(int(v) for v in rng.integers(1, vocab, size=length)) for _ in range(count)]
@@ -241,7 +257,7 @@ def test_ctc_holds_at_most_two_lattice_arrays():
     lattice_bytes = t_frames * count * (2 * length + 1) * 8
     tracemalloc.start()
     try:
-        losses, _ = _ctc_packed(logp, frames, targets)
+        losses, _ = kernel(logp, frames, targets)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -119,3 +119,16 @@ def test_lane_without_finite_path_leaves_neighbors_alone(np_rng):
     assert paths[1] == viterbi_align(fine, (2, 1, 1))
     with pytest.raises(CtcInfeasibleError):
         viterbi_align(blocked, (1, 2))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_nan_and_plus_inf_are_rejected(value):
+    """The first NaN or +inf is named by its (frame, label). -inf blocks a
+    label and large rows that are not normalised are still accepted."""
+    e = np.full((4, 5), np.log(0.2))
+    e[1, 2] = e[3, 4] = value
+    with pytest.raises(ValueError, match=rf"\(frame 1, label 2\) is {value}$"):
+        viterbi_align(e, (2, 3))
+    e[1, 2] = e[3, 4] = -np.inf
+    for lattice in (e, e + 300):
+        assert collapse(viterbi_align(lattice, (2, 3))) == (2, 3)
