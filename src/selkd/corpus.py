@@ -8,16 +8,18 @@ Bitext format: one sentence per line, tokens separated by single
 spaces. A training unit joins one line from each of three parallel
 files: source, raw target, distilled target. Tokens are opaque strings;
 any upstream segmentation (words, subwords) passes through unchanged.
-On reading, only the ASCII whitespace ``str.split()`` uses separates
-tokens, so a U+00A0 or other Unicode space stays inside its token.
+On reading, the file's bytes are split, so only the ASCII whitespace
+``str.split()`` uses separates tokens, and a U+00A0 or other Unicode
+space stays inside its token.
 
 ``load_corpus`` reads the source file, then the raw target file, then
 the distilled target file, and turns each line into ids as it reads it:
-every line is checked (valid UTF-8, not empty, at most
-``MAX_SENTENCE_LEN`` tokens, no reserved surface) and its tokens are
-registered in the side's vocabulary in the same step. So only one
-file's text and the ids are held at a time, never every token string of
-the corpus.
+the file must be valid UTF-8, every line is checked (not empty, at most
+``MAX_SENTENCE_LEN`` tokens, no reserved surface), and its tokens get
+their ids in the same step, through a dict from token bytes to ids, so
+only a surface new to the file is decoded and registered in the side's
+vocabulary. So only one file's bytes and lines and the ids are held at
+a time, never every token string of the corpus.
 
 Corpora are immutable after construction and safe to share across
 threads without coordination.
@@ -26,7 +28,7 @@ threads without coordination.
 from __future__ import annotations
 
 import hashlib
-import re
+import itertools
 from dataclasses import dataclass
 
 BLANK_ID = 0
@@ -39,8 +41,10 @@ MAX_SENTENCE_LEN = 1024
 
 # A token is a run of anything but the ASCII whitespace ``str.split()``
 # splits on; ``str.split()`` itself would also split on U+00A0, U+3000 etc.
-_ASCII_WHITESPACE = "".join(c for c in map(chr, range(128)) if c.isspace())
-_TOKEN = re.compile(f"[^{re.escape(_ASCII_WHITESPACE)}]+")
+# ``bytes.split()`` splits on that ASCII whitespace but for \x1c-\x1f,
+# which this table turns into spaces first. No byte of a multibyte UTF-8
+# character is ASCII, so a split of the bytes is a split of the text.
+_SEPARATORS = bytes.maketrans(b"\x1c\x1d\x1e\x1f", b"    ")
 
 Sentence = tuple[int, ...]
 Bitext = list[tuple[Sentence, Sentence]]
@@ -134,16 +138,22 @@ class Corpus:
         return list(zip(self.side("source"), self.side(side)))
 
 
+def _decode_utf8(path: str, data: bytes, error: type[ValueError]) -> str:
+    """``data``, the bytes of ``path``, decoded; bytes that are not UTF-8
+    raise ``error`` naming ``path:line``."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}:{lineno}: not valid UTF-8 ({exc})") from exc
+
+
 def read_utf8(path: str, error: type[ValueError]) -> str:
-    """The whole text of ``path``; bytes that are not UTF-8 raise
-    ``error`` naming ``path:line``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return fh.read()
-        except UnicodeDecodeError as exc:
-            # ``exc.object`` holds the whole file's bytes: read() decodes them in one call.
-            lineno = exc.object.count(b"\n", 0, exc.start) + 1
-            raise error(f"{path}:{lineno}: not valid UTF-8 ({exc})") from exc
+    """The whole text of ``path``, CRLF and CR read as LF; bytes that are
+    not UTF-8 raise ``error`` naming ``path:line``."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    return _decode_utf8(path, data, error).replace("\r\n", "\n").replace("\r", "\n")
 
 
 def read_lines(path: str, error: type[ValueError]) -> list[str]:
@@ -181,22 +191,37 @@ def write_lines(path: str, lines) -> None:
 
 
 def _read_ids(path: str, vocab: Vocabulary) -> list[Sentence]:
-    """Each line of ``path`` as a sentence of ids, in one pass: a line's
-    tokens are checked and registered in ``vocab`` as it is read, so no
-    token string outlives its line unless it is a new surface."""
+    """Each line of ``path`` as a sentence of ids, in one pass over the
+    file's bytes: a line's tokens are checked and turned into ids as it
+    is read, through a dict from token bytes to id, so only a surface new
+    to this file is decoded and registered in ``vocab``."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    _decode_utf8(path, data, CorpusFormatError)  # the whole file must be UTF-8
+    lines = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n").translate(_SEPARATORS).split(b"\n")
+    # A trailing newline produces one final empty chunk; drop it.
+    if lines[-1] == b"":
+        lines.pop()
+    ids_of: dict[bytes, int] = {}
+    new = itertools.repeat(-1)  # the id ``ids_of`` gives a surface it does not hold yet
     sentences = []
-    for lineno, line in enumerate(read_lines(path, CorpusFormatError), start=1):
-        tokens = _TOKEN.findall(line)
+    for lineno, line in enumerate(lines, start=1):
+        tokens = line.split()
         if not tokens:
             raise CorpusFormatError(f"{path}:{lineno}: empty line")
         if len(tokens) > MAX_SENTENCE_LEN:
             raise CorpusFormatError(
                 f"{path}:{lineno}: sentence has {len(tokens)} tokens, limit is {MAX_SENTENCE_LEN}"
             )
-        ids = tuple(map(vocab.add, tokens))
-        if min(ids) < len(RESERVED_SURFACES):  # a reserved surface maps to its reserved id
-            surface = next(t for t in tokens if t in RESERVED_SURFACES)
-            raise CorpusFormatError(f"{path}:{lineno}: reserved surface {surface!r} may not appear in a corpus")
+        ids = tuple(map(ids_of.get, tokens, new))
+        if min(ids) < len(RESERVED_SURFACES):  # a new surface, or a reserved one
+            for token in tokens:
+                if token not in ids_of:
+                    ids_of[token] = vocab.add(token.decode("utf-8"))
+            ids = tuple(map(ids_of.__getitem__, tokens))
+            if min(ids) < len(RESERVED_SURFACES):  # a reserved surface maps to its reserved id
+                surface = next(t for t, i in zip(tokens, ids) if i < len(RESERVED_SURFACES)).decode()
+                raise CorpusFormatError(f"{path}:{lineno}: reserved surface {surface!r} may not appear in a corpus")
         sentences.append(ids)
     return sentences
 

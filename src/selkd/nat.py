@@ -45,21 +45,27 @@ of returning it to the system and faulting it back in. A lattice's loss
 and gradient do not depend on what it is padded with or next to, and
 ``forward`` and ``ctc_loss_and_grad`` are the same code at B = 1.
 
-Scoring (``scoring.score_corpus``) uses the same groups, cut to at most
-``batch_size`` pairs so that no forward outgrows a training step's. Each
-group makes one packed decode and gets one wanted label per decoded
-frame; both variants then count a pair's mismatched frames with one
-bincount. A plain group decodes at |reference| frames per pair
-(``_positional_packed``) and wants the reference itself. A ctc group runs
-one packed forward at T frames, takes its greedy argmax over the packed
-rows, and wants the labels of one Viterbi pass (``_viterbi_packed``) over
-the same padded lattice, in log-probabilities with padded cells -inf.
-That pass keeps the scores of one frame, each lane's scores at its own
-last frame, and a (T_max, S_max, B) int8 array of back-pointer choices:
-0 from state s-2, 1 from s-1, 2 from s, the first maximum picked by two
-comparisons. One backtrace then walks all lanes back together from their
-final states, a lane moving only at its real frames. ``viterbi_align``
-and ``decode_positional`` are that code at B = 1.
+Scoring (``scoring.score_corpus``) runs its forwards in the length
+groups of training, cut to at most ``batch_size`` pairs so that no
+forward outgrows a training step's. Each pair gets one wanted label per
+decoded frame, and both variants count a pair's mismatched frames with
+one bincount. A plain group decodes at |reference| frames per pair
+(``_positional_packed``) and wants the reference itself. A ctc pair is
+decoded by one packed forward at T frames and its greedy argmax over the
+packed rows, and wants the labels of a Viterbi pass
+(``_viterbi_packed``) in log-probabilities with padded cells -inf.
+Scoring groups are sorted over the whole corpus and carry little
+padding, so one Viterbi pass spans several consecutive forward groups,
+as many as its padded log-probabilities and back-pointers allow
+(``_viterbi_runs``), and pays its per-frame numpy calls once for all of
+them. That pass gathers each frame's emissions from the padded table
+inside its loop, and keeps the scores of one frame, each lane's scores
+at its own last frame, and a (T_max, S_max, B) int8 array of
+back-pointer choices: 0 from state s-2, 1 from s-1, 2 from s, the first
+maximum picked by two comparisons. One backtrace then walks all lanes
+back together from their final states, a lane moving only at its real
+frames. ``viterbi_align`` and ``decode_positional`` are that code at
+B = 1.
 """
 
 from __future__ import annotations
@@ -376,19 +382,28 @@ def ctc_loss_and_grad(emissions, target: Sentence) -> tuple[float, np.ndarray]:
 
 def _padded_lattice(table: np.ndarray, pad: float, frames: np.ndarray, targets: list[Sentence]):
     """The padded, state-major view of B lattices packed row-wise in
-    ``table``, a (rows, vocab) array of per-frame label values.
+    ``table``, a (rows, vocab) array of per-frame label values: the layout
+    of ``_lattice_layout`` and the value of each cell of the
+    (T_max, S_max, B) lattice, gathered from its padded table through
+    ``_cells``."""
+    states, ext, skip, frame_rows, padded = _lattice_layout(table, pad, frames, targets)
+    return states, ext, skip, frame_rows, np.take(padded.ravel(), _cells(frame_rows, ext, table.shape[1]))
+
+
+def _lattice_layout(table: np.ndarray, pad: float, frames: np.ndarray, targets: list[Sentence]):
+    """The layout of B lattices packed row-wise in ``table``, a
+    (rows, vocab) array of per-frame label values.
 
     Lattice b owns ``frames[b]`` consecutive rows and target b has S_b =
     2|y_b| + 1 extended states. Returns S_b per lattice, the extended
     labels (S_max, B), the skip mask (S_max, B) (True at the label states
     s = 3, 5, ... that may be entered from s-2, because their label
     differs from the previous one), the packed row of each frame
-    (T_max, B), and the value of each cell of the (T_max, S_max, B)
-    lattice, gathered through ``_cells``. Padded states carry the label
-    ``vocab`` and padded frames the row ``rows``, and every cell of either
-    reads ``pad``, which the caller picks so that no path leads from a
-    padded cell into a real one (-inf for log-probabilities, 0 for
-    probabilities).
+    (T_max, B), and ``table`` padded to (rows + 1, vocab + 1). Padded
+    states carry the label ``vocab`` and padded frames the row ``rows``,
+    and every cell of either reads ``pad``, which the caller picks so that
+    no path leads from a padded cell into a real one (-inf for
+    log-probabilities, 0 for probabilities).
     """
     rows, vocab = table.shape
     lengths = np.array([len(target) for target in targets])
@@ -403,7 +418,7 @@ def _padded_lattice(table: np.ndarray, pad: float, frames: np.ndarray, targets: 
     padded[:rows, :vocab] = table
     t_index = np.arange(t_max)[:, None]
     frame_rows = np.where(t_index < frames, np.cumsum(frames) - frames + t_index, rows)
-    return states, ext, skip, frame_rows, np.take(padded.ravel(), _cells(frame_rows, ext, vocab))
+    return states, ext, skip, frame_rows, padded
 
 
 def _cells(frame_rows: np.ndarray, ext: np.ndarray, vocab: int) -> np.ndarray:
@@ -573,27 +588,34 @@ def _viterbi_packed(logp: np.ndarray, frames: np.ndarray,
     """Best frame paths of B lattices packed row-wise in ``logp``.
 
     The max-plus form of ``_forward_backward``'s alpha recursion over the
-    same padded (T_max, S_max, B) lattice. Each cell stores an int8
-    back-pointer choice among its predecessors, 0 = s-2 (jump), 1 = s-1
-    (step), 2 = s (stay), and the first maximum wins: two comparisons per
-    frame pick it, which needs emissions free of NaN. Each lattice ends at
-    its own last frame in S_b-2 (the last label) unless S_b-1 (the final
-    blank) scores higher, and one backtrace runs over all lanes at once.
-    Returns the labels of the best paths, packed like ``logp``'s rows, and
-    whether each lattice has a finite path at all (the labels of one
-    without are meaningless). The caller checks feasibility.
+    same padded (T_max, S_max, B) lattice, whose emissions it gathers one
+    frame at a time from the padded table of ``_lattice_layout``: one index
+    add and one ``take`` per frame. Each cell stores an int8 back-pointer
+    choice among its predecessors, 0 = s-2 (jump), 1 = s-1 (step), 2 = s
+    (stay), and the first maximum wins: two comparisons per frame pick it,
+    which needs emissions free of NaN. The back-pointers are the pass's
+    only (T_max, S_max, B) array. Each lattice ends at its own last frame
+    in S_b-2 (the last label) unless S_b-1 (the final blank) scores higher,
+    and one backtrace runs over all lanes at once. Returns the labels of
+    the best paths, packed like ``logp``'s rows, and whether each lattice
+    has a finite path at all (the labels of one without are meaningless).
+    The caller checks feasibility.
     """
-    states, ext, skip, _, em_ext = _padded_lattice(logp, NEG_INF, frames, targets)
-    t_max, s_max, count = em_ext.shape
+    states, ext, skip, frame_rows, padded = _lattice_layout(logp, NEG_INF, frames, targets)
+    emissions = padded.ravel()
+    offsets = frame_rows * padded.shape[1]  # where each frame's row starts in ``emissions``
+    (s_max, count), t_max = ext.shape, len(frame_rows)
     lanes = np.arange(count)
     last = frames - 1
     skip = skip[3::2]
     score = np.full((s_max, count), NEG_INF)
-    score[:2] = em_ext[0, :2]
+    score[:2] = emissions[ext[:2] + offsets[0]]
     final = np.where(last == 0, score, NEG_INF)
     back = np.zeros((t_max, s_max, count), dtype=np.int8)
     jump = np.full((s_max, count), NEG_INF)
     step = np.full((s_max, count), NEG_INF)
+    cells = np.empty((s_max, count), dtype=np.int64)
+    emitted = np.empty((s_max, count))
     ends = _lanes_ending(last)
     for t in range(1, t_max):
         np.copyto(jump[3::2], score[1:-2:2], where=skip)
@@ -606,7 +628,9 @@ def _viterbi_packed(logp: np.ndarray, frames: np.ndarray,
         np.maximum(jump, best, out=best)
         np.subtract(2, take_step, out=back[t], dtype=np.int8)
         back[t] *= not_jump
-        np.add(best, em_ext[t], out=score)
+        np.add(ext, offsets[t], out=cells)
+        np.take(emissions, cells, out=emitted, mode="clip")  # in range: "clip" skips a buffered copy
+        np.add(best, emitted, out=score)
         if t in ends:
             final[:, ends[t]] = score[:, ends[t]]
 
@@ -731,6 +755,26 @@ def _length_groups(frames: np.ndarray, states: np.ndarray) -> list[np.ndarray]:
             start, s_max = end, 0
         s_max = max(s_max, s)
     return np.split(order, cuts) if len(order) else []
+
+
+def _viterbi_runs(groups: list[np.ndarray], table: PairTable, vocab: int):
+    """Runs of consecutive ``groups`` of ``table``'s pairs, one Viterbi
+    pass each: a run grows while its log-probabilities hold at most
+    ``_GROUP_CELLS`` values (rows x (vocab + 1), its padded table) and its
+    int8 back-pointers at most 8 x ``_GROUP_CELLS`` cells, the bytes of
+    one float64 lattice. A group over either bound on its own is a run of
+    its own."""
+    run: list[np.ndarray] = []
+    for group in groups:
+        lanes = np.concatenate(run + [group])
+        frames, states = table.frames[lanes], table.states[lanes]
+        if run and (frames.sum() * (vocab + 1) > _GROUP_CELLS or
+                    len(lanes) * frames.max() * states.max() > 8 * _GROUP_CELLS):
+            yield run
+            run = []
+        run.append(group)
+    if run:
+        yield run
 
 
 def batch_step(model: NatModel, slots: np.ndarray, table: PairTable,

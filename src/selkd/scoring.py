@@ -19,8 +19,9 @@ Dividing the ctc distance by |Y| instead of T is available behind a
 flag; such a score is clamped to [0, 1].
 
 A corpus is scored in the length-sorted groups that training uses (see
-``selkd.nat``), each through one packed forward and one ``bincount`` of
-its mismatched frames, so the Python overhead is paid per group, not per
+``selkd.nat``), each through one packed forward, and a ctc Viterbi pass
+spans several consecutive groups; one ``bincount`` counts the mismatched
+frames of each pass, so the Python overhead is paid per group, not per
 pair. Each score still depends only on its own pair: padding and
 neighbors change no bit of it.
 """
@@ -40,6 +41,7 @@ from .nat import (
     _length_groups,
     _positional_packed,
     _viterbi_packed,
+    _viterbi_runs,
     model_digest,
 )
 
@@ -77,9 +79,12 @@ def _score_pairs(model: NatModel, pairs: Bitext, variant: str,
     The pairs run in the length-sorted groups of their ``nat.PairTable``,
     as a training batch does, cut to at most one training batch of pairs
     each, so that a group's forward holds no more rows than a training
-    step's. Each group makes one packed decode and compares it frame by
-    frame with the labels the pair wants; a pair's distance counts the
-    frames where they differ. Each record depends only on its own pair.
+    step's. Each group makes one packed decode. The ctc variant then runs
+    one Viterbi pass over each run of consecutive groups that
+    ``_viterbi_runs`` forms, the forwards' log-probabilities stacked in
+    order. Each decode is compared frame by frame with the labels the
+    pair wants; a pair's distance counts the frames where they differ.
+    Each record depends only on its own pair.
     """
     plain = variant == "plain"
     table = PairTable.of(pairs, model.config.upsample)
@@ -90,33 +95,41 @@ def _score_pairs(model: NatModel, pairs: Bitext, variant: str,
         records[i] = _infeasible_record(i, pairs[i][1], int(table.frames[i]))
     todo = np.flatnonzero(feasible)
     size = model.config.batch_size
-    for whole in _length_groups(table.frames[todo], table.states[todo]):
-        for start in range(0, len(whole), size):
-            group = todo[whole[start:start + size]]
-            sources = [pairs[i][0] for i in group]
-            references = [pairs[i][1] for i in group]
-            if plain:  # best non-blank token at |reference| frames against the reference
-                frames = ref_lens[group]
-                decoded = _positional_packed(model, sources, frames)
-                wanted = np.fromiter(itertools.chain.from_iterable(references), dtype=np.int64,
-                                     count=len(decoded))
-                found = np.ones(len(group), dtype=bool)
-            else:  # greedy label at each of the T frames against the Viterbi path
-                frames = table.frames[group]
-                logp = _forward_packed(model, sources, frames)["logp"]
-                wanted, found = _viterbi_packed(logp, frames, references)
-                decoded = logp.argmax(axis=1)
-            lane = np.repeat(np.arange(len(group)), frames)
-            distances = np.bincount(lane, weights=decoded != wanted, minlength=len(group)).astype(int)
-            denoms = ref_lens[group] if plain or normalize_by_reference else frames
-            for i, t_frames, denom, distance, ok in zip(group.tolist(), frames.tolist(), denoms.tolist(),
-                                                        distances.tolist(), found.tolist()):
-                if not ok:
-                    records[i] = _infeasible_record(i, pairs[i][1], t_frames)
-                    continue
-                records[i] = ScoreRecord(index=i, score=min(1.0, max(0.0, 1.0 - distance / denom)),
-                                         distance=distance, ref_len=len(pairs[i][1]),
-                                         frame_len=0 if plain else t_frames)
+    groups = [todo[whole[start:start + size]]
+              for whole in _length_groups(table.frames[todo], table.states[todo])
+              for start in range(0, len(whole), size)]
+    runs = [[group] for group in groups] if plain else _viterbi_runs(groups, table, model.tgt_vocab_size)
+    for run in runs:
+        group = np.concatenate(run)
+        references = [pairs[i][1] for i in group]
+        if plain:  # best non-blank token at |reference| frames against the reference
+            frames = ref_lens[group]
+            decoded = _positional_packed(model, [pairs[i][0] for i in group], frames)
+            wanted = np.fromiter(itertools.chain.from_iterable(references), dtype=np.int64,
+                                 count=len(decoded))
+            found = np.ones(len(group), dtype=bool)
+        else:  # greedy label at each of the T frames against the Viterbi path
+            frames = table.frames[group]
+            logp = np.empty((int(frames.sum()), model.tgt_vocab_size))
+            start = 0
+            for forward_group in run:  # filled as it runs, so no row is held twice
+                part = _forward_packed(model, [pairs[i][0] for i in forward_group],
+                                       table.frames[forward_group])["logp"]
+                logp[start:start + len(part)] = part
+                start += len(part)
+            wanted, found = _viterbi_packed(logp, frames, references)
+            decoded = logp.argmax(axis=1)
+        lane = np.repeat(np.arange(len(group)), frames)
+        distances = np.bincount(lane, weights=decoded != wanted, minlength=len(group)).astype(int)
+        denoms = ref_lens[group] if plain or normalize_by_reference else frames
+        for i, t_frames, denom, distance, ok in zip(group.tolist(), frames.tolist(), denoms.tolist(),
+                                                    distances.tolist(), found.tolist()):
+            if not ok:
+                records[i] = _infeasible_record(i, pairs[i][1], t_frames)
+                continue
+            records[i] = ScoreRecord(index=i, score=min(1.0, max(0.0, 1.0 - distance / denom)),
+                                     distance=distance, ref_len=len(pairs[i][1]),
+                                     frame_len=0 if plain else t_frames)
     return records
 
 

@@ -19,18 +19,23 @@ conveniences built on the package's B = 1 functions. ``hamming_distance``
 and ``score_plain`` score one positional decode position by position; the
 package's grouped plain scoring must give the same records.
 ``metric_report_links`` walks one metrics view link by link; the package
-must give the same bits.
+must give the same bits. ``read_text_lines`` reads a file in text mode,
+and ``read_ids_regex`` finds each of its lines' tokens with a regular
+expression; the package's byte reader must give the same lines,
+sentences, vocabulary and errors.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import re
 from collections import Counter
 
 import numpy as np
 
 from selkd.align import NULL_LINK
+from selkd.corpus import MAX_SENTENCE_LEN, RESERVED_SURFACES, CorpusFormatError
 from selkd.metrics import MetricReport, MetricsError
 from selkd.nat import _forward_packed, ctc_loss_and_grad
 from selkd.scoring import ScoringError, _score_pairs
@@ -475,3 +480,46 @@ def score_plain(reference, decoded) -> float:
     if len(reference) < 1:
         raise ScoringError("reference must be nonempty")
     return max(0.0, 1.0 - hamming_distance(reference, decoded) / len(reference))
+
+
+# A token is a run of anything but the ASCII whitespace ``str.split()``
+# splits on; ``str.split()`` itself would also split on U+00A0, U+3000 etc.
+_ASCII_WHITESPACE = "".join(c for c in map(chr, range(128)) if c.isspace())
+_TOKEN = re.compile(f"[^{re.escape(_ASCII_WHITESPACE)}]+")
+
+
+def read_text_lines(path, error):
+    """The lines of ``path`` read in text mode, which reads CRLF and CR as
+    LF, without their ends; bytes that are not UTF-8 raise ``error``
+    naming ``path:line``."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            lineno = exc.object.count(b"\n", 0, exc.start) + 1
+            raise error(f"{path}:{lineno}: not valid UTF-8 ({exc})") from exc
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
+
+
+def read_ids_regex(path, vocab):
+    """Each line of ``path`` as a sentence of ids: the file's text lines,
+    each line's tokens found by ``_TOKEN``, checked and registered in
+    ``vocab`` as the line is read."""
+    sentences = []
+    for lineno, line in enumerate(read_text_lines(path, CorpusFormatError), start=1):
+        tokens = _TOKEN.findall(line)
+        if not tokens:
+            raise CorpusFormatError(f"{path}:{lineno}: empty line")
+        if len(tokens) > MAX_SENTENCE_LEN:
+            raise CorpusFormatError(
+                f"{path}:{lineno}: sentence has {len(tokens)} tokens, limit is {MAX_SENTENCE_LEN}"
+            )
+        ids = tuple(map(vocab.add, tokens))
+        if min(ids) < len(RESERVED_SURFACES):  # a reserved surface maps to its reserved id
+            surface = next(t for t in tokens if t in RESERVED_SURFACES)
+            raise CorpusFormatError(f"{path}:{lineno}: reserved surface {surface!r} may not appear in a corpus")
+        sentences.append(ids)
+    return sentences

@@ -1,9 +1,11 @@
 import os
 import re
+import tempfile
 import tracemalloc
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from selkd import synth
@@ -14,8 +16,11 @@ from selkd.corpus import (
     CorpusFormatError,
     Vocabulary,
     load_corpus,
+    read_lines,
     write_bitext,
 )
+
+from oracles import read_ids_regex, read_text_lines
 
 
 def write(path, text):
@@ -198,3 +203,66 @@ def test_vocab_first_occurrence_order(surfaces):
     for s in surfaces:
         v2.add(s)
     assert v1.content_hash() == v2.content_hash()
+
+
+# What a fuzzed bitext line is made of: every ASCII whitespace character
+# but the line ends, which end lines, and, three times as likely, U+0085,
+# U+00A0, U+2028, U+3000, U+FEFF, other multibyte characters, a NUL and
+# the reserved surfaces, which join the pieces next to them into tokens.
+_SPACES = (" ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f")
+_INSIDE_TOKENS = ("\x85", "\u00a0", "\u2028", "\u3000", "\ufeff", "\x00", "a", "b", "ab", "\u00e9",
+                  "\u65e5\u672c", "\U0001f600", "<blank>", "<unk>")
+_PIECES = [piece.encode("utf-8") for piece in _SPACES + 3 * _INSIDE_TOKENS]
+_LINE_ENDS = [b"\n", b"\r\n", b"\r"]
+# Invalid bytes, a truncated character, an encoded surrogate; mostly none.
+_NOT_UTF8 = [b"\xff", b"\x80", b"\xc3", b"\xf0\x9f", b"\xed\xa0\x80"] + [b""] * 45
+
+
+@st.composite
+def bitext_bytes(draw, lines):
+    """``lines`` lines of pieces, some of them empty or only whitespace, each ended
+    by LF, CRLF or CR but maybe the last, with maybe one stretch of bytes
+    that are not UTF-8 anywhere in the file."""
+    pieces = st.lists(st.sampled_from(_PIECES), max_size=6)
+    data = b"".join(b"".join(draw(pieces)) + draw(st.sampled_from(_LINE_ENDS)) for _ in range(lines))
+    if data and draw(st.booleans()):
+        data = data.rstrip(b"\r\n")
+    at = draw(st.integers(0, len(data)))
+    return data[:at] + draw(st.sampled_from(_NOT_UTF8)) + data[at:]
+
+
+def _outcome(read, *args):
+    try:
+        return read(*args)
+    except CorpusFormatError as exc:
+        return f"CorpusFormatError: {exc}"
+
+
+def _load(paths):
+    c = load_corpus(*paths)
+    return ([c.side(side) for side in ("source", "raw", "distilled")],
+            [vocab.decode(range(len(vocab))) for vocab in (c.src_vocab, c.tgt_vocab)])
+
+
+def _load_reference(paths):
+    with mock.patch("selkd.corpus._read_ids", read_ids_regex):
+        return _load(paths)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 4).flatmap(lambda lines: st.tuples(*[bitext_bytes(lines)] * 3)))
+def test_byte_reader_matches_text_reader(files):
+    """``load_corpus`` reads bytes; on three random files of about as many
+    lines it gives what it gives with a reader that reads the text and
+    finds the tokens with a regular expression: the same sentences and
+    vocabularies, or the same error and message. ``read_lines`` gives the
+    lines that text mode gives."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, f"{side}.txt") for side in ("src", "raw", "kd")]
+        for path, data in zip(paths, files):
+            with open(path, "wb") as fh:
+                fh.write(data)
+        for path in paths:
+            lines = _outcome(read_lines, path, CorpusFormatError)
+            assert lines == _outcome(read_text_lines, path, CorpusFormatError)
+        assert _outcome(_load, paths) == _outcome(_load_reference, paths)

@@ -263,3 +263,36 @@ def test_ctc_holds_at_most_two_lattice_arrays(kernel):
         tracemalloc.stop()
     assert np.isfinite(losses).all()
     assert peak < 3 * lattice_bytes
+
+
+def test_viterbi_holds_one_int8_lattice():
+    """On a long group the Viterbi pass peaks below one int8
+    (T_max, S_max, B) lattice of back-pointers plus a multiple of its
+    (rows, V) float input, because it gathers each frame's emissions from
+    the padded table inside its loop.
+
+    Besides the back-pointers it holds one padded copy of the input,
+    (rows + 1) x (V + 1) floats, and arrays with one value per lane and
+    frame or per lane and state: the frame rows and their offsets, the
+    extended labels and skip mask, one frame's scores, finals, candidates,
+    choices, gather index and emissions, and at the end the path, its
+    labels and the mask that packs them. That is 17 arrays; allow 20. With
+    S_max <= T_max each holds at most rows x 8 bytes, 1/V of the input. A
+    float64 lattice and its int64 cell index, 16 bytes a cell, would be
+    2 S_max / V = 9 times the input here."""
+    rng = np.random.default_rng(31)
+    count, t_frames, length, vocab = 6, 90, 40, 18
+    targets = [tuple(int(v) for v in rng.integers(1, vocab, size=length)) for _ in range(count)]
+    frames = np.full(count, t_frames)
+    logp = log_softmax(rng.normal(size=(frames.sum(), vocab)))
+    rows = len(logp)
+    back_bytes = t_frames * (2 * length + 1) * count
+    multiple = (rows + 1) * (vocab + 1) / (rows * vocab) + 20 / vocab
+    tracemalloc.start()
+    try:
+        _, found = _viterbi_packed(logp, frames, targets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found.all()
+    assert peak < back_bytes + multiple * logp.nbytes

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from selkd import nat
+from selkd import nat, scoring
 from selkd.nat import ModelConfig, NatModel, decode_positional, forward, min_frames, param_shapes, viterbi_align
 from selkd.scoring import (
     ScoreRecord,
@@ -201,9 +201,11 @@ def _plain_record_alone(model, index, source, reference):
 
 
 def test_padded_scoring_groups_match_each_pair_alone(monkeypatch):
-    # Mixed source lengths, a repeated reference token ("b b") and one
-    # reference too long for its 2 * 2 frames; a small group bound and a
-    # batch of 3 split the corpus into several padded groups.
+    # Mixed source lengths, a repeated reference token ("b b"), one
+    # reference too long for its 2 * 2 frames, and eight pairs of one
+    # source and one reference token; a small group bound and a batch of 3
+    # split the corpus into several padded forward groups, and the eight
+    # short pairs' Viterbi pass spans several of them.
     from conftest import make_corpus
 
     corpus = make_corpus([
@@ -214,6 +216,8 @@ def test_padded_scoring_groups_match_each_pair_alone(monkeypatch):
         ("u t s r q p p q", "f e d c b a a", "f e d"),
         ("r s t", "c d", "c d e"),
         ("t u", "e f", "e f"),
+        ("p", "a", "a"), ("q", "b", "b"), ("r", "c", "c"), ("t", "e", "e"),
+        ("u", "f", "f"), ("v", "a", "b"), ("w", "b", "b"),
     ])
     model = NatModel.initialize(ModelConfig(embed_dim=6, hidden_dim=8, batch_size=3, seed=3),
                                 corpus.src_vocab, corpus.tgt_vocab)
@@ -222,6 +226,18 @@ def test_padded_scoring_groups_match_each_pair_alone(monkeypatch):
     monkeypatch.setattr(nat, "_GROUP_CELLS", 200)
     table = nat.PairTable.of(corpus.pairs("raw"), 2)
     assert len(nat._length_groups(table.frames, table.states)) >= 2
+    forwards, viterbi_lanes = [], []
+
+    def forward_packed(model, sources, frames):
+        forwards.append((sources, frames))
+        return nat._forward_packed(model, sources, frames)
+
+    def viterbi_packed(logp, frames, targets):
+        viterbi_lanes.append(len(frames))
+        return nat._viterbi_packed(logp, frames, targets)
+
+    monkeypatch.setattr(scoring, "_forward_packed", forward_packed)
+    monkeypatch.setattr(scoring, "_viterbi_packed", viterbi_packed)
     cases = {
         "ctc": ({}, _ctc_record_alone),
         "ctc by reference": ({"normalize_by_reference": True},
@@ -235,6 +251,15 @@ def test_padded_scoring_groups_match_each_pair_alone(monkeypatch):
         assert list(tables[name]) == expected
     for name in ("ctc", "ctc by reference"):
         assert [r.infeasible for r in tables[name]] == [i == 1 for i in range(len(corpus))]
+    # No forward outgrows a training step's group (a pair over the bound
+    # alone has a group of its own); some Viterbi pass spans several.
+    states = {source: 2 * len(reference) + 1 for source, reference in corpus.pairs("raw")}
+    assert forwards
+    for sources, frames in forwards:
+        assert len(sources) <= 3
+        cells = len(sources) * frames.max() * max(states[source] for source in sources)
+        assert len(sources) == 1 or cells <= 200
+    assert max(viterbi_lanes) > 3
     # dividing by |Y| < T lowers scores, and the clamp keeps them in [0, 1]
     assert any(a.score > b.score for a, b in zip(tables["ctc"], tables["ctc by reference"]))
     assert any(r.distance > r.ref_len and not r.infeasible for r in tables["ctc by reference"])
