@@ -17,6 +17,10 @@ counts into the next one, which it normalises in place. Besides, EM holds
 two flat arrays with one entry per (target position, source position or
 NULL) cell of the training bitext: the cells' table indices and their
 posteriors.
+
+``align_pair`` gives the argmax links of one pair, or of a stack of pairs
+of one (|src|, |tgt|) shape from one gather, so a bitext is aligned one
+shape block at a time (``shape_blocks``, which the E-step groups by too).
 """
 
 from __future__ import annotations
@@ -69,16 +73,13 @@ def _prior(n_src: int, tgt_len: int, tension: float, null_prob: float) -> np.nda
     return prior
 
 
-def _weights(trans: np.ndarray, rows, cols, tension: float, null_prob: float) -> np.ndarray:
-    """prior * t(y_j | x_i) of one pair, given its table rows (NULL_TOKEN,
-    *src) and target ids: a row per target position, NULL in column 0, so
-    each row's sum runs over contiguous memory. Ids outside the table read 0."""
-    rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
-    j, i = np.nonzero(((cols >= 0) & (cols < trans.shape[1]))[:, None]
-                      & (rows >= NULL_TOKEN) & (rows < trans.shape[0] - 1))
-    lexical = np.zeros((len(cols), len(rows)))
-    lexical[j, i] = trans[rows[i], cols[j]]
-    return _prior(len(rows) - 1, len(cols), tension, null_prob) * lexical
+def shape_blocks(bitext: list[tuple[Sentence, Sentence]]) -> dict[tuple[int, int], list[int]]:
+    """The indices of each (|src|, |tgt|) shape's pairs, in bitext order;
+    the shapes in the order of their first pair."""
+    by_shape: dict[tuple[int, int], list[int]] = {}
+    for k, (src, tgt) in enumerate(bitext):
+        by_shape.setdefault((len(src), len(tgt)), []).append(k)
+    return by_shape
 
 
 def _normalize_rows(m: np.ndarray) -> np.ndarray:
@@ -134,14 +135,11 @@ def em_train(bitext: list[tuple[Sentence, Sentence]], iterations: int,
     starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
     cells = np.concatenate([(cols[:, None] + shape[1] * rows[None, :]).ravel()
                             for rows, (_, cols) in zip(rows_of, pairs)])
-    by_shape: dict[tuple[int, int], list[int]] = {}
-    for k, (rows, cols) in enumerate(pairs):
-        by_shape.setdefault((len(rows) - 1, len(cols)), []).append(k)
     blocks = [(np.array(members),
                np.stack([rows_of[k] for k in members]),
                np.stack([pairs[k][1] for k in members]),
                _prior(n_src, tgt_len, tension, null_prob))
-              for (n_src, tgt_len), members in by_shape.items()]
+              for (n_src, tgt_len), members in shape_blocks(bitext).items()]
 
     # Uniform initialization over each source type's co-occurring targets;
     # NULL co-occurs with every target type.
@@ -172,17 +170,32 @@ def em_train(bitext: list[tuple[Sentence, Sentence]], iterations: int,
     return AlignmentModel(trans, tension, null_prob, log_likelihood=tuple(lls))
 
 
-def align_pair(model: AlignmentModel, src: Sentence, tgt: Sentence) -> AlignmentLinks:
-    """Argmax link (or NULL) for every target position.
+def align_pair(model: AlignmentModel, src, tgt):
+    """Argmax link (or NULL) for every target position of one pair, or of
+    a stack of pairs of one shape.
 
-    The first maximum of each target position's weights wins, so ties
-    resolve toward NULL and then the smaller source position. Target
-    tokens never seen in training fall back to NULL and bump the model's
-    fallback counter.
+    ``src`` and ``tgt`` are one pair's sentences, which give its
+    ``AlignmentLinks``, or (B, |src|) and (B, |tgt|) id arrays, which give
+    a (B, |tgt|) array of links. Ids outside the table read 0. The first
+    maximum of each target position's weights wins, so ties resolve toward
+    NULL and then the smaller source position. A target position whose
+    weights are all 0 (a target token never seen in training) falls back
+    to NULL and bumps the model's fallback counter.
     """
-    weights = _weights(model.trans, (NULL_TOKEN, *src), tgt, model.tension, model.null_prob)
-    model.unseen_fallbacks += int(np.count_nonzero(~weights.any(axis=1)))
-    return tuple(weights.argmax(axis=1).tolist())
+    src, tgt = np.asarray(src, dtype=np.intp), np.asarray(tgt, dtype=np.intp)
+    trans = model.trans
+    rows = np.concatenate((np.full((*src.shape[:-1], 1), NULL_TOKEN), src), axis=-1)
+    rows_ok = (rows >= NULL_TOKEN) & (rows < trans.shape[0] - 1)
+    cols_ok = (tgt >= 0) & (tgt < trans.shape[1])
+    # (..., |tgt|, |src| + 1): a row per target position, NULL in column 0
+    weights = trans[np.where(rows_ok, rows, NULL_TOKEN)[..., None, :],
+                    np.where(cols_ok, tgt, 0)[..., :, None]]
+    if not (rows_ok.all() and cols_ok.all()):
+        weights *= rows_ok[..., None, :] & cols_ok[..., :, None]
+    weights *= _prior(src.shape[-1], tgt.shape[-1], model.tension, model.null_prob)
+    model.unseen_fallbacks += int(np.count_nonzero(~weights.any(axis=-1)))
+    links = weights.argmax(axis=-1)
+    return tuple(links.tolist()) if links.ndim == 1 else links
 
 
 def write_pharaoh(links_per_pair: list[AlignmentLinks], path: str) -> None:

@@ -14,7 +14,9 @@ corpus-level BLEU-4 for end-to-end quality checks.
 The metrics stage reports these over several overlapping views of one
 corpus, so ``pair_stats`` reduces each aligned pair to a ``PairStats``
 record once, and ``metric_report`` combines a view's records in view
-order, with the same bits as a walk over the view's links.
+order, with the same bits as a walk over the view's links. Both
+``align_bitext`` and ``pair_stats`` work one (|src|, |tgt|) shape block
+at a time, on the block's id and link arrays.
 """
 
 from __future__ import annotations
@@ -24,10 +26,13 @@ import operator
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain, compress
+from functools import lru_cache
+from itertools import chain, compress, repeat
 from typing import TypeVar
 
-from .align import NULL_LINK, AlignmentLinks, AlignmentModel, align_pair
+import numpy as np
+
+from .align import NULL_LINK, AlignmentLinks, AlignmentModel, align_pair, shape_blocks
 from .corpus import Bitext, Corpus, Sentence
 from .curriculum import ThresholdSchedule, exposure_period, keeps_raw
 from .scoring import ScoreTable, validate_table_covers
@@ -60,21 +65,14 @@ class MetricReport:
 
 
 def align_bitext(bitext: Bitext, model: AlignmentModel) -> list[AlignmentLinks]:
-    """Argmax links of every pair, in bitext order."""
-    return [align_pair(model, src, tgt) for src, tgt in bitext]
-
-
-def alignment_shift_pair(src: Sentence, tgt: Sentence, links: AlignmentLinks) -> float:
-    """Mean relative distance |i/|X| - j/|Y|| over linked words, 1-based;
-    NULL links contribute 0."""
-    if len(links) != len(tgt):
-        raise MetricsError(f"links cover {len(links)} positions for a target of {len(tgt)}")
-    n, m = len(src), len(tgt)
-    acc = 0.0
-    for j, i in enumerate(links, start=1):
-        if i != NULL_LINK:
-            acc += abs(i / n - j / m)
-    return acc / m
+    """Argmax links of every pair, in bitext order, from one ``align_pair``
+    call per (|src|, |tgt|) shape block."""
+    out: list[AlignmentLinks] = [()] * len(bitext)
+    for members in shape_blocks(bitext).values():
+        links = align_pair(model, [bitext[k][0] for k in members], [bitext[k][1] for k in members])
+        for k, pair_links in zip(members, links.tolist()):
+            out[k] = tuple(pair_links)
+    return out
 
 
 def _repeats(sent: Sentence) -> int:
@@ -88,21 +86,40 @@ class PairStats:
     pairs."""
 
     type_links: tuple[tuple[int, int], ...]  # (source type, target type) per non-NULL link
-    shift: float  # alignment_shift_pair
+    shift: float  # mean |i/|X| - j/|Y|| over the links, 1-based; NULL links count 0
     repeats: int  # target tokens equal to their predecessor
     tokens: int  # target length
 
 
 def pair_stats(bitext: Bitext, links: list[AlignmentLinks]) -> list[PairStats]:
-    """One ``PairStats`` per pair and its links, in bitext order."""
-    out = []
-    for (src, tgt), pair_links in zip(bitext, links, strict=True):
-        shift = alignment_shift_pair(src, tgt, pair_links)
-        # link i is source position i - 1; slot 0 stands in for NULL_LINK,
-        # whose pairs compress drops because NULL_LINK is 0
-        by_link = (NULL_LINK, *src).__getitem__
-        type_links = tuple(compress(zip(map(by_link, pair_links), tgt), pair_links))
-        out.append(PairStats(type_links, shift, _repeats(tgt), len(tgt)))
+    """One ``PairStats`` per pair and its links, in bitext order, built per
+    (|src|, |tgt|) shape block from the block's link array.
+
+    A pair's shift terms are summed left to right over its target
+    positions, as a walk over its links would sum them, then divided by
+    |Y|."""
+    for (_, tgt), pair_links in zip(bitext, links, strict=True):
+        if len(pair_links) != len(tgt):
+            raise MetricsError(f"links cover {len(pair_links)} positions for a target of {len(tgt)}")
+    out: list = [None] * len(bitext)
+    for members in shape_blocks(bitext).values():
+        tgt = [bitext[k][1] for k in members]
+        m = len(tgt[0])
+        # link i is source position i - 1; column 0 stands in for NULL_LINK.
+        # An object array gathers the corpus's own ints, which the views'
+        # link Counters then compare by identity.
+        src = np.array([(NULL_LINK, *bitext[k][0]) for k in members], dtype=object)
+        block_links = np.array([links[k] for k in members], dtype=np.intp)
+        linked = block_links != NULL_LINK
+        terms = np.abs(block_links / (src.shape[1] - 1) - np.arange(1, m + 1) / m)
+        terms[~linked] = 0.0
+        shifts = (np.cumsum(terms, axis=1)[:, -1] / m).tolist()
+        tgt_ids = np.array(tgt)
+        repeats = np.count_nonzero(tgt_ids[:, 1:] == tgt_ids[:, :-1], axis=1).tolist()
+        types = np.take_along_axis(src, block_links, axis=1).tolist()
+        for k, row_types, row_tgt, row_linked, shift, rep in zip(
+                members, types, tgt, linked.tolist(), shifts, repeats):
+            out[k] = PairStats(tuple(compress(zip(row_types, row_tgt), row_linked)), shift, rep, m)
     return out
 
 
@@ -121,9 +138,15 @@ def _uncertainty(stats: Sequence[PairStats]) -> float:
         raise MetricsError("no aligned tokens at all; cannot compute uncertainty")
     total = 0.0
     for counts in by_source.values():
-        n = sum(counts)
-        total += -sum((c / n) * math.log(c / n) for c in counts)
+        total += -sum(map(_plogp, counts, repeat(sum(counts))))
     return total / len(by_source)
+
+
+@lru_cache(maxsize=4096)
+def _plogp(count: int, total: int) -> float:
+    """One entropy term, p log p with p = count / total; a view repeats few
+    (count, total) pairs, so each is computed once."""
+    return (count / total) * math.log(count / total)
 
 
 def _mean_shift(stats: Sequence[PairStats]) -> float:

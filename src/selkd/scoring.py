@@ -13,7 +13,10 @@ decoded, what is wanted and what the distance is divided by:
   label per frame is compared with the reference's Viterbi path through
   the frame lattice, which tolerates position shifts, and the score is
   1 - distance/T. A reference longer than the lattice can emit scores 0
-  and is flagged infeasible.
+  and is flagged infeasible. A frame whose greedy label is not blank
+  never matches a reference that shares no token with the decode, so
+  such a reference scores the fraction of frames where both the decode
+  and the Viterbi path read blank.
 
 Dividing the ctc distance by |Y| instead of T is available behind a
 flag; such a score is clamped to [0, 1].

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from oracles import align_reference, em_per_pair, em_reference
 from selkd.align import (
@@ -12,6 +14,7 @@ from selkd.align import (
     em_train,
     write_pharaoh,
 )
+from selkd.metrics import align_bitext
 from selkd.rng import Rng
 
 
@@ -195,3 +198,34 @@ def test_align_pair_source_id_beyond_table_contributes_nothing():
     assert align_pair(model, (99, 2), (1,)) == (2,)
     assert align_pair(model, (99,), (1,)) == (NULL_LINK,)
     assert model.unseen_fallbacks == 0
+
+
+@st.composite
+def stacked_alignment_cases(draw):
+    """(training bitext, aligned bitext, tension, null_prob, iterations) over
+    a few token types, so tokens repeat and weights tie. The aligned bitext
+    interleaves the training pairs with pairs whose source and target ids
+    reach beyond the table; targets the training pairs never hold read 0."""
+    def sentences(types):
+        return st.lists(st.integers(0, types - 1), min_size=1, max_size=5).map(tuple)
+
+    train = draw(st.lists(st.tuples(sentences(3), sentences(4)), min_size=1, max_size=10))
+    beyond = draw(st.lists(st.tuples(sentences(5), sentences(6)), max_size=10))
+    return (train, draw(st.permutations(train + beyond)), draw(st.sampled_from((0.0, 1.5, 4.0))),
+            draw(st.sampled_from((0.08, 0.3))), draw(st.integers(1, 3)))
+
+
+@given(stacked_alignment_cases())
+def test_stacked_alignment_matches_reference_per_pair(case):
+    train, bitext, tension, null_prob, iterations = case
+    model = em_train(train, iterations, tension=tension, null_prob=null_prob)
+    null_row = model.trans.shape[0] - 1
+    table = {NULL_TOKEN if x == null_row else x: {y: p for y, p in enumerate(row) if p}
+             for x, row in enumerate(model.trans.tolist())}
+    links = align_bitext(bitext, model)
+    for (src, tgt), pair_links in zip(bitext, links, strict=True):
+        assert pair_links == align_reference(table, src, tgt, tension, null_prob,
+                                             null_key=NULL_TOKEN)
+    one_pair = AlignmentModel(model.trans, tension, null_prob)
+    assert [align_pair(one_pair, src, tgt) for src, tgt in bitext] == links
+    assert model.unseen_fallbacks == one_pair.unseen_fallbacks

@@ -4,7 +4,10 @@ import math
 import os
 import shutil
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from selkd import metrics as metrics_mod
 from selkd.align import em_train, write_pharaoh
@@ -207,19 +210,20 @@ def test_metrics_aligns_each_distinct_pair_once(tmp_path, synth_dir, monkeypatch
     n, thresholds = 40, (0.0, 0.5, 1.01)
     scores = tmp_path / "scores.tsv"
     scores.write_text("".join(f"{i}\t{(i % 5) / 4:.6f}\t0\t4\t8\n" for i in range(n)))
-    calls = []
+    aligned = []  # pairs per align_pair call: one, or the size of a shape block
     real_align_pair = metrics_mod.align_pair
 
     def counting_align_pair(model, src, tgt):
-        calls.append((src, tgt))
-        return real_align_pair(model, src, tgt)
+        links = real_align_pair(model, src, tgt)
+        aligned.append(len(links) if np.ndim(links) == 2 else 1)
+        return links
 
     monkeypatch.setattr(metrics_mod, "align_pair", counting_align_pair)
     out = tmp_path / "m"
     assert main(["metrics", "--out", str(out), *corpus_flags(synth_dir),
                  "--scores", str(scores), "--thresholds", ",".join(map(str, thresholds)),
                  "--align-iterations", "2", "--dump-links"]) == EXIT_OK
-    assert len(calls) == 2 * n  # the raw and the distilled view, each pair once
+    assert sum(aligned) == 2 * n  # the raw and the distilled view, each pair once
     monkeypatch.undo()
     # Every reference has length 4; exposure under the default 0.4 -> 1.0
     # schedule is 0, 0, 1/6, 7/12 and 1 for the five scores.
@@ -323,6 +327,38 @@ def test_invalid_utf8_input_is_format_error(tmp_path, synth_dir, capsys, kind):
     err = capsys.readouterr().err
     assert "can't decode byte 0xff" in err
     assert f"{bad}:2: not valid UTF-8" in err
+
+
+# Pieces of a bitext file: tokens, a reserved surface, invalid UTF-8,
+# ASCII and Unicode whitespace and every line ending, so lines come out
+# empty, blank, unequal in number across the two files or undecodable.
+_BITEXT_PIECES = st.sampled_from([b"a", b"b", b"c", b"<unk>", b"\xff", b"\xc3", b"\xc3\xa9",
+                                  b" ", b"\t", b"\x0b", b"\x0c", b"\x1c", b"\xc2\xa0", b"\x00",
+                                  b"\n", b"\r\n", b"\r"])
+_BITEXT_BYTES = st.lists(_BITEXT_PIECES, max_size=30).map(b"".join)
+
+
+@settings(max_examples=30, deadline=None)
+@given(src=_BITEXT_BYTES, tgt=_BITEXT_BYTES)
+def test_metrics_on_random_bitext_bytes_exits_ok_or_format_error(tmp_path_factory, src, tgt):
+    d = tmp_path_factory.mktemp("fuzz")
+    (d / "src.txt").write_bytes(src)
+    (d / "tgt.txt").write_bytes(tgt)
+    code = main(["metrics", "--out", str(d / "m"), "--src", str(d / "src.txt"),
+                 "--tgt", str(d / "tgt.txt"), "--align-iterations", "2"])
+    assert code in (EXIT_OK, EXIT_FORMAT)
+
+
+def test_full_with_one_pair_fails_at_metrics_with_no_aligned_tokens(tmp_path, capsys):
+    # The one pair's distilled target holds only ids the raw side, and so
+    # the lexical table, never saw: the distilled view links nothing.
+    out = tmp_path / "run"
+    assert main(["full", "--out", str(out), "--n", "1", "--updates", "2"]) == EXIT_FORMAT
+    for stage in ("synth", "evaluator", "scores", "select", "student"):
+        assert (out / stage / "manifest.json").exists()
+    assert (out / "metrics" / "INCOMPLETE").exists()
+    assert capsys.readouterr().err.endswith(
+        "selkd full: error: no aligned tokens at all; cannot compute uncertainty\n")
 
 
 def test_checksum_mismatch_detected(tmp_path, synth_dir):

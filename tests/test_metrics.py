@@ -11,7 +11,6 @@ from selkd.metrics import (
     MetricReport,
     MetricsError,
     align_bitext,
-    alignment_shift_pair,
     corpus_bleu,
     length_buckets,
     metric_report,
@@ -23,7 +22,7 @@ from selkd import synth
 from selkd.scoring import ScoreRecord, ScoreTable, ScoringError
 
 from conftest import make_corpus, unzip_view
-from oracles import metric_report_links
+from oracles import alignment_shift_links, metric_report_links
 from test_align import bijective_bitext, dense_table
 
 
@@ -65,18 +64,38 @@ def test_multimodal_raw_more_uncertain_than_distilled():
         report(kd, align_bitext(kd, model)).uncertainty
 
 
+def shift_of(src, tgt, links):
+    """The shift ``pair_stats`` records for one pair and its links."""
+    return pair_stats([(src, tgt)], [links])[0].shift
+
+
 def test_shift_pair_cases():
     # identity links on equal lengths
-    assert alignment_shift_pair((4, 5), (7, 8), (1, 2)) == 0.0
+    assert shift_of((4, 5), (7, 8), (1, 2)) == 0.0
     # crossed links: |1/2-2/2| + |2/2-1/2| = 1.0 over |Y|=2
-    assert alignment_shift_pair((4, 5), (7, 8), (2, 1)) == pytest.approx(0.5)
+    assert shift_of((4, 5), (7, 8), (2, 1)) == pytest.approx(0.5)
     # NULL links contribute nothing
-    assert alignment_shift_pair((4, 5), (7, 8), (NULL_LINK, NULL_LINK)) == 0.0
+    assert shift_of((4, 5), (7, 8), (NULL_LINK, NULL_LINK)) == 0.0
 
 
 def test_shift_pair_rejects_partial_links():
     with pytest.raises(MetricsError):
-        alignment_shift_pair((4, 5), (7, 8), (1,))
+        shift_of((4, 5), (7, 8), (1,))
+
+
+def test_pair_shift_sums_left_to_right_bit_for_bit():
+    # Long targets in blocks of several pairs: a pairwise or any other
+    # reordered sum of the shift terms changes the last bits of some pairs.
+    rng = random.Random(5)
+    bitext, links = [], []
+    for _ in range(300):
+        n, m = rng.randint(1, 40), rng.choice((rng.randint(1, 40), 33))
+        bitext.append((tuple(rng.randrange(9) for _ in range(n)),
+                       tuple(rng.randrange(9) for _ in range(m))))
+        links.append(tuple(rng.choice((NULL_LINK, rng.randint(1, n))) for _ in range(m)))
+    shifts = [p.shift for p in pair_stats(bitext, links)]
+    assert shifts == [alignment_shift_links([pair], [pair_links])
+                      for pair, pair_links in zip(bitext, links)]
 
 
 def test_shift_corpus_mean():

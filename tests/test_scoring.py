@@ -72,9 +72,26 @@ def test_score_ctc_perfect_match(memorized_setup):
     assert rec.frame_len == result.model.config.upsample * len(ex.source)
 
 
+def _lattice_evaluator(corpus, lattice):
+    """A hand-built evaluator whose 8 frames for a one-token source emit
+    ``lattice``, one probability row per frame over the target vocabulary.
+
+    With zero embeddings and position weights, frame t's only input is its
+    phase one-hot (t mod 8 = t): hidden unit t of both layers routes it to
+    row t of the lattice's logits."""
+    config = ModelConfig(embed_dim=1, hidden_dim=8, upsample=8)
+    params = {name: np.zeros(shape) for name, shape in
+              param_shapes(config, len(corpus.src_vocab), len(corpus.tgt_vocab)).items()}
+    frames = np.arange(8)
+    params["w1"][2 * config.embed_dim + frames, frames] = 1.0
+    params["w2"][frames, frames] = 1.0
+    params["w_out"][:] = np.log(lattice) / np.tanh(np.tanh(1.0))
+    return NatModel(config, params, len(corpus.src_vocab), len(corpus.tgt_vocab),
+                    corpus.src_vocab.content_hash(), corpus.tgt_vocab.content_hash())
+
+
 def test_score_ctc_fraction_of_mismatched_frames():
-    # A hand-built evaluator whose 8 frames for the one-token source emit
-    # a fixed lattice over (blank, unk, a, b). The greedy labels differ
+    # A fixed lattice over (blank, unk, a, b). The greedy labels differ
     # from the reference's Viterbi path at exactly 2 of 8 frames: the
     # path for (a, b) is (a _ b b _ _ _ _), greedy reads (a _ a b a _ _ _).
     from conftest import make_corpus
@@ -91,23 +108,38 @@ def test_score_ctc_fraction_of_mismatched_frames():
         [1.0, eps, eps, eps],
         [1.0, eps, eps, eps],
     ])
-    config = ModelConfig(embed_dim=1, hidden_dim=8, upsample=8)
-    params = {name: np.zeros(shape) for name, shape in
-              param_shapes(config, len(corpus.src_vocab), len(corpus.tgt_vocab)).items()}
-    # With zero embeddings and position weights, frame t's only input is
-    # its phase one-hot (t mod 8 = t): route it through hidden unit t of
-    # both layers to row t of the lattice's logits.
-    frames = np.arange(8)
-    params["w1"][2 * config.embed_dim + frames, frames] = 1.0
-    params["w2"][frames, frames] = 1.0
-    params["w_out"][:] = np.log(lattice) / np.tanh(np.tanh(1.0))
-    model = NatModel(config, params, len(corpus.src_vocab), len(corpus.tgt_vocab),
-                     corpus.src_vocab.content_hash(), corpus.tgt_vocab.content_hash())
+    model = _lattice_evaluator(corpus, lattice)
     [rec] = score_corpus(model, corpus).records
     assert (rec.distance, rec.ref_len, rec.frame_len, rec.infeasible) == (2, 2, 8, False)
     assert rec.score == 0.75  # 1 - 2/8
     [rec] = score_corpus(model, corpus, normalize_by_reference=True).records
     assert (rec.distance, rec.score) == (2, 0.0)  # 1 - 2/|Y|
+
+
+def test_score_ctc_of_disjoint_target_is_shared_blank_fraction():
+    # The raw target (c, d) shares no token with the decode, which reads
+    # (a _ b _ _ a b a) over (blank, unk, c, d, a, b). Every frame with a
+    # greedy label mismatches, whatever the path wants there, so the score
+    # is the share of frames where both the decode and the path read
+    # blank: the path places c and d where blank is least likely, at two
+    # of the five labelled frames, and reads blank at the other six.
+    from conftest import make_corpus
+
+    corpus = make_corpus([("p", "c d", "a b")])
+    eps = 1e-9
+    labelled = {0: 4, 2: 5, 5: 4, 6: 5, 7: 4}  # frame -> greedy label (a = 4, b = 5)
+    lattice = np.full((8, 6), eps)
+    lattice[:, 0] = 1.0
+    for t, label in labelled.items():
+        lattice[t, [0, label]] = 0.1, 0.9
+    model = _lattice_evaluator(corpus, lattice)
+    [rec] = score_corpus(model, corpus).records
+    logp = forward(model, corpus.examples[0].source)
+    greedy, path = logp.argmax(axis=1), np.array(viterbi_align(logp, (2, 3)))
+    assert greedy.tolist() == [4, 0, 5, 0, 0, 4, 5, 4]
+    both_blank = int(np.count_nonzero((greedy == 0) & (path == 0)))
+    assert (rec.distance, rec.frame_len, both_blank) == (5, 8, 3)
+    assert rec.score == both_blank / 8 == 0.375
 
 
 def test_score_ctc_infeasible_flags_zero(memorized_setup):
