@@ -14,13 +14,13 @@ training bitext, with the NULL row last (``trans[NULL_TOKEN]``) and 0 for
 pairs that never co-occur. It takes about 8 * (V_src + 1) * V_tgt bytes.
 EM keeps one table alive at a time: it frees the old table before it
 counts into the next one, which it normalises in place. Besides, EM holds
-two flat arrays with one entry per (target position, source position or
-NULL) cell of the training bitext: the cells' table indices and their
-posteriors.
+the bitext's shape blocks and two flat arrays with one entry per (target
+position, source position or NULL) cell of the training bitext: the
+cells' table indices and their posteriors.
 
-``align_pair`` gives the argmax links of one pair, or of a stack of pairs
-of one (|src|, |tgt|) shape from one gather, so a bitext is aligned one
-shape block at a time (``shape_blocks``, which the E-step groups by too).
+A bitext has one array layout: ``shape_blocks`` stacks the ids of each
+(|src|, |tgt|) shape's pairs once, and the E-step, ``align_pair`` (one
+gather per stack) and the metrics' record builder read those stacks.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .corpus import Sentence, write_lines
+from .corpus import MAX_SENTENCE_LEN, Sentence, write_lines
 
 NULL_LINK = 0  # per-target link value meaning "aligned to nothing"
 NULL_TOKEN = -1  # row of the NULL source word in the lexical table (the last row)
@@ -73,13 +73,14 @@ def _prior(n_src: int, tgt_len: int, tension: float, null_prob: float) -> np.nda
     return prior
 
 
-def shape_blocks(bitext: list[tuple[Sentence, Sentence]]) -> dict[tuple[int, int], list[int]]:
-    """The indices of each (|src|, |tgt|) shape's pairs, in bitext order;
-    the shapes in the order of their first pair."""
+def shape_blocks(bitext: list[tuple[Sentence, Sentence]]) -> list[tuple[list[int], np.ndarray, np.ndarray]]:
+    """One (positions, src, tgt) per (|src|, |tgt|) shape, in the order of its
+    first pair: its pairs' indices in bitext order and their intp id stacks."""
     by_shape: dict[tuple[int, int], list[int]] = {}
     for k, (src, tgt) in enumerate(bitext):
         by_shape.setdefault((len(src), len(tgt)), []).append(k)
-    return by_shape
+    return [(members, np.array([bitext[k][0] for k in members], dtype=np.intp),
+             np.array([bitext[k][1] for k in members], dtype=np.intp)) for members in by_shape.values()]
 
 
 def _normalize_rows(m: np.ndarray) -> np.ndarray:
@@ -90,11 +91,19 @@ def _normalize_rows(m: np.ndarray) -> np.ndarray:
 
 
 def check_em_params(iterations: int, tension: float, null_prob: float) -> None:
-    """Raise ``AlignmentConfigError`` for an EM parameter out of range."""
+    """Raise ``AlignmentConfigError`` for an EM parameter out of range.
+
+    ``tension`` is bounded so that no prior row underflows: a row's largest
+    term is exp(-tension * d), d being its smallest distance |i/N - j/L|,
+    which is at most 1 - 1/MAX_SENTENCE_LEN (N = 1, L = MAX_SENTENCE_LEN,
+    j = 1). Keeping that term at or above float64's smallest normal gives
+    tension <= -ln(tiny) / (1 - 1/MAX_SENTENCE_LEN), about 709; above it a
+    row of zeros would normalise to NaN."""
+    max_tension = -np.log(np.finfo(np.float64).tiny) / (1.0 - 1.0 / MAX_SENTENCE_LEN)
     if iterations < 1:
         raise AlignmentConfigError("iterations must be >= 1")
-    if not (np.isfinite(tension) and tension >= 0):
-        raise AlignmentConfigError(f"tension must be finite and >= 0, got {tension}")
+    if not 0.0 <= tension <= max_tension:
+        raise AlignmentConfigError(f"tension must be in [0, {max_tension:.3f}], got {tension}")
     if not 0.0 <= null_prob < 1.0:
         raise AlignmentConfigError(f"null_prob must be in [0, 1), got {null_prob}")
 
@@ -107,8 +116,8 @@ def em_train(bitext: list[tuple[Sentence, Sentence]], iterations: int,
     under the parameters entering that iteration; the sequence is
     nondecreasing up to renormalization noise.
 
-    The E-step runs once per shape block: all pairs of one (|src|, |tgt|)
-    form an unpadded (B, |tgt|, |src| + 1) array of prior * t(y | x),
+    The E-step runs once per ``shape_blocks`` block: all pairs of one
+    (|src|, |tgt|) form an unpadded (B, |tgt|, |src| + 1) array of prior * t(y | x),
     whose rows are summed over the contiguous last axis, so each pair's
     normalisers and log-likelihood get the bits it would get alone. The
     posteriors go back into corpus order in one flat array, and one
@@ -121,25 +130,24 @@ def em_train(bitext: list[tuple[Sentence, Sentence]], iterations: int,
         raise AlignmentError("empty bitext")
     check_em_params(iterations, tension, null_prob)
 
-    pairs = [(np.array((NULL_TOKEN, *src), dtype=np.intp), np.array(tgt, dtype=np.intp))
-             for src, tgt in bitext]
-    src_ids = np.concatenate([rows[1:] for rows, _ in pairs])
-    tgt_ids = np.concatenate([cols for _, cols in pairs])
-    if src_ids.min(initial=0) < 0 or tgt_ids.min(initial=0) < 0:
+    stacks = shape_blocks(bitext)
+    if min(min(src.min(initial=0), tgt.min(initial=0)) for _, src, tgt in stacks) < 0:
         raise AlignmentError("token ids must be >= 0")
-    shape = (int(src_ids.max(initial=-1)) + 2, int(tgt_ids.max(initial=-1)) + 1)
-    rows_of = [rows % shape[0] for rows, _ in pairs]  # NULL_TOKEN -> the last row
+    shape = (max(int(src.max(initial=-1)) for _, src, _ in stacks) + 2,
+             max(int(tgt.max(initial=-1)) for _, _, tgt in stacks) + 1)
 
     # Each pair's cells, target position by target position, in corpus order.
-    sizes = np.array([len(rows) * len(cols) for rows, cols in pairs])
+    sizes = np.empty(len(bitext), dtype=np.intp)
+    for members, src, tgt in stacks:
+        sizes[members] = (src.shape[1] + 1) * tgt.shape[1]
     starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    cells = np.concatenate([(cols[:, None] + shape[1] * rows[None, :]).ravel()
-                            for rows, (_, cols) in zip(rows_of, pairs)])
-    blocks = [(np.array(members),
-               np.stack([rows_of[k] for k in members]),
-               np.stack([pairs[k][1] for k in members]),
-               _prior(n_src, tgt_len, tension, null_prob))
-              for (n_src, tgt_len), members in shape_blocks(bitext).items()]
+    cells = np.empty(int(sizes.sum()), dtype=np.intp)
+    blocks = []
+    for members, src, cols in stacks:
+        rows = np.concatenate((np.full((len(members), 1), shape[0] - 1), src), axis=1)  # NULL row first
+        at = starts[members, None] + np.arange(rows.shape[1] * cols.shape[1])
+        cells[at] = (cols[:, :, None] + shape[1] * rows[:, None, :]).reshape(len(members), -1)
+        blocks.append((members, rows, cols, _prior(src.shape[1], cols.shape[1], tension, null_prob)))
 
     # Uniform initialization over each source type's co-occurring targets;
     # NULL co-occurs with every target type.
@@ -148,7 +156,7 @@ def em_train(bitext: list[tuple[Sentence, Sentence]], iterations: int,
     trans = _normalize_rows(trans.reshape(shape))
 
     posteriors = np.empty(len(cells))
-    pair_ll = np.empty(len(pairs))
+    pair_ll = np.empty(len(bitext))
     lls = []
     for _ in range(iterations):
         for members, rows, cols, prior in blocks:

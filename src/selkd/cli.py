@@ -73,7 +73,7 @@ def _read_manifest(path: str) -> dict:
     present, maps file names to sha256 digests."""
     try:
         manifest = json.loads(corpus_mod.read_utf8(path, ValueError))
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # too deeply nested for the parser
         raise StageError(f"unreadable manifest {path}: {exc}", EXIT_FORMAT) from exc
     outputs = manifest.get("outputs", {}) if isinstance(manifest, dict) else None
     if not isinstance(outputs, dict) or not all(isinstance(d, str) for d in outputs.values()):

@@ -16,7 +16,8 @@ corpus, so ``pair_stats`` reduces each aligned pair to a ``PairStats``
 record once, and ``metric_report`` combines a view's records in view
 order, with the same bits as a walk over the view's links. Both
 ``align_bitext`` and ``pair_stats`` work one (|src|, |tgt|) shape block
-at a time, on the block's id and link arrays.
+at a time, on the id stacks of ``align.shape_blocks`` and the block's
+link array.
 """
 
 from __future__ import annotations
@@ -68,9 +69,8 @@ def align_bitext(bitext: Bitext, model: AlignmentModel) -> list[AlignmentLinks]:
     """Argmax links of every pair, in bitext order, from one ``align_pair``
     call per (|src|, |tgt|) shape block."""
     out: list[AlignmentLinks] = [()] * len(bitext)
-    for members in shape_blocks(bitext).values():
-        links = align_pair(model, [bitext[k][0] for k in members], [bitext[k][1] for k in members])
-        for k, pair_links in zip(members, links.tolist()):
+    for members, src, tgt in shape_blocks(bitext):
+        for k, pair_links in zip(members, align_pair(model, src, tgt).tolist()):
             out[k] = tuple(pair_links)
     return out
 
@@ -102,7 +102,7 @@ def pair_stats(bitext: Bitext, links: list[AlignmentLinks]) -> list[PairStats]:
         if len(pair_links) != len(tgt):
             raise MetricsError(f"links cover {len(pair_links)} positions for a target of {len(tgt)}")
     out: list = [None] * len(bitext)
-    for members in shape_blocks(bitext).values():
+    for members, _, tgt_ids in shape_blocks(bitext):
         tgt = [bitext[k][1] for k in members]
         m = len(tgt[0])
         # link i is source position i - 1; column 0 stands in for NULL_LINK.
@@ -114,7 +114,6 @@ def pair_stats(bitext: Bitext, links: list[AlignmentLinks]) -> list[PairStats]:
         terms = np.abs(block_links / (src.shape[1] - 1) - np.arange(1, m + 1) / m)
         terms[~linked] = 0.0
         shifts = (np.cumsum(terms, axis=1)[:, -1] / m).tolist()
-        tgt_ids = np.array(tgt)
         repeats = np.count_nonzero(tgt_ids[:, 1:] == tgt_ids[:, :-1], axis=1).tolist()
         types = np.take_along_axis(src, block_links, axis=1).tolist()
         for k, row_types, row_tgt, row_linked, shift, rep in zip(

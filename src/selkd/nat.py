@@ -74,11 +74,11 @@ import hashlib
 import itertools
 import json
 import operator
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .corpus import BLANK_ID, Sentence, UNK_ID, Vocabulary, read_lines, write_lines
+from .corpus import BLANK_ID, MAX_SENTENCE_LEN, Sentence, UNK_ID, Vocabulary, read_lines, write_lines
 from .rng import Rng
 
 NEG_INF = float("-inf")
@@ -111,12 +111,16 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and (not isinstance(value, int) or isinstance(value, bool)):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
         if self.upsample < 2:
             raise ValueError(f"upsample must be >= 2, got {self.upsample}")
         if self.embed_dim < 1 or self.hidden_dim < 1:
             raise ValueError("embed_dim and hidden_dim must be >= 1")
-        if self.window < 0:
-            raise ValueError("window must be >= 0")
+        if not 0 <= self.window <= MAX_SENTENCE_LEN:  # a wider window reads no more
+            raise ValueError(f"window must be in [0, {MAX_SENTENCE_LEN}]")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
         if not (0 < self.learning_rate < float("inf") and 0 < self.clip_norm < float("inf")):
@@ -940,7 +944,7 @@ def load_checkpoint(path: str, src_vocab: Vocabulary | None = None,
             else:
                 digest, size = rest.split("\t")
                 hashes[kind] = (digest, int(size))
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, OverflowError, RecursionError) as exc:
             raise CheckpointError(f"{path}:{lineno}: malformed {kind} record: {exc}") from exc
     if config is None or set(params) != set(PARAM_NAMES) or set(hashes) != {"src_vocab", "tgt_vocab"}:
         raise CheckpointError(f"{path}: incomplete checkpoint")

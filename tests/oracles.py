@@ -228,7 +228,7 @@ def em_per_pair(bitext, iterations, tension, null_prob, prior):
 
     Returns (table with the NULL row last, log-likelihood per iteration).
     """
-    pairs = [(np.array((-1, *src)), np.array(tgt)) for src, tgt in bitext]
+    pairs = [(np.array((-1, *src)), np.array(tgt, dtype=np.intp)) for src, tgt in bitext]
     shape = (max(max(src, default=-1) for src, _ in bitext) + 2,
              max(max(tgt, default=-1) for _, tgt in bitext) + 1)
 

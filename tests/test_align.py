@@ -5,15 +5,21 @@ from hypothesis import strategies as st
 
 from oracles import align_reference, em_per_pair, em_reference
 from selkd.align import (
+    DEFAULT_NULL_PROB,
+    DEFAULT_TENSION,
     NULL_LINK,
     NULL_TOKEN,
+    AlignmentConfigError,
     AlignmentError,
     AlignmentModel,
     _prior,
     align_pair,
+    check_em_params,
     em_train,
+    shape_blocks,
     write_pharaoh,
 )
+from selkd.corpus import MAX_SENTENCE_LEN
 from selkd.metrics import align_bitext
 from selkd.rng import Rng
 
@@ -177,6 +183,46 @@ def test_em_bit_identical_to_per_pair_loop():
         table, lls = em_per_pair(bitext, 4, tension, null_prob, _prior)
         assert np.array_equal(model.trans, table)
         assert model.log_likelihood == lls
+
+
+@pytest.mark.parametrize("bitext", [
+    [((), (4, 2)), ((1, 3), (2,)), ((), (2,))],
+    [((1, 3), ()), ((2,), (5, 5)), ((), ()), ((0,), ())],
+    [((), (1,))],
+], ids=["empty-sources", "empty-targets", "only-an-empty-source"])
+def test_em_with_empty_sides_bit_identical_to_per_pair_loop(bitext):
+    model = em_train(bitext, iterations=3)
+    table, lls = em_per_pair(bitext, 3, DEFAULT_TENSION, DEFAULT_NULL_PROB, _prior)
+    assert np.array_equal(model.trans, table)
+    assert model.log_likelihood == lls
+
+
+_SENTENCES = st.lists(st.integers(0, 3), max_size=3).map(tuple)
+
+
+@given(st.lists(st.tuples(_SENTENCES, _SENTENCES), max_size=12))
+def test_shape_blocks_stack_each_shapes_pairs_in_bitext_order(bitext):
+    blocks = shape_blocks(bitext)
+    positions = [block[0] for block in blocks]
+    assert sorted(k for members in positions for k in members) == list(range(len(bitext)))
+    assert [members[0] for members in positions] == sorted(members[0] for members in positions)
+    for members, (_, src, tgt) in zip(positions, blocks):
+        assert members == sorted(members)
+        assert src.dtype == tgt.dtype == np.intp
+        n_src, n_tgt = map(len, bitext[members[0]])
+        assert src.shape == (len(members), n_src) and tgt.shape == (len(members), n_tgt)
+        assert [tuple(row) for row in src.tolist()] == [bitext[k][0] for k in members]
+        assert [tuple(row) for row in tgt.tolist()] == [bitext[k][1] for k in members]
+
+
+def test_prior_at_the_largest_tension_has_no_underflowing_row():
+    bound = -np.log(np.finfo(np.float64).tiny) / (1.0 - 1.0 / MAX_SENTENCE_LEN)
+    check_em_params(1, bound, DEFAULT_NULL_PROB)
+    prior = _prior(1, MAX_SENTENCE_LEN, bound, DEFAULT_NULL_PROB)
+    assert np.isfinite(prior).all()
+    assert np.allclose(prior.sum(axis=1), 1.0, rtol=0.0, atol=1e-15)
+    with pytest.raises(AlignmentConfigError):
+        check_em_params(1, np.nextafter(bound, np.inf), DEFAULT_NULL_PROB)
 
 
 def test_align_pair_tie_prefers_null():

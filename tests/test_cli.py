@@ -3,6 +3,7 @@ import json
 import math
 import os
 import shutil
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -23,9 +24,9 @@ from selkd.cli import (
     build_parser,
     main,
 )
-from selkd.corpus import load_corpus
+from selkd.corpus import MAX_SENTENCE_LEN, load_corpus
 from selkd.curriculum import raw_ratio
-from selkd.nat import ModelConfig
+from selkd.nat import PARAM_NAMES, ModelConfig
 from selkd.scoring import read_score_tsv
 
 
@@ -402,6 +403,82 @@ def test_checkpoint_with_wrong_param_shape_rejected(tmp_path, synth_dir):
     assert code == EXIT_FORMAT
 
 
+@pytest.fixture(scope="module")
+def tiny_checkpoint(tmp_path_factory):
+    """A synth corpus and the lines of an evaluator checkpoint trained on it."""
+    d = tmp_path_factory.mktemp("ckpt")
+    assert main(["synth", "--out", str(d / "synth"), *SYNTH_ARGS]) == EXIT_OK
+    assert main(["train-evaluator", "--out", str(d / "ev"), *corpus_flags(d / "synth"),
+                 *FAST_MODEL]) == EXIT_OK
+    return d / "synth", (d / "ev" / "checkpoint.txt").read_text().splitlines()
+
+
+def _score_with_checkpoint(out, synth_dir, lines):
+    """Exit code of ``selkd score`` with a checkpoint of ``lines`` in ``out``."""
+    (out / "ckpt.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return main(["score", "--out", str(out / "s"), *corpus_flags(synth_dir),
+                 "--checkpoint", str(out / "ckpt.txt")])
+
+
+def _edit_record(lines, kind, name, edit):
+    """``lines`` with ``edit`` applied to the tab-separated fields after
+    ``kind`` (and ``name``, for a param) of that record."""
+    head = [kind] if kind == "config" else [kind, name]
+    i = next(i for i, line in enumerate(lines) if line.split("\t")[:len(head)] == head)
+    return [*lines[:i], "\t".join([*head, *edit(lines[i].split("\t")[len(head):])]), *lines[i + 1:]]
+
+
+def _set_config(field, value):
+    return lambda rest: [json.dumps(json.loads(rest[0]) | {field: value})]
+
+
+def _set_first_value(value):
+    return lambda rest: [rest[0], " ".join([value, *rest[1].split(" ")[1:]])]
+
+
+@pytest.mark.parametrize("kind,name,edit", [
+    ("config", None, _set_config("batch_size", 2.5)),
+    ("config", None, _set_config("upsample", 2.0)),
+    ("config", None, _set_config("window", 10**20)),
+    ("config", None, _set_config("window", MAX_SENTENCE_LEN + 1)),
+    ("config", None, _set_config("seed", True)),
+    ("config", None, lambda rest: ['{"window": ' + "[" * 100_000 + "]" * 100_000 + "}"]),
+    ("param", "emb", _set_first_value("0x1p99999")),
+], ids=["batch-size-float", "upsample-float", "window-huge", "window-too-wide", "seed-bool",
+        "config-too-deep", "param-overflows-float"])
+def test_malformed_checkpoint_is_format_error(tmp_path, tiny_checkpoint, kind, name, edit):
+    synth_dir, lines = tiny_checkpoint
+    assert _score_with_checkpoint(tmp_path, synth_dir, _edit_record(lines, kind, name, edit)) == EXIT_FORMAT
+    assert (tmp_path / "s" / "INCOMPLETE").exists()
+
+
+# One config value replaced (ints, huge ints, floats, bools, strings, null,
+# nested lists), or one param record's values, first value or shape edited.
+_CONFIG_VALUES = st.one_of(
+    st.floats(0, 64), st.floats(), st.integers(-2, 64), st.integers(2**63, 10**30) | st.just(-2**63 - 1),
+    st.booleans(), st.none(), st.text(max_size=4),
+    st.recursive(st.integers(0, 9), lambda inner: st.lists(inner, max_size=3), max_leaves=6))
+_CHECKPOINT_EDITS = st.one_of(
+    st.tuples(st.just("config"), st.none(),
+              st.builds(_set_config, st.sampled_from(sorted(asdict(ModelConfig()))), _CONFIG_VALUES)),
+    st.tuples(st.just("param"), st.sampled_from(PARAM_NAMES), st.one_of(
+        st.sampled_from([lambda rest: [rest[0], rest[1].rsplit(" ", 1)[0]],  # one value short
+                         lambda rest: [rest[0], rest[1] + " 0x0p+0"]]),  # one value too many
+        st.builds(_set_first_value, st.sampled_from(["0x1p99999", "nan", "-inf", ""])
+                  | st.text("0123456789abcdefpx.+-", max_size=10)),
+        st.builds(lambda dims: lambda rest: [",".join(map(str, dims)), rest[1]],
+                  st.lists(st.integers(-1, 40) | st.just(10**20), max_size=3)))))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(edit=_CHECKPOINT_EDITS)
+def test_score_with_one_checkpoint_field_mutated_exits_ok_or_format_error(
+        tmp_path_factory, tiny_checkpoint, edit):
+    synth_dir, lines = tiny_checkpoint
+    out = tmp_path_factory.mktemp("mutated")
+    assert _score_with_checkpoint(out, synth_dir, _edit_record(lines, *edit)) in (EXIT_OK, EXIT_FORMAT)
+
+
 def test_select_rejects_nan_score(tmp_path, synth_dir):
     rows = [f"{i}\t{'nan' if i == 0 else '0.500000'}\t1\t4\t8" for i in range(40)]
     scores = tmp_path / "scores.tsv"
@@ -675,8 +752,9 @@ def test_report_requires_run_dir(tmp_path):
 
 
 @pytest.mark.parametrize("manifest", ["{not json", "[1, 2]", '{"outputs": ["raw.txt"]}',
-                                      '{"outputs": {"raw.txt": 5}}'],
-                         ids=["not-json", "not-object", "outputs-not-object", "digest-not-string"])
+                                      '{"outputs": {"raw.txt": 5}}', "[" * 100_000],
+                         ids=["not-json", "not-object", "outputs-not-object", "digest-not-string",
+                              "too-deep"])
 @pytest.mark.parametrize("command", ["metrics", "report"])
 def test_malformed_manifest_is_format_error(tmp_path, synth_dir, command, manifest):
     (synth_dir / "manifest.json").write_text(manifest)
@@ -692,6 +770,7 @@ def test_malformed_manifest_is_format_error(tmp_path, synth_dir, command, manife
 
 @pytest.mark.parametrize("flag,value", [("--align-iterations", "0"), ("--tension", "-1"),
                                         ("--tension", "nan"), ("--tension", "inf"),
+                                        ("--tension", "1e9"),
                                         ("--null-prob", "1.5"), ("--null-prob", "nan")])
 def test_bad_aligner_flag_is_config_error(tmp_path, synth_dir, flag, value):
     out = tmp_path / "m"
@@ -716,7 +795,8 @@ def test_non_finite_model_flag_is_config_error(tmp_path, synth_dir, capsys, comm
         assert (out / "INCOMPLETE").exists()
 
 
-@pytest.mark.parametrize("flag,value", [("--tension", "nan"), ("--align-iterations", "0")])
+@pytest.mark.parametrize("flag,value", [("--tension", "nan"), ("--tension", "1e9"),
+                                        ("--align-iterations", "0")])
 def test_full_checks_aligner_flags_before_any_stage(tmp_path, flag, value):
     out = tmp_path / "run"
     code = main(["full", "--out", str(out), *SYNTH_ARGS, *FAST_MODEL, "--updates", "8", flag, value])

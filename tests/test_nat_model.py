@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from selkd import nat, synth
-from selkd.corpus import BLANK_ID, Vocabulary
+from selkd.corpus import BLANK_ID, MAX_SENTENCE_LEN, Vocabulary
 from selkd.nat import (
     CheckpointError,
     ModelConfig,
@@ -398,6 +398,12 @@ def test_config_validation():
         ModelConfig(embed_dim=0)
     with pytest.raises(ValueError):
         ModelConfig(learning_rate=0.0)
+    for field, bad in (("batch_size", 2.5), ("upsample", 2.0), ("seed", True), ("window", "1")):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            ModelConfig(**{field: bad})
+    with pytest.raises(ValueError, match="window must be in"):
+        ModelConfig(window=MAX_SENTENCE_LEN + 1)
+    ModelConfig(window=MAX_SENTENCE_LEN)
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="finite and positive"):
             ModelConfig(learning_rate=bad)
