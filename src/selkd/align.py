@@ -135,6 +135,8 @@ def em_train(bitext: list[tuple[Sentence, Sentence]], iterations: int,
         raise AlignmentError("token ids must be >= 0")
     shape = (max(int(src.max(initial=-1)) for _, src, _ in stacks) + 2,
              max(int(tgt.max(initial=-1)) for _, _, tgt in stacks) + 1)
+    if shape[1] == 0:
+        raise AlignmentError("bitext has no target token")
 
     # Each pair's cells, target position by target position, in corpus order.
     sizes = np.empty(len(bitext), dtype=np.intp)

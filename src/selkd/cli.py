@@ -200,6 +200,8 @@ def run_synth(args) -> int:
 
 
 def run_train_evaluator(args) -> int:
+    if args.snapshot_updates is not None and args.snapshot_updates < 1:
+        raise StageError(f"--snapshot-updates must be >= 1, got {args.snapshot_updates}", EXIT_CONFIG)
     with Stage(args.out, "train-evaluator") as stage:
         corpus = _load_corpus_args(stage, args)
         config = _model_config(args)

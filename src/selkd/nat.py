@@ -45,27 +45,19 @@ of returning it to the system and faulting it back in. A lattice's loss
 and gradient do not depend on what it is padded with or next to, and
 ``forward`` and ``ctc_loss_and_grad`` are the same code at B = 1.
 
-Scoring (``scoring.score_corpus``) runs its forwards in the length
-groups of training, cut to at most ``batch_size`` pairs so that no
-forward outgrows a training step's. Each pair gets one wanted label per
-decoded frame, and both variants count a pair's mismatched frames with
-one bincount. A plain group decodes at |reference| frames per pair
-(``_positional_packed``) and wants the reference itself. A ctc pair is
-decoded by one packed forward at T frames and its greedy argmax over the
-packed rows, and wants the labels of a Viterbi pass
-(``_viterbi_packed``) in log-probabilities with padded cells -inf.
-Scoring groups are sorted over the whole corpus and carry little
-padding, so one Viterbi pass spans several consecutive forward groups,
-as many as its padded log-probabilities and back-pointers allow
-(``_viterbi_runs``), and pays its per-frame numpy calls once for all of
-them. That pass gathers each frame's emissions from the padded table
-inside its loop, and keeps the scores of one frame, each lane's scores
-at its own last frame, and a (T_max, S_max, B) int8 array of
-back-pointer choices: 0 from state s-2, 1 from s-1, 2 from s, the first
-maximum picked by two comparisons. One backtrace then walks all lanes
-back together from their final states, a lane moving only at its real
-frames. ``viterbi_align`` and ``decode_positional`` are that code at
-B = 1.
+Scoring decodes through ``decode_pairs``. Its groups are sorted over the
+whole corpus and carry little padding, so one Viterbi pass
+(``_viterbi_packed``, in log-probabilities with padded cells -inf) spans
+several consecutive forward groups, as many as its padded
+log-probabilities and back-pointers allow (``_viterbi_runs``), and pays
+its per-frame numpy calls once for all of them. That pass gathers each
+frame's emissions from the padded table inside its loop, and keeps the
+scores of one frame, each lane's scores at its own last frame, and a
+(T_max, S_max, B) int8 array of back-pointer choices: 0 from state s-2,
+1 from s-1, 2 from s, the first maximum picked by two comparisons. One
+backtrace then walks all lanes back together from their final states, a
+lane moving only at its real frames. ``viterbi_align`` and
+``decode_positional`` are that code at B = 1.
 """
 
 from __future__ import annotations
@@ -779,6 +771,47 @@ def _viterbi_runs(groups: list[np.ndarray], table: PairTable, vocab: int):
         run.append(group)
     if run:
         yield run
+
+
+def decode_pairs(model: NatModel, table: PairTable, lanes: np.ndarray, positional: bool):
+    """Decode the pairs at slots ``lanes`` of ``table`` in packed passes,
+    in the length groups of training cut to at most ``batch_size`` pairs,
+    so that no forward outgrows a training step's.
+
+    Yields ``(slots, frames, decoded, wanted, found)`` per pass: each
+    pair's frame count, then each frame's decoded and wanted label packed
+    row-wise; ``found[b]`` is False for a pair whose lattice holds no path.
+    A ``positional`` pass is one group run at |target| frames
+    (``_positional_packed``) that wants the target itself; otherwise a
+    pass is one run of ``_viterbi_runs``, whose greedy argmax at T frames
+    wants the labels of one Viterbi pass over the target.
+    """
+    size = model.config.batch_size
+    groups = [lanes[whole[start:start + size]]
+              for whole in _length_groups(table.frames[lanes], table.states[lanes])
+              for start in range(0, len(whole), size)]
+    runs = [[group] for group in groups] if positional else _viterbi_runs(groups, table, model.tgt_vocab_size)
+    for run in runs:
+        slots = np.concatenate(run)
+        targets = [table.pairs[i][1] for i in slots]
+        if positional:
+            frames = table.states[slots] // 2  # states = 2 |target| + 1
+            decoded = _positional_packed(model, [table.pairs[i][0] for i in slots], frames)
+            wanted = np.fromiter(itertools.chain.from_iterable(targets), dtype=np.int64,
+                                 count=len(decoded))
+            found = np.ones(len(slots), dtype=bool)
+        else:
+            frames = table.frames[slots]
+            logp = np.empty((int(frames.sum()), model.tgt_vocab_size))
+            start = 0
+            for forward_group in run:  # filled as it runs, so no row is held twice
+                part = _forward_packed(model, [table.pairs[i][0] for i in forward_group],
+                                       table.frames[forward_group])["logp"]
+                logp[start:start + len(part)] = part
+                start += len(part)
+            wanted, found = _viterbi_packed(logp, frames, targets)
+            decoded = logp.argmax(axis=1)
+        yield slots, frames, decoded, wanted, found
 
 
 def batch_step(model: NatModel, slots: np.ndarray, table: PairTable,

@@ -21,32 +21,20 @@ decoded, what is wanted and what the distance is divided by:
 Dividing the ctc distance by |Y| instead of T is available behind a
 flag; such a score is clamped to [0, 1].
 
-A corpus is scored in the length-sorted groups that training uses (see
-``selkd.nat``), each through one packed forward, and a ctc Viterbi pass
-spans several consecutive groups; one ``bincount`` counts the mismatched
-frames of each pass, so the Python overhead is paid per group, not per
-pair. Each score still depends only on its own pair: padding and
-neighbors change no bit of it.
+A corpus is decoded in the packed passes of ``nat.decode_pairs``, and
+one ``bincount`` counts the mismatched frames of each pass, so the
+Python overhead is paid per pass, not per pair. Each score still depends
+only on its own pair: padding and neighbors change no bit of it.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .corpus import Bitext, Corpus, Sentence, read_rows, write_lines
-from .nat import (
-    NatModel,
-    PairTable,
-    _forward_packed,
-    _length_groups,
-    _positional_packed,
-    _viterbi_packed,
-    _viterbi_runs,
-    model_digest,
-)
+from .nat import NatModel, PairTable, decode_pairs, model_digest
 
 VARIANTS = ("plain", "ctc")
 
@@ -77,17 +65,10 @@ class ScoreTable:
 def _score_pairs(model: NatModel, pairs: Bitext, variant: str,
                  normalize_by_reference: bool) -> list[ScoreRecord]:
     """Records for (source, reference) ``pairs``, each tagged with its
-    position.
-
-    The pairs run in the length-sorted groups of their ``nat.PairTable``,
-    as a training batch does, cut to at most one training batch of pairs
-    each, so that a group's forward holds no more rows than a training
-    step's. Each group makes one packed decode. The ctc variant then runs
-    one Viterbi pass over each run of consecutive groups that
-    ``_viterbi_runs`` forms, the forwards' log-probabilities stacked in
-    order. Each decode is compared frame by frame with the labels the
-    pair wants; a pair's distance counts the frames where they differ.
-    Each record depends only on its own pair.
+    position. The feasible pairs are decoded by ``nat.decode_pairs``; a
+    pair's distance counts the frames where its decode differs from the
+    labels it wants, one ``bincount`` per pass. Each record depends only
+    on its own pair.
     """
     plain = variant == "plain"
     table = PairTable.of(pairs, model.config.upsample)
@@ -96,32 +77,7 @@ def _score_pairs(model: NatModel, pairs: Bitext, variant: str,
     records: list[ScoreRecord | None] = [None] * len(pairs)
     for i in np.flatnonzero(~feasible).tolist():
         records[i] = _infeasible_record(i, pairs[i][1], int(table.frames[i]))
-    todo = np.flatnonzero(feasible)
-    size = model.config.batch_size
-    groups = [todo[whole[start:start + size]]
-              for whole in _length_groups(table.frames[todo], table.states[todo])
-              for start in range(0, len(whole), size)]
-    runs = [[group] for group in groups] if plain else _viterbi_runs(groups, table, model.tgt_vocab_size)
-    for run in runs:
-        group = np.concatenate(run)
-        references = [pairs[i][1] for i in group]
-        if plain:  # best non-blank token at |reference| frames against the reference
-            frames = ref_lens[group]
-            decoded = _positional_packed(model, [pairs[i][0] for i in group], frames)
-            wanted = np.fromiter(itertools.chain.from_iterable(references), dtype=np.int64,
-                                 count=len(decoded))
-            found = np.ones(len(group), dtype=bool)
-        else:  # greedy label at each of the T frames against the Viterbi path
-            frames = table.frames[group]
-            logp = np.empty((int(frames.sum()), model.tgt_vocab_size))
-            start = 0
-            for forward_group in run:  # filled as it runs, so no row is held twice
-                part = _forward_packed(model, [pairs[i][0] for i in forward_group],
-                                       table.frames[forward_group])["logp"]
-                logp[start:start + len(part)] = part
-                start += len(part)
-            wanted, found = _viterbi_packed(logp, frames, references)
-            decoded = logp.argmax(axis=1)
+    for group, frames, decoded, wanted, found in decode_pairs(model, table, np.flatnonzero(feasible), plain):
         lane = np.repeat(np.arange(len(group)), frames)
         distances = np.bincount(lane, weights=decoded != wanted, minlength=len(group)).astype(int)
         denoms = ref_lens[group] if plain or normalize_by_reference else frames
@@ -143,9 +99,9 @@ def _infeasible_record(index: int, reference: Sentence, frames: int) -> ScoreRec
 
 def score_corpus(model: NatModel, corpus: Corpus, variant: str = "ctc",
                  normalize_by_reference: bool = False) -> ScoreTable:
-    """Score every raw target against the evaluator, in length-sorted
-    groups (see ``_score_pairs``); each score still depends only on its
-    own pair, and the records come back in corpus order."""
+    """Score every raw target against the evaluator, in packed passes
+    (see ``_score_pairs``); each score still depends only on its own
+    pair, and the records come back in corpus order."""
     if variant not in VARIANTS:
         raise ScoringError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     if model.src_vocab_hash != corpus.src_vocab.content_hash() or \
@@ -169,11 +125,22 @@ def _score(text: str) -> float:
     return score
 
 
+def _count(name: str, minimum: int):
+    def convert(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise ValueError(f"{name} {text!r} is below {minimum}")
+        return value
+    return convert
+
+
 def read_score_tsv(path: str) -> ScoreTable:
     """Parse a ``write_score_tsv`` file; every score must be a number in
-    [0, 1]. The file does not say which variant made it, nor which
-    records were infeasible."""
-    rows = read_rows(path, (int, _score, int, int, int), ScoringError)
+    [0, 1], the distance and frame length at least 0 and the reference
+    length at least 1. The file does not say which variant made it, nor
+    which records were infeasible."""
+    rows = read_rows(path, (int, _score, _count("distance", 0), _count("ref_len", 1), _count("frame_len", 0)),
+                     ScoringError)
     return ScoreTable(records=tuple(ScoreRecord(*row) for row in rows))
 
 

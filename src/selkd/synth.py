@@ -25,7 +25,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .corpus import Corpus, CorpusFormatError, Sentence, TriExample, Vocabulary, read_rows, write_lines
+from .corpus import (MAX_SENTENCE_LEN, Corpus, CorpusFormatError, Sentence, TriExample, Vocabulary, read_rows,
+                     write_lines)
 from .rng import Rng
 
 MISTAKE_KINDS = ("repeat-token", "synonym-swap")
@@ -71,6 +72,9 @@ class SynthTaskSpec:
             raise SynthConfigError(f"mistake_kind {self.mistake_kind!r} not in {MISTAKE_KINDS}")
         if self.mistake_kind == "synonym-swap" and self.mistake_rate > 0 and self.num_modes < 2:
             raise SynthConfigError("synonym-swap mistakes need num_modes >= 2")
+        longest = self.len_max + (self.mistake_kind == "repeat-token" and self.mistake_rate > 0)
+        if longest > MAX_SENTENCE_LEN:  # a repeat-token mistake adds one token
+            raise SynthConfigError(f"sentences of up to {longest} tokens exceed the limit of {MAX_SENTENCE_LEN}")
 
     @property
     def synonym_groups(self) -> int:

@@ -124,6 +124,9 @@ def test_empty_bitext_rejected():
         em_train([], iterations=1)
     with pytest.raises(AlignmentError):
         em_train([((1,), (2,))], iterations=0)
+    for bitext in ([((3,), ())], [((), ()), ((1, 2), ())]):
+        with pytest.raises(AlignmentError, match="no target token"):
+            em_train(bitext, iterations=2)
 
 
 def test_pharaoh_dump(tmp_path):

@@ -488,6 +488,40 @@ def test_select_rejects_nan_score(tmp_path, synth_dir):
     assert code == EXIT_FORMAT
 
 
+def _replace_field(row, col, text):
+    return lambda rows: [*rows[:row], [*rows[row][:col], text, *rows[row][col + 1:]], *rows[row + 1:]]
+
+
+def _replace_line(row, how):
+    return lambda rows: [*rows[:row], *{"drop": [], "repeat": [rows[row]] * 2, "empty": [[""]],
+                                        "widen": [[*rows[row], "0"]]}[how], *rows[row + 1:]]
+
+
+# One field of a valid score file replaced (small, negative and huge ints,
+# float reprs, signs, spaces, underscores, other digits, any text), or one
+# line dropped, repeated, emptied or given a sixth field.
+_SCORE_FIELDS = st.one_of(
+    st.integers(-3, 45).map(str), st.integers(2**63).map(str), st.floats().map(repr),
+    st.sampled_from(["-0", "", " 1", "1_0", "0x1", "٥", "1e400", "0.5\r", "5\t5"]),
+    st.text(st.characters(exclude_categories=("Cs",)), max_size=4))
+_SCORE_EDITS = st.one_of(
+    st.builds(_replace_field, st.integers(0, 39), st.integers(0, 4), _SCORE_FIELDS),
+    st.builds(_replace_line, st.integers(0, 39), st.sampled_from(["drop", "repeat", "empty", "widen"])))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(edit=_SCORE_EDITS)
+def test_select_with_one_score_field_or_line_mutated_exits_ok_or_format_error(
+        tmp_path_factory, tiny_checkpoint, edit):
+    synth_dir, _ = tiny_checkpoint
+    rows = edit([[str(i), "0.500000", "1", "4", "8"] for i in range(40)])
+    d = tmp_path_factory.mktemp("mutated")
+    (d / "scores.tsv").write_bytes("".join("\t".join(row) + "\n" for row in rows).encode())
+    code = main(["select", "--out", str(d / "sel"), *corpus_flags(synth_dir),
+                 "--scores", str(d / "scores.tsv"), "--threshold", "0.5"])
+    assert code in (EXIT_OK, EXIT_FORMAT)
+
+
 def test_select_reads_negative_zero_threshold_as_zero(tmp_path, synth_dir):
     scores = tmp_path / "scores.tsv"
     scores.write_text("".join(f"{i}\t0.500000\t1\t4\t8\n" for i in range(40)))
@@ -710,6 +744,17 @@ def test_threshold_outside_range_is_config_error(tmp_path, synth_dir, capsys, ca
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1 and f"selkd {command}: error: " in captured.err
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_snapshot_updates_below_one_is_config_error(tmp_path, synth_dir, capsys, value):
+    # no update ever equals it, so the run used to save its final model as the snapshot
+    out = tmp_path / "out"
+    assert main(["train-evaluator", "--out", str(out), *corpus_flags(synth_dir), *FAST_MODEL,
+                 "--snapshot-updates", value]) == EXIT_CONFIG
+    assert not out.exists()
+    assert capsys.readouterr().err == \
+        f"selkd train-evaluator: error: --snapshot-updates must be >= 1, got {value}\n"
 
 
 _METRICS_FLAG_CASES = {

@@ -1,3 +1,4 @@
+import re
 from functools import partial
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from selkd import nat, scoring
+from selkd import nat
 from selkd.nat import ModelConfig, NatModel, decode_positional, forward, min_frames, param_shapes, viterbi_align
 from selkd.scoring import (
     ScoreRecord,
@@ -200,6 +201,16 @@ def test_read_score_tsv_rejects_scores_outside_unit_interval(tmp_path, bad):
         read_score_tsv(str(p))
 
 
+@pytest.mark.parametrize("row", ["-1\t3\t6", "1\t0\t6", "1\t-1\t6", "1\t3\t-1"],
+                         ids=["distance", "ref-len-zero", "ref-len", "frame-len"])
+def test_read_score_tsv_rejects_counts_out_of_range(tmp_path, row):
+    # a negative ref_len fell in no length bucket of ``metrics``, silently
+    p = tmp_path / "scores.tsv"
+    p.write_text(f"0\t0.500000\t1\t3\t6\n1\t0.500000\t{row}\n")
+    with pytest.raises(ScoringError, match=f"^{re.escape(str(p))}:2: "):
+        read_score_tsv(str(p))
+
+
 def test_validate_table_covers_rejects_gaps(memorized_setup):
     corpus, result = memorized_setup
     table = score_corpus(result.model, corpus)
@@ -259,17 +270,18 @@ def test_padded_scoring_groups_match_each_pair_alone(monkeypatch):
     table = nat.PairTable.of(corpus.pairs("raw"), 2)
     assert len(nat._length_groups(table.frames, table.states)) >= 2
     forwards, viterbi_lanes = [], []
+    forward_original, viterbi_original = nat._forward_packed, nat._viterbi_packed
 
     def forward_packed(model, sources, frames):
         forwards.append((sources, frames))
-        return nat._forward_packed(model, sources, frames)
+        return forward_original(model, sources, frames)
 
     def viterbi_packed(logp, frames, targets):
         viterbi_lanes.append(len(frames))
-        return nat._viterbi_packed(logp, frames, targets)
+        return viterbi_original(logp, frames, targets)
 
-    monkeypatch.setattr(scoring, "_forward_packed", forward_packed)
-    monkeypatch.setattr(scoring, "_viterbi_packed", viterbi_packed)
+    monkeypatch.setattr(nat, "_forward_packed", forward_packed)
+    monkeypatch.setattr(nat, "_viterbi_packed", viterbi_packed)
     cases = {
         "ctc": ({}, _ctc_record_alone),
         "ctc by reference": ({"normalize_by_reference": True},

@@ -39,6 +39,54 @@ def test_package_has_no_unused_import():
     assert {name: names for name, names in found.items() if names} == {}
 
 
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def foreign_private_names(source: str) -> list[str]:
+    """``name (line N)`` for every underscore name the module imports from
+    a selkd module, or reads as an attribute of a name it imported from
+    one; dunders such as ``__version__`` are exempt."""
+    tree = ast.parse(source)
+    found, imported = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.partition(".")[0] == "selkd"):
+            for alias in node.names:
+                if _private(alias.name):
+                    found.append((node.lineno, node.col_offset, alias.name))
+                imported.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.partition(".")[0] for alias in node.names
+                            if alias.name.partition(".")[0] == "selkd")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _private(node.attr):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in imported:
+                found.append((node.lineno, node.col_offset, ast.unparse(node)))
+    return [f"{name} (line {line})" for line, _, name in sorted(found)]
+
+
+def test_foreign_private_names_finds_only_other_modules_underscore_names():
+    source = ("from __future__ import annotations\nimport numpy as np\nimport selkd.metrics\n"
+              "from . import __version__, nat\nfrom .corpus import _read, Sentence\n"
+              "from selkd.align import _prior as p\n"
+              "def _own(x: Sentence):\n"
+              "    return (nat._forward_packed(x), nat.forward(x), np._private, selkd.metrics._x,\n"
+              "            _own, x._y, nat.__name__, Sentence._cache, p)\n")
+    assert foreign_private_names(source) == [
+        "_read (line 5)", "_prior (line 6)", "nat._forward_packed (line 8)",
+        "selkd.metrics._x (line 8)", "Sentence._cache (line 9)"]
+
+
+def test_no_module_reads_another_modules_private_names():
+    found = {path.name: foreign_private_names(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    assert len(found) >= 10
+    assert {name: names for name, names in found.items() if names} == {}
+
+
 def test_benchmark_traced_functions_exist():
     # perfbench/tracing.py skips a traced name that no longer exists, so a
     # rename would silently drop its per-layer metrics.

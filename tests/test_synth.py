@@ -5,7 +5,7 @@ import re
 import pytest
 
 from selkd.cli import _ERROR_CODES, EXIT_FORMAT
-from selkd.corpus import CorpusFormatError
+from selkd.corpus import MAX_SENTENCE_LEN, CorpusFormatError
 from selkd.rng import Rng
 from selkd.synth import SynthConfigError, SynthTaskSpec, generate, oracle_report, read_sidecar, write_sidecar
 
@@ -84,6 +84,26 @@ def test_repeat_token_mistakes_always_applied():
         assert len(ex.distilled_target) == len(ex.source) + 1
         assert any(a == b for a, b in zip(ex.distilled_target, ex.distilled_target[1:]))
     assert all(sc.mistakes)
+
+
+@pytest.mark.parametrize("length,mistake_rate,kind,fits", [
+    (MAX_SENTENCE_LEN, 1.0, "repeat-token", False),
+    (MAX_SENTENCE_LEN + 1, 0.0, "repeat-token", False),
+    (MAX_SENTENCE_LEN + 1, 0.5, "synonym-swap", False),
+    (MAX_SENTENCE_LEN - 1, 1.0, "repeat-token", True),
+    (MAX_SENTENCE_LEN, 0.0, "repeat-token", True),
+    (MAX_SENTENCE_LEN, 1.0, "synonym-swap", True),
+])
+def test_spec_rejects_sentences_over_the_corpus_limit(length, mistake_rate, kind, fits):
+    # every later stage rejects a line over the limit, so synth must not write one
+    config = dict(len_min=length, len_max=length, mistake_rate=mistake_rate, mistake_kind=kind)
+    if not fits:
+        with pytest.raises(SynthConfigError, match=f"limit of {MAX_SENTENCE_LEN}"):
+            spec(**config)
+        return
+    longest = max(len(s) for ex in generate(spec(**config), n=2).corpus.examples
+                  for s in (ex.source, ex.raw_target, ex.distilled_target))
+    assert longest == MAX_SENTENCE_LEN
 
 
 def test_mistake_count_binomial_bound():
