@@ -15,6 +15,7 @@ are listed in ``EXIT_CODE_DOC``, which ``selkd --help`` prints.
 from __future__ import annotations
 
 import argparse
+import collections
 import hashlib
 import json
 import math
@@ -79,21 +80,26 @@ def _read_manifest(path: str) -> dict:
     if not isinstance(outputs, dict) or not all(isinstance(d, str) for d in outputs.values()):
         raise StageError(f"malformed manifest {path}: expected a JSON object whose "
                          "\"outputs\" maps file names to digests", EXIT_FORMAT)
+    try:  # a JSON escape such as "\ud800" reads as a lone surrogate, which UTF-8 cannot hold
+        json.dumps(outputs, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise StageError(f"malformed manifest {path}: {exc}", EXIT_FORMAT) from exc
     return manifest
 
 
 class Stage:
-    """One run of a stage and the manifest it writes. ``input`` checks
-    and records each file the stage reads, ``path`` names each file it
-    writes, and ``finish`` writes ``manifest.json`` from both lists, so
-    every file is named once, where it is used. Used as a context
-    manager: an exception inside the block removes anything the stage
-    created, leaves an INCOMPLETE marker instead, and propagates."""
+    """One run of a stage and the manifest it writes. ``input`` checks,
+    hashes and records each file the stage reads, ``path`` names each
+    file it writes, and ``finish`` writes ``manifest.json`` from both
+    lists, so every file is named once, where it is used, and each input
+    is hashed once, when it is read. Used as a context manager: an
+    exception inside the block removes anything the stage created, leaves
+    an INCOMPLETE marker instead, and propagates."""
 
     def __init__(self, out_dir: str, subcommand: str):
         self.out_dir = out_dir
         self.subcommand = subcommand
-        self.inputs: list[str] = []
+        self.inputs: dict[str, str] = {}  # each file read, with its digest when read
         self.outputs: list[str] = []
         os.makedirs(out_dir, exist_ok=True)
         marker = os.path.join(out_dir, "INCOMPLETE")
@@ -113,22 +119,24 @@ class Stage:
         corpus_mod.write_lines(marker, [f"{self.subcommand} failed: {exc}"])
 
     def input(self, *paths: str | None) -> None:
-        """Record each file the stage reads, skipping ``None``. The file
-        must exist, and if a sibling manifest lists it as an output, its
-        checksum must still match."""
+        """Record each file the stage reads and its digest, skipping
+        ``None`` and a file already recorded. The file must exist, and if a
+        sibling manifest lists it as an output, its checksum must still
+        match."""
         for p in paths:
-            if p is None:
+            if p is None or p in self.inputs:
                 continue
             if not os.path.exists(p):
                 raise StageError(f"missing input file: {p}", EXIT_MISSING_INPUT)
+            digest = _sha256(p)
             manifest = os.path.join(os.path.dirname(os.path.abspath(p)), "manifest.json")
             if os.path.exists(manifest):
                 recorded = _read_manifest(manifest).get("outputs", {}).get(os.path.basename(p))
-                if recorded is not None and recorded != _sha256(p):
+                if recorded is not None and recorded != digest:
                     raise StageError(
                         f"{p} no longer matches the checksum recorded in {manifest}", EXIT_CHECKSUM
                     )
-            self.inputs.append(p)
+            self.inputs[p] = digest
 
     def path(self, name: str) -> str:
         p = os.path.join(self.out_dir, name)
@@ -141,7 +149,7 @@ class Stage:
             "version": __version__,
             "subcommand": self.subcommand,
             "config": config,
-            "inputs": {p: _sha256(p) for p in self.inputs},
+            "inputs": self.inputs,
             "outputs": {os.path.basename(p): _sha256(p) for p in self.outputs},
         }
         text = json.dumps(manifest, sort_keys=True, indent=2, allow_nan=False)
@@ -320,6 +328,12 @@ def run_metrics(args) -> int:
                 stage.input(args.scores)
                 table = scoring.read_score_tsv(args.scores)
                 scoring.validate_table_covers(table, corpus)
+                # buckets.tsv buckets each record by its ref_len.
+                for rec, ex in zip(table.records, corpus.examples):
+                    if rec.ref_len != len(ex.raw_target):
+                        raise scoring.ScoringError(
+                            f"{args.scores}:{rec.index + 1}: ref_len {rec.ref_len} is not the "
+                            f"length {len(ex.raw_target)} of raw target {rec.index}")
 
         raw = corpus.pairs("raw")
         model = align_mod.em_train(raw, iterations=args.align_iterations,
@@ -376,13 +390,29 @@ def _quantiles(values: list[float]) -> list[tuple[int, float]]:
     return out
 
 
+# The run graph of ``selkd full`` in run order: each stage's directory, its subcommand, and the
+# earlier stages' files it reads, as paths under the run keyed by flag (the report reads under --run).
+RunStage = collections.namedtuple("RunStage", "dir command files")
+_CORPUS = {"src": "synth/src.txt", "raw": "synth/raw.txt", "kd": "synth/kd.txt"}
+_SCORED = _CORPUS | {"scores": "scores/scores.tsv"}
+RUN_GRAPH = (
+    RunStage("synth", "synth", {}),
+    RunStage("evaluator", "train-evaluator", _CORPUS),
+    RunStage("scores", "score", _CORPUS | {"checkpoint": "evaluator/checkpoint.txt"}),
+    RunStage("select", "select", _SCORED),
+    RunStage("student", "train-student", _SCORED | {"init_checkpoint": "evaluator/snapshot.txt"}),
+    RunStage("metrics", "metrics", _SCORED),
+    RunStage("report", "report", {"scores": _SCORED["scores"], "metrics_report": "metrics/report.tsv"}),
+)
+
+
 def run_report(args) -> int:
     with Stage(args.out, "report") as stage:
         run_dir = args.run
         if not os.path.isdir(run_dir):
             raise StageError(f"missing run directory: {run_dir}", EXIT_MISSING_INPUT)
         lines = [f"selkd run summary: {os.path.basename(os.path.normpath(run_dir))}", ""]
-        for sub in ("synth", "evaluator", "scores", "select", "student", "metrics"):
+        for sub, _, _ in RUN_GRAPH[:-1]:
             subdir = os.path.join(run_dir, sub)
             manifest = os.path.join(subdir, "manifest.json")
             if not os.path.exists(manifest):
@@ -394,7 +424,7 @@ def run_report(args) -> int:
             lines.append(f"[{sub}] ok ({len(outputs)} artifacts)")
             for name, digest in sorted(outputs.items()):
                 lines.append(f"  {name}  sha256:{digest[:16]}")
-        score_path = os.path.join(run_dir, "scores", "scores.tsv")
+        score_path = os.path.join(run_dir, RUN_GRAPH[-1].files["scores"])
         if os.path.exists(score_path):
             stage.input(score_path)
             table = scoring.read_score_tsv(score_path)
@@ -403,7 +433,7 @@ def run_report(args) -> int:
                 lines.append("score quantiles (for choosing a starting threshold):")
                 for q, v in _quantiles([r.score for r in table.records]):
                     lines.append(f"  p{q:<3d} {v:.6f}")
-        report_path = os.path.join(run_dir, "metrics", "report.tsv")
+        report_path = os.path.join(run_dir, RUN_GRAPH[-1].files["metrics_report"])
         if os.path.exists(report_path):
             stage.input(report_path)
             lines.append("")
@@ -414,40 +444,23 @@ def run_report(args) -> int:
         return EXIT_OK
 
 
-def _stage_args(args, out: str, **overrides) -> argparse.Namespace:
-    return argparse.Namespace(**(vars(args) | {"out": out} | overrides))
-
-
 def run_full(args) -> int:
     """Chain every stage under one output directory. The aligner flags, the
     model config and the schedule are checked first, so bad ones fail
     before any stage runs."""
     align_mod.check_em_params(args.align_iterations, args.tension, args.null_prob)
     _model_config(args)
-    schedule = _schedule(args)
-    out = args.out
-    run_synth(_stage_args(args, os.path.join(out, "synth")))
-    files = {name: os.path.join(out, "synth", f"{name}.txt") for name in ("src", "raw", "kd")}
-
-    run_train_evaluator(_stage_args(args, os.path.join(out, "evaluator"), **files,
-                                    target_side="distilled",
-                                    snapshot_updates=max(1, math.ceil(args.updates / 12))))
-    checkpoint = os.path.join(out, "evaluator", "checkpoint.txt")
-    snapshot = os.path.join(out, "evaluator", "snapshot.txt")
-
-    run_score(_stage_args(args, os.path.join(out, "scores"), **files,
-                          checkpoint=checkpoint, normalize_by_reference=False))
-    scores = os.path.join(out, "scores", "scores.tsv")
-
-    run_select(_stage_args(args, os.path.join(out, "select"), **files, scores=scores,
-                           threshold=cur.threshold_at(schedule, args.updates // 2)))
-    run_train_student(_stage_args(args, os.path.join(out, "student"), **files, scores=scores,
-                                  init_checkpoint=snapshot))
     # The sweep brackets the schedule the student ran: T0, its midpoint and T1, once each.
     sweep = dict.fromkeys((args.t0, (args.t0 + args.t1) / 2, args.t1))
-    run_metrics(_stage_args(args, os.path.join(out, "metrics"), **files, scores=scores, tgt=None,
-                            thresholds=",".join(map(str, sweep)), dump_links=False))
-    return run_report(_stage_args(args, os.path.join(out, "report"), run=out))
+    settings = vars(args) | dict(
+        target_side="distilled", snapshot_updates=max(1, math.ceil(args.updates / 12)),
+        threshold=cur.threshold_at(_schedule(args), args.updates // 2), thresholds=",".join(map(str, sweep)),
+        normalize_by_reference=False, tgt=None, dump_links=False, run=args.out)
+    for row in RUN_GRAPH:
+        paths = {flag: os.path.join(args.out, path) for flag, path in {"out": row.dir, **row.files}.items()}
+        # Looked up at each call, so a wrapper put on this module sees the stage run.
+        globals()["run_" + row.command.replace("-", "_")](argparse.Namespace(**settings | paths))
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------

@@ -166,6 +166,15 @@ def read_lines(path: str, error: type[ValueError]) -> list[str]:
     return lines
 
 
+def ascii_int(text: str) -> int:
+    """``text`` as a nonnegative integer if it holds ASCII digits only;
+    ``int`` would also take a sign, an underscore, surrounding whitespace
+    and other scripts' digits."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"{text!r} is not a nonnegative integer in ASCII digits")
+    return int(text)
+
+
 def read_rows(path: str, types: tuple, error: type[ValueError]) -> list[tuple]:
     """Each line of ``path`` as exactly ``len(types)`` tab-separated fields,
     each converted by its type; a wrong field count or a ``ValueError``

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Bitext, Corpus, Sentence, read_rows, write_lines
+from .corpus import Bitext, Corpus, Sentence, ascii_int, read_rows, write_lines
 from .nat import NatModel, PairTable, decode_pairs, model_digest
 
 VARIANTS = ("plain", "ctc")
@@ -119,28 +119,29 @@ def write_score_tsv(table: ScoreTable, path: str) -> None:
 
 
 def _score(text: str) -> float:
+    # ``float`` would also take an underscore, surrounding whitespace and
+    # other scripts' digits.
+    if not text.isascii() or "_" in text or text != text.strip():
+        raise ValueError(f"score {text!r} is not an ASCII number")
     score = float(text)
     if not 0.0 <= score <= 1.0:  # also rejects nan
         raise ValueError(f"score {text!r} is not a number in [0, 1]")
-    return score
+    return score + 0.0  # -0 reads as 0
 
 
-def _count(name: str, minimum: int):
-    def convert(text: str) -> int:
-        value = int(text)
-        if value < minimum:
-            raise ValueError(f"{name} {text!r} is below {minimum}")
-        return value
-    return convert
+def _ref_len(text: str) -> int:
+    value = ascii_int(text)
+    if value < 1:
+        raise ValueError(f"ref_len {text!r} is below 1")
+    return value
 
 
 def read_score_tsv(path: str) -> ScoreTable:
-    """Parse a ``write_score_tsv`` file; every score must be a number in
-    [0, 1], the distance and frame length at least 0 and the reference
-    length at least 1. The file does not say which variant made it, nor
-    which records were infeasible."""
-    rows = read_rows(path, (int, _score, _count("distance", 0), _count("ref_len", 1), _count("frame_len", 0)),
-                     ScoringError)
+    """Parse a ``write_score_tsv`` file; every score must be an ASCII
+    number in [0, 1] (-0 reads as 0), every integer ASCII digits, the
+    reference length at least 1. The file does not say which variant made
+    it, nor which records were infeasible."""
+    rows = read_rows(path, (ascii_int, _score, ascii_int, _ref_len, ascii_int), ScoringError)
     return ScoreTable(records=tuple(ScoreRecord(*row) for row in rows))
 
 

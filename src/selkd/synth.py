@@ -25,8 +25,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .corpus import (MAX_SENTENCE_LEN, Corpus, CorpusFormatError, Sentence, TriExample, Vocabulary, read_rows,
-                     write_lines)
+from .corpus import (MAX_SENTENCE_LEN, Corpus, CorpusFormatError, Sentence, TriExample, Vocabulary, ascii_int,
+                     read_rows, write_lines)
 from .rng import Rng
 
 MISTAKE_KINDS = ("repeat-token", "synonym-swap")
@@ -195,8 +195,8 @@ def write_sidecar(sc: SynthCorpus, path: str) -> None:
 
 
 def read_sidecar(path: str) -> tuple[tuple[int, ...], tuple[bool, ...]]:
-    """Parse a ``write_sidecar`` file; a line without three integer fields,
-    or bytes that are not UTF-8, raise ``CorpusFormatError`` naming
-    ``path:line``."""
-    rows = read_rows(path, (int, int, int), CorpusFormatError)
+    """Parse a ``write_sidecar`` file; a line without three fields of
+    ASCII digits, or bytes that are not UTF-8, raise ``CorpusFormatError``
+    naming ``path:line``."""
+    rows = read_rows(path, (ascii_int, ascii_int, ascii_int), CorpusFormatError)
     return tuple(mode for _, mode, _ in rows), tuple(bool(mistake) for _, _, mistake in rows)

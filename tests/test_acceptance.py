@@ -16,7 +16,7 @@ import pytest
 
 from selkd import synth
 from selkd.align import em_train, align_pair
-from selkd.cli import main as cli_main
+from selkd.cli import RUN_GRAPH, main as cli_main
 from selkd.curriculum import (
     ThresholdSchedule,
     exposure_period,
@@ -351,6 +351,6 @@ def test_criterion_10_end_to_end_smoke(tmp_path):
     started = time.monotonic()
     assert cli_main(["full", "--out", str(out)]) == 0  # defaults: n=2000, K=2000
     elapsed = time.monotonic() - started
-    for sub in ("synth", "evaluator", "scores", "select", "student", "metrics", "report"):
-        assert (out / sub / "manifest.json").exists(), sub
+    for row in RUN_GRAPH:
+        assert (out / row.dir / "manifest.json").exists(), row.dir
     assert elapsed < 300.0, f"full pipeline took {elapsed:.0f}s"

@@ -1,4 +1,5 @@
 import argparse
+import collections
 import json
 import math
 import os
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from selkd import cli
 from selkd import metrics as metrics_mod
 from selkd.align import em_train, write_pharaoh
 from selkd.cli import (
@@ -19,6 +21,7 @@ from selkd.cli import (
     EXIT_MISSING_INPUT,
     EXIT_OK,
     EXIT_TRAINING,
+    RUN_GRAPH,
     _model_config,
     _report_row,
     build_parser,
@@ -58,6 +61,15 @@ def synth_dir(tmp_path):
 def corpus_flags(synth_dir):
     return ["--src", str(synth_dir / "src.txt"), "--raw", str(synth_dir / "raw.txt"),
             "--kd", str(synth_dir / "kd.txt")]
+
+
+def write_scores(path, synth_dir, scores):
+    """A hand-written score TSV for ``synth_dir``'s corpus; each ref_len is
+    its raw target's length, which ``metrics`` checks."""
+    raw = (synth_dir / "raw.txt").read_text().splitlines()
+    path.write_text("".join(f"{i}\t{s:.6f}\t0\t{len(line.split())}\t8\n"
+                            for i, (s, line) in enumerate(zip(scores, raw))))
+    return path
 
 
 def test_synth_writes_artifacts_and_manifest(synth_dir):
@@ -129,8 +141,7 @@ def test_select_and_metrics_apply_one_selection_rule(tmp_path, synth_dir):
     assert threshold in scores
     keep = [s >= threshold for s in scores]
     kept = sum(keep)
-    path = tmp_path / "scores.tsv"
-    path.write_text("".join(f"{i}\t{s:.6f}\t0\t4\t8\n" for i, s in enumerate(scores)))
+    path = write_scores(tmp_path / "scores.tsv", synth_dir, scores)
     sel, met = tmp_path / "sel", tmp_path / "met"
     assert main(["select", "--out", str(sel), *corpus_flags(synth_dir), "--scores", str(path),
                  "--threshold", str(threshold)]) == EXIT_OK
@@ -209,8 +220,7 @@ def test_metrics_single_bitext_mode(tmp_path, synth_dir):
 
 def test_metrics_aligns_each_distinct_pair_once(tmp_path, synth_dir, monkeypatch):
     n, thresholds = 40, (0.0, 0.5, 1.01)
-    scores = tmp_path / "scores.tsv"
-    scores.write_text("".join(f"{i}\t{(i % 5) / 4:.6f}\t0\t4\t8\n" for i in range(n)))
+    scores = write_scores(tmp_path / "scores.tsv", synth_dir, [(i % 5) / 4 for i in range(n)])
     aligned = []  # pairs per align_pair call: one, or the size of a shape block
     real_align_pair = metrics_mod.align_pair
 
@@ -309,8 +319,8 @@ def test_format_error_exit_code_and_incomplete_marker(tmp_path):
 
 @pytest.mark.parametrize("kind", ["bitext", "scores", "checkpoint", "report", "manifest"])
 def test_invalid_utf8_input_is_format_error(tmp_path, synth_dir, capsys, kind):
-    bad = tmp_path / {"report": "run/metrics/report.tsv",
-                      "manifest": "run/synth/manifest.json"}.get(kind, "bad.txt")
+    bad = tmp_path / {"report": f"run/{RUN_GRAPH[-1].files['metrics_report']}",
+                      "manifest": f"run/{RUN_GRAPH[0].dir}/manifest.json"}.get(kind, "bad.txt")
     bad.parent.mkdir(parents=True, exist_ok=True)
     bad.write_bytes(b"a b\n\xff\xfe c\n")
     if kind in ("report", "manifest"):
@@ -355,9 +365,11 @@ def test_full_with_one_pair_fails_at_metrics_with_no_aligned_tokens(tmp_path, ca
     # the lexical table, never saw: the distilled view links nothing.
     out = tmp_path / "run"
     assert main(["full", "--out", str(out), "--n", "1", "--updates", "2"]) == EXIT_FORMAT
-    for stage in ("synth", "evaluator", "scores", "select", "student"):
-        assert (out / stage / "manifest.json").exists()
-    assert (out / "metrics" / "INCOMPLETE").exists()
+    failed = next(i for i, row in enumerate(RUN_GRAPH) if row.command == "metrics")
+    for row in RUN_GRAPH[:failed]:
+        assert (out / row.dir / "manifest.json").exists()
+    assert (out / RUN_GRAPH[failed].dir / "INCOMPLETE").exists()
+    assert not (out / RUN_GRAPH[failed + 1].dir).exists()
     assert capsys.readouterr().err.endswith(
         "selkd full: error: no aligned tokens at all; cannot compute uncertainty\n")
 
@@ -509,17 +521,51 @@ _SCORE_EDITS = st.one_of(
     st.builds(_replace_line, st.integers(0, 39), st.sampled_from(["drop", "repeat", "empty", "widen"])))
 
 
+def _select_rows(d, synth_dir, rows, threshold):
+    """Exit code of ``selkd select`` into ``d/sel`` on a score file of ``rows``."""
+    (d / "scores.tsv").write_bytes("".join("\t".join(row) + "\n" for row in rows).encode())
+    return main(["select", "--out", str(d / "sel"), *corpus_flags(synth_dir),
+                 "--scores", str(d / "scores.tsv"), "--threshold", threshold])
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(edit=_SCORE_EDITS)
 def test_select_with_one_score_field_or_line_mutated_exits_ok_or_format_error(
         tmp_path_factory, tiny_checkpoint, edit):
     synth_dir, _ = tiny_checkpoint
     rows = edit([[str(i), "0.500000", "1", "4", "8"] for i in range(40)])
-    d = tmp_path_factory.mktemp("mutated")
-    (d / "scores.tsv").write_bytes("".join("\t".join(row) + "\n" for row in rows).encode())
-    code = main(["select", "--out", str(d / "sel"), *corpus_flags(synth_dir),
-                 "--scores", str(d / "scores.tsv"), "--threshold", "0.5"])
-    assert code in (EXIT_OK, EXIT_FORMAT)
+    assert _select_rows(tmp_path_factory.mktemp("mutated"), synth_dir, rows, "0.5") in (EXIT_OK, EXIT_FORMAT)
+
+
+# Spellings that Python's ``int`` and ``float`` accept but a score file
+# may not hold: a sign on an integer, an underscore, surrounding
+# whitespace and digits of another script.
+@pytest.mark.parametrize("col,text", [(0, "+1"), (2, "1_0"), (3, " 4"), (4, "\u0668"),
+                                      (1, "0.5_0"), (1, "0.5 "), (1, "\u0660.\u0665")],
+                         ids=["index-sign", "distance-underscore", "ref-len-space",
+                              "frame-len-arabic-indic", "score-underscore", "score-space",
+                              "score-arabic-indic"])
+def test_select_rejects_score_file_spellings_beyond_ascii_numbers(tmp_path, synth_dir, col, text):
+    rows = [[str(i), "0.500000", "1", "4", "8"] for i in range(40)]
+    rows[1][col] = text
+    assert _select_rows(tmp_path, synth_dir, rows, "0.5") == EXIT_FORMAT
+
+
+def test_select_reads_negative_zero_score_as_zero(tmp_path, synth_dir):
+    rows = [[str(i), "-0" if i == 0 else "0.500000", "1", "4", "8"] for i in range(40)]
+    assert _select_rows(tmp_path, synth_dir, rows, "0") == EXIT_OK
+    decisions = (tmp_path / "sel" / "decisions.tsv").read_text().splitlines()
+    assert decisions[0].split("\t")[2] == "0.000000"
+
+
+def test_metrics_rejects_ref_len_that_is_not_the_raw_targets_length(tmp_path, synth_dir, capsys):
+    scores = write_scores(tmp_path / "scores.tsv", synth_dir, [0.5] * 40)
+    rows = [line.split("\t") for line in scores.read_text().splitlines()]
+    rows[6][3] = str(int(rows[6][3]) + 1)
+    scores.write_text("".join("\t".join(row) + "\n" for row in rows))
+    assert main(["metrics", "--out", str(tmp_path / "m"), *corpus_flags(synth_dir),
+                 "--scores", str(scores), "--align-iterations", "1"]) == EXIT_FORMAT
+    assert f"{scores}:7: ref_len" in capsys.readouterr().err
 
 
 def test_select_reads_negative_zero_threshold_as_zero(tmp_path, synth_dir):
@@ -540,8 +586,8 @@ def test_full_pipeline_small(tmp_path):
                  "--epochs", "2", "--batch-size", "8", "--embed-dim", "8",
                  "--hidden-dim", "12", "--len-min", "3", "--len-max", "5"])
     assert code == EXIT_OK
-    for sub in ("synth", "evaluator", "scores", "select", "student", "metrics", "report"):
-        assert (out / sub / "manifest.json").exists(), sub
+    for row in RUN_GRAPH:
+        assert (out / row.dir / "manifest.json").exists(), row.dir
     summary = (out / "report" / "summary.txt").read_text()
     assert "score quantiles" in summary
 
@@ -569,8 +615,8 @@ def _tamper_report(path):
         fh.write("raw\t-\t-\t1\t0.000000\t0.000000\t0.000000\n")
 
 
-@pytest.mark.parametrize("name,tamper", [("scores/scores.tsv", _tamper_score),
-                                         ("metrics/report.tsv", _tamper_report)],
+@pytest.mark.parametrize("name,tamper", [(RUN_GRAPH[-1].files["scores"], _tamper_score),
+                                         (RUN_GRAPH[-1].files["metrics_report"], _tamper_report)],
                          ids=["scores", "metrics-report"])
 def test_report_rejects_tampered_file(tmp_path, full_run, name, tamper):
     run = tmp_path / "run"
@@ -583,27 +629,33 @@ def test_report_rejects_tampered_file(tmp_path, full_run, name, tamper):
     assert not (out / "manifest.json").exists()
 
 
+def _run_files(run):
+    """Each flag of ``RUN_GRAPH`` that names a file of a run, and that file in ``run``."""
+    return {flag: str(run / path) for row in RUN_GRAPH for flag, path in row.files.items()}
+
+
 def _manifest_case(name, run, out):
     """argv of one stage run on `full_run`'s files, and the inputs it reads."""
-    synth = {k: str(run / "synth" / f"{k}.txt") for k in ("src", "raw", "kd")}
-    corpus = ["--src", synth["src"], "--raw", synth["raw"], "--kd", synth["kd"]]
-    scores = str(run / "scores" / "scores.tsv")
+    files = _run_files(run)
+    synth = {files[flag] for flag in ("src", "raw", "kd")}
+    corpus = ["--src", files["src"], "--raw", files["raw"], "--kd", files["kd"]]
+    scores = files["scores"]
     if name == "train-student":
-        ckpt = str(run / "evaluator" / "checkpoint.txt")
+        ckpt = files["checkpoint"]
         return (["train-student", "--out", out, *corpus, "--scores", scores, "--updates", "4",
-                 "--init-checkpoint", ckpt, *FAST_MODEL], {*synth.values(), scores, ckpt})
+                 "--init-checkpoint", ckpt, *FAST_MODEL], {*synth, scores, ckpt})
     if name == "metrics-scores":
         return (["metrics", "--out", out, *corpus, "--scores", scores, "--thresholds", "0.5",
-                 "--align-iterations", "1"], {*synth.values(), scores})
+                 "--align-iterations", "1"], {*synth, scores})
     if name == "metrics":
-        return (["metrics", "--out", out, *corpus, "--align-iterations", "1"], set(synth.values()))
+        return (["metrics", "--out", out, *corpus, "--align-iterations", "1"], synth)
     if name == "metrics-tgt":
-        return (["metrics", "--out", out, "--src", synth["src"], "--tgt", synth["raw"],
-                 "--align-iterations", "1"], {synth["src"], synth["raw"]})
-    subs = ("synth", "evaluator", "scores", "select", "student", "metrics")
+        return (["metrics", "--out", out, "--src", files["src"], "--tgt", files["raw"],
+                 "--align-iterations", "1"], {files["src"], files["raw"]})
+    *stages, report = RUN_GRAPH
     return (["report", "--out", out, "--run", str(run)],
-            {str(run / sub / "manifest.json") for sub in subs}
-            | {scores, str(run / "metrics" / "report.tsv")})
+            {str(run / row.dir / "manifest.json") for row in stages}
+            | {str(run / path) for path in report.files.values()})
 
 
 @pytest.mark.parametrize("name", ["train-student", "metrics-scores", "metrics", "metrics-tgt",
@@ -616,9 +668,94 @@ def test_manifest_records_exactly_the_files_read(tmp_path, full_run, name):
     assert set(inputs) == expected
 
 
+def test_run_graph_matches_the_manifests_of_a_full_run(full_run):
+    # Each stage's manifest records exactly the files its row names (the
+    # report also reads the manifest of each stage before it), and each
+    # such file is an output of an earlier stage, read with the digest
+    # that stage recorded.
+    assert sorted(os.listdir(full_run)) == sorted(row.dir for row in RUN_GRAPH)
+    manifests = {row.dir: json.loads((full_run / row.dir / "manifest.json").read_text())
+                 for row in RUN_GRAPH}
+    *stages, report = RUN_GRAPH
+    for i, row in enumerate(RUN_GRAPH):
+        manifest = manifests[row.dir]
+        assert manifest["subcommand"] == row.command
+        read = {str(full_run / path) for path in row.files.values()}
+        if row is report:
+            read |= {str(full_run / stage.dir / "manifest.json") for stage in stages}
+        assert set(manifest["inputs"]) == read, row.dir
+        for path in row.files.values():
+            upstream, name = path.split("/")
+            assert upstream in [earlier.dir for earlier in RUN_GRAPH[:i]], path
+            assert manifests[upstream]["outputs"][name] == manifest["inputs"][str(full_run / path)]
+
+
+def _json_paths(value, path=()):
+    """The key path of every field and list item inside ``value``, in file order."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        yield (*path, key)
+        yield from _json_paths(item, (*path, key))
+
+
+# One field or item of a stage manifest, anywhere or under one top-level
+# field, given another JSON value (digests, names, a lone surrogate, NaN,
+# nesting), or one key renamed.
+_JSON_TEXT = st.sampled_from(["", "0" * 64, "\ud800", "scores.tsv", "outputs"]) | st.text(max_size=6)
+_JSON_VALUES = _JSON_TEXT | st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_JSON_TEXT, inner, max_size=3),
+    max_leaves=6)
+_MANIFEST_EDITS = st.tuples(st.sampled_from(RUN_GRAPH[:-1]),
+                            st.sampled_from([None, "outputs", "inputs", "config"]), st.integers(0, 10**6),
+                            st.sampled_from(["value", "key"]), _JSON_VALUES, _JSON_TEXT)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(edit=_MANIFEST_EDITS)
+def test_report_with_one_manifest_field_mutated_exits_ok_checksum_or_format_error(
+        tmp_path_factory, full_run, edit):
+    row, field, pick, how, value, key = edit
+    run = tmp_path_factory.mktemp("mutated") / "run"
+    shutil.copytree(full_run, run)
+    path = run / row.dir / "manifest.json"
+    manifest = json.loads(path.read_text())
+    paths = [p for p in _json_paths(manifest) if field in (None, p[0])]
+    *parents, last = paths[pick % len(paths)]
+    parent = manifest
+    for step in parents:
+        parent = parent[step]
+    if how == "key" and isinstance(parent, dict):
+        parent[key] = parent.pop(last)
+    else:
+        parent[last] = value
+    path.write_text(json.dumps(manifest, indent=2))
+    code = main(["report", "--out", str(run.parent / "report"), "--run", str(run)])
+    assert code in (EXIT_OK, EXIT_CHECKSUM, EXIT_FORMAT)
+
+
+def test_stage_hashes_each_input_once(tmp_path, full_run, monkeypatch):
+    hashed = collections.Counter()
+    real_sha256 = cli._sha256
+
+    def counting_sha256(path):
+        hashed[path] += 1
+        return real_sha256(path)
+
+    monkeypatch.setattr(cli, "_sha256", counting_sha256)
+    row = next(row for row in RUN_GRAPH if row.command == "score")
+    files = {flag: str(full_run / path) for flag, path in row.files.items()}
+    out = tmp_path / "scores"
+    argv = [arg for flag, path in files.items() for arg in ("--" + flag.replace("_", "-"), path)]
+    assert main(["score", "--out", str(out), *argv]) == EXIT_OK
+    # every input sits beside a manifest that lists it, so each is checked too
+    assert hashed == {**{path: 1 for path in files.values()}, str(out / "scores.tsv"): 1}
+
+
 def test_metrics_manifest_records_bucket_schedule(tmp_path, full_run):
-    base = ["metrics", *corpus_flags(full_run / "synth"),
-            "--scores", str(full_run / "scores" / "scores.tsv"), "--align-iterations", "1"]
+    files = _run_files(full_run)
+    base = ["metrics", "--src", files["src"], "--raw", files["raw"], "--kd", files["kd"],
+            "--scores", files["scores"], "--align-iterations", "1"]
     a, b = tmp_path / "a", tmp_path / "b"
     assert main([*base, "--out", str(a)]) == EXIT_OK
     assert main([*base, "--out", str(b), "--t0", "0.1"]) == EXIT_OK
@@ -782,8 +919,9 @@ def test_metrics_rejects_ignored_or_missing_flags(tmp_path, synth_dir, case):
 
 def test_report_on_empty_score_table_leaves_out_quantiles(tmp_path):
     run = tmp_path / "run"
-    (run / "scores").mkdir(parents=True)
-    (run / "scores" / "scores.tsv").write_text("")
+    scores = run / RUN_GRAPH[-1].files["scores"]
+    scores.parent.mkdir(parents=True)
+    scores.write_text("")
     out = tmp_path / "rep"
     assert main(["report", "--out", str(out), "--run", str(run)]) == EXIT_OK
     summary = (out / "summary.txt").read_text()

@@ -3,6 +3,8 @@ import math
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from selkd.cli import _ERROR_CODES, EXIT_FORMAT
 from selkd.corpus import MAX_SENTENCE_LEN, CorpusFormatError
@@ -164,7 +166,11 @@ def test_sidecar_round_trip(tmp_path):
     (b"0\tx\t0\n", 1),
     (b"0\t1\t0\n1\t0\t0.5\n", 2),
     (b"0\t1\t0\n1\t\xff\t0\n", 2),
-], ids=["two-columns", "non-integer-mode", "non-integer-mistake", "not-utf8"])
+    (b"0\t+1\t0\n", 1),
+    (b"0\t1\t0\n1\t\xd9\xa1\t0\n", 2),
+    (b"0\t1\t0\n1_0\t1\t0\n", 2),
+], ids=["two-columns", "non-integer-mode", "non-integer-mistake", "not-utf8", "signed-mode",
+        "arabic-indic-mode", "underscore-index"])
 def test_read_sidecar_rejects_malformed_line(tmp_path, body, lineno):
     path = tmp_path / "modes.tsv"
     path.write_bytes(body)
@@ -172,6 +178,28 @@ def test_read_sidecar_rejects_malformed_line(tmp_path, body, lineno):
         read_sidecar(str(path))
     # the CLI reports it as a format error (exit 5)
     assert next(code for types, code in _ERROR_CODES if isinstance(info.value, types)) == EXIT_FORMAT
+
+
+# Random bytes, or rows of random tab-separated fields: integers, signs,
+# underscores, spaces, other scripts' digits, floats and any text.
+_SIDECAR_FIELDS = st.one_of(st.integers(-3, 12).map(str), st.integers(10**30).map(str),
+                            st.sampled_from(["", " 1", "+1", "1_0", "\u0663", "1.0", "0x1", "1e3"]),
+                            st.text(max_size=3))
+_SIDECAR_BYTES = st.binary(max_size=40) | st.lists(
+    st.lists(_SIDECAR_FIELDS, max_size=4).map("\t".join), max_size=5).map(
+    lambda lines: "".join(line + "\n" for line in lines).encode())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(body=_SIDECAR_BYTES)
+def test_read_sidecar_raises_only_corpus_format_error(tmp_path_factory, body):
+    path = tmp_path_factory.mktemp("sidecar") / "modes.tsv"
+    path.write_bytes(body)
+    try:
+        modes, mistakes = read_sidecar(str(path))
+    except CorpusFormatError:
+        return
+    assert len(modes) == len(mistakes) and min(modes, default=0) >= 0
 
 
 def test_spec_validation():
