@@ -92,9 +92,9 @@ class Stage:
     hashes and records each file the stage reads, ``path`` names each
     file it writes, and ``finish`` writes ``manifest.json`` from both
     lists, so every file is named once, where it is used, and each input
-    is hashed once, when it is read. Used as a context manager: an
-    exception inside the block removes anything the stage created, leaves
-    an INCOMPLETE marker instead, and propagates."""
+    is hashed once, when it is read. Used as a context manager: any
+    exception inside the block, an interrupt included, removes anything the
+    stage created, leaves an INCOMPLETE marker instead, and propagates."""
 
     def __init__(self, out_dir: str, subcommand: str):
         self.out_dir = out_dir
@@ -110,7 +110,7 @@ class Stage:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        if not isinstance(exc, Exception):
+        if exc is None:
             return
         for p in [*self.outputs, os.path.join(self.out_dir, "manifest.json")]:
             if os.path.exists(p):
@@ -169,8 +169,10 @@ _MODEL_FLAGS = {"--embed-dim": "embed_dim", "--hidden-dim": "hidden_dim", "--ups
 
 
 def _model_config(args) -> nat.ModelConfig:
-    return nat.ModelConfig(**{field: getattr(args, flag[2:].replace("-", "_"))
-                              for flag, field in _MODEL_FLAGS.items()})
+    """The config the model flags set; a field whose flag the subcommand
+    lacks (``train-student`` has no ``--epochs``) keeps its default."""
+    return nat.ModelConfig(**{field: getattr(args, dest) for flag, field in _MODEL_FLAGS.items()
+                              if hasattr(args, dest := flag[2:].replace("-", "_"))})
 
 
 def _schedule(args) -> cur.ThresholdSchedule:
@@ -229,6 +231,8 @@ def run_train_evaluator(args) -> int:
 
 
 def run_score(args) -> int:
+    if args.normalize_by_reference and args.variant == "plain":
+        raise StageError("--normalize-by-reference is for ctc: plain divides by it already", EXIT_CONFIG)
     with Stage(args.out, "score") as stage:
         stage.input(args.checkpoint)
         corpus = _load_corpus_args(stage, args)
@@ -317,23 +321,20 @@ def _check_metrics_flags(args) -> list[float]:
 def run_metrics(args) -> int:
     thresholds = _check_metrics_flags(args)
     with Stage(args.out, "metrics") as stage:
+        if args.tgt:  # single-bitext mode: the bitext is both target sides and the one view
+            args.raw = args.kd = args.tgt
+        corpus = _load_corpus_args(stage, args)
         table = None
-        if args.tgt:
-            stage.input(args.src, args.tgt)
-            # Single-view mode: the bitext itself is both corpus and view.
-            corpus = corpus_mod.load_corpus(args.src, args.tgt, args.tgt)
-        else:
-            corpus = _load_corpus_args(stage, args)
-            if args.scores:
-                stage.input(args.scores)
-                table = scoring.read_score_tsv(args.scores)
-                scoring.validate_table_covers(table, corpus)
-                # buckets.tsv buckets each record by its ref_len.
-                for rec, ex in zip(table.records, corpus.examples):
-                    if rec.ref_len != len(ex.raw_target):
-                        raise scoring.ScoringError(
-                            f"{args.scores}:{rec.index + 1}: ref_len {rec.ref_len} is not the "
-                            f"length {len(ex.raw_target)} of raw target {rec.index}")
+        if args.scores:
+            stage.input(args.scores)
+            table = scoring.read_score_tsv(args.scores)
+            scoring.validate_table_covers(table, corpus)
+            # buckets.tsv buckets each record by its ref_len.
+            for rec, ex in zip(table.records, corpus.examples):
+                if rec.ref_len != len(ex.raw_target):
+                    raise scoring.ScoringError(
+                        f"{args.scores}:{rec.index + 1}: ref_len {rec.ref_len} is not the "
+                        f"length {len(ex.raw_target)} of raw target {rec.index}")
 
         raw = corpus.pairs("raw")
         model = align_mod.em_train(raw, iterations=args.align_iterations,
@@ -444,6 +445,11 @@ def run_report(args) -> int:
         return EXIT_OK
 
 
+def _runner(command: str):
+    """``run_<command>``, looked up at each call so that a wrapper put on this module sees it."""
+    return globals()["run_" + command.replace("-", "_")]
+
+
 def run_full(args) -> int:
     """Chain every stage under one output directory. The aligner flags, the
     model config and the schedule are checked first, so bad ones fail
@@ -458,8 +464,7 @@ def run_full(args) -> int:
         normalize_by_reference=False, tgt=None, dump_links=False, run=args.out)
     for row in RUN_GRAPH:
         paths = {flag: os.path.join(args.out, path) for flag, path in {"out": row.dir, **row.files}.items()}
-        # Looked up at each call, so a wrapper put on this module sees the stage run.
-        globals()["run_" + row.command.replace("-", "_")](argparse.Namespace(**settings | paths))
+        _runner(row.command)(argparse.Namespace(**settings | paths))
     return EXIT_OK
 
 
@@ -473,11 +478,12 @@ def _add_corpus_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kd", required=True, help="distilled target bitext file")
 
 
-def _add_model_flags(p: argparse.ArgumentParser) -> None:
+def _add_model_flags(p: argparse.ArgumentParser, without: tuple[str, ...] = ()) -> None:
     defaults = nat.ModelConfig()
     for flag, field in _MODEL_FLAGS.items():
         default = getattr(defaults, field)
-        p.add_argument(flag, type=type(default), default=default)
+        if flag not in without:
+            p.add_argument(flag, type=type(default), default=default)
 
 
 def _add_align_flags(p: argparse.ArgumentParser) -> None:
@@ -525,7 +531,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub("synth", "generate a synthetic multimodal corpus")
     _add_synth_flags(p)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=run_synth)
 
     p = sub("train-evaluator", "train the scoring model on one target side")
     _add_corpus_flags(p)
@@ -533,7 +538,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-side", choices=("distilled", "raw"), default="distilled")
     p.add_argument("--snapshot-updates", type=int, default=None,
                    help="also save a parameter snapshot after this many updates")
-    p.set_defaults(func=run_train_evaluator)
 
     p = sub("score", "score every raw target with a trained evaluator")
     _add_corpus_flags(p)
@@ -541,22 +545,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=scoring.VARIANTS, default="ctc")
     p.add_argument("--normalize-by-reference", action="store_true",
                    help="divide the frame distance by the reference length instead of the frame count")
-    p.set_defaults(func=run_score)
 
     p = sub("select", "materialize the raw/distilled choice at one threshold")
     _add_corpus_flags(p)
     p.add_argument("--scores", required=True)
     p.add_argument("--threshold", type=float, required=True,
                    help="keep the raw target of every example scoring at or above this")
-    p.set_defaults(func=run_select)
 
     p = sub("train-student", "train a student under the threshold curriculum")
     _add_corpus_flags(p)
     p.add_argument("--scores", required=True)
     _add_schedule_flags(p)
-    _add_model_flags(p)
+    _add_model_flags(p, without=("--epochs",))  # the student trains for --updates
     p.add_argument("--init-checkpoint", help="warm-start from this checkpoint")
-    p.set_defaults(func=run_train_student)
 
     p = sub("metrics", "complexity/quality report over corpus views")
     p.add_argument("--src", required=True)
@@ -569,11 +570,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t1", type=float, default=1.0)
     _add_align_flags(p)
     p.add_argument("--dump-links", action="store_true", help="dump argmax links in i-j format")
-    p.set_defaults(func=run_metrics)
 
     p = sub("report", "consolidated summary of a full-run directory")
     p.add_argument("--run", required=True, help="directory produced by `selkd full`")
-    p.set_defaults(func=run_report)
 
     p = sub("full", "run synth, evaluator, scoring, selection, student and metrics in one go")
     _add_synth_flags(p)
@@ -581,7 +580,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_schedule_flags(p)
     p.add_argument("--variant", choices=scoring.VARIANTS, default="ctc")
     _add_align_flags(p)
-    p.set_defaults(func=run_full)
 
     return parser
 
@@ -602,7 +600,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return _runner(args.command)(args)
     except Exception as exc:  # noqa: BLE001 - translated to exit codes
         for types, code in _ERROR_CODES:
             if isinstance(exc, types):

@@ -12,7 +12,7 @@ deselects everything, since scores never exceed 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -138,7 +138,8 @@ def train_student(corpus: Corpus, table: ScoreTable, schedule: ThresholdSchedule
                 "init checkpoint architecture differs from the student config "
                 f"({ {f: getattr(init_cfg, f) for f in arch} } vs { {f: getattr(config, f) for f in arch} })"
             )
-        model = init_model.copy()
+        # The student's settings, not the init checkpoint's, go with its parameters.
+        model = replace(init_model.copy(), config=config)
     else:
         model = NatModel.initialize(config, corpus.src_vocab, corpus.tgt_vocab)
     scores = _scores(table)  # compared with T_k batch by batch, as ``keeps_raw`` would

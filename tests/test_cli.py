@@ -29,7 +29,7 @@ from selkd.cli import (
 )
 from selkd.corpus import MAX_SENTENCE_LEN, load_corpus
 from selkd.curriculum import raw_ratio
-from selkd.nat import PARAM_NAMES, ModelConfig
+from selkd.nat import PARAM_NAMES, ModelConfig, load_checkpoint
 from selkd.scoring import read_score_tsv
 
 
@@ -48,7 +48,8 @@ def dir_bytes(d):
 
 
 SYNTH_ARGS = ["--n", "40", "--len-min", "3", "--len-max", "5", "--seed", "3"]
-FAST_MODEL = ["--epochs", "2", "--batch-size", "8", "--embed-dim", "8", "--hidden-dim", "12"]
+FAST_STUDENT = ["--batch-size", "8", "--embed-dim", "8", "--hidden-dim", "12"]  # train-student has no --epochs
+FAST_MODEL = ["--epochs", "2", *FAST_STUDENT]
 
 
 @pytest.fixture
@@ -174,11 +175,23 @@ def test_train_student_runs_and_logs(tmp_path, synth_dir):
     st = tmp_path / "student"
     assert main(["train-student", "--out", str(st), *corpus_flags(synth_dir),
                  "--scores", str(sc / "scores.tsv"), "--updates", "12",
-                 *FAST_MODEL, "--t0", "0.4", "--t1", "1.0"]) == EXIT_OK
+                 *FAST_STUDENT, "--t0", "0.4", "--t1", "1.0"]) == EXIT_OK
     log = (st / "train_log.tsv").read_text().splitlines()
     assert len(log) == 12
     first = log[0].split("\t")
     assert float(first[1]) == pytest.approx(0.4)  # T_0
+
+
+def test_warm_started_student_checkpoint_records_the_student_config(tmp_path, full_run):
+    files = _run_files(full_run)
+    out = tmp_path / "student"
+    assert main(["train-student", "--out", str(out), "--src", files["src"], "--raw", files["raw"],
+                 "--kd", files["kd"], "--scores", files["scores"], "--updates", "4",
+                 "--init-checkpoint", files["init_checkpoint"], *FAST_STUDENT,
+                 "--lr", "0.3", "--batch-size", "4"]) == EXIT_OK
+    recorded = json.loads((out / "manifest.json").read_text())["config"]["model"]
+    assert (recorded["learning_rate"], recorded["batch_size"]) == (0.3, 4)
+    assert asdict(load_checkpoint(str(out / "checkpoint.txt")).config) == recorded
 
 
 def test_train_student_without_any_update_is_training_error(tmp_path):
@@ -207,6 +220,33 @@ def test_train_evaluator_without_any_feasible_pair_is_training_error(tmp_path, c
     err = capsys.readouterr().err
     assert "nan" not in err.lower()
     assert "mean loss" not in err
+
+
+def test_interrupted_stage_leaves_incomplete_and_no_manifest(tmp_path, synth_dir, monkeypatch):
+    out = tmp_path / "evaluator"
+    argv = ["train-evaluator", "--out", str(out), *corpus_flags(synth_dir), *FAST_MODEL,
+            "--snapshot-updates", "1"]
+    assert main(argv) == EXIT_OK
+
+    def interrupt(model, path):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli.nat, "save_checkpoint", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        main(argv)  # a rerun into the finished directory
+    assert (out / "INCOMPLETE").exists()
+    assert not (out / "manifest.json").exists()
+
+
+def test_score_plain_with_normalize_by_reference_is_config_error(tmp_path, synth_dir, capsys):
+    # plain already divides by the reference length, so the flag would change nothing
+    out = tmp_path / "scores"
+    assert main(["score", "--out", str(out), *corpus_flags(synth_dir), "--checkpoint",
+                 str(tmp_path / "checkpoint.txt"), "--variant", "plain",
+                 "--normalize-by-reference"]) == EXIT_CONFIG
+    assert not out.exists()
+    assert capsys.readouterr().err == \
+        "selkd score: error: --normalize-by-reference is for ctc: plain divides by it already\n"
 
 
 def test_metrics_single_bitext_mode(tmp_path, synth_dir):
@@ -643,7 +683,7 @@ def _manifest_case(name, run, out):
     if name == "train-student":
         ckpt = files["checkpoint"]
         return (["train-student", "--out", out, *corpus, "--scores", scores, "--updates", "4",
-                 "--init-checkpoint", ckpt, *FAST_MODEL], {*synth, scores, ckpt})
+                 "--init-checkpoint", ckpt, *FAST_STUDENT], {*synth, scores, ckpt})
     if name == "metrics-scores":
         return (["metrics", "--out", out, *corpus, "--scores", scores, "--thresholds", "0.5",
                  "--align-iterations", "1"], {*synth, scores})
@@ -775,8 +815,7 @@ CLI_FLAGS = {
     "score": "--out --src --raw --kd --checkpoint --variant --normalize-by-reference",
     "select": "--out --src --raw --kd --scores --threshold",
     "train-student": "--out --src --raw --kd --scores --t0 --t1 --updates --embed-dim --hidden-dim "
-                     "--upsample --window --lr --epochs --batch-size --clip-norm --seed "
-                     "--init-checkpoint",
+                     "--upsample --window --lr --batch-size --clip-norm --seed --init-checkpoint",
     "metrics": "--out --src --raw --kd --tgt --scores --thresholds --t0 --t1 --align-iterations "
                "--tension --null-prob --dump-links",
     "report": "--out --run",
@@ -793,7 +832,7 @@ def test_each_subcommand_has_exactly_its_flags():
                     if opt not in ("-h", "--help")]
              for name, p in subs.choices.items()}
     assert flags == {name: table.split() for name, table in CLI_FLAGS.items()}
-    assert sum(map(len, flags.values())) == 98
+    assert sum(map(len, flags.values())) == 97
 
 
 # The flags each subcommand requires, with placeholder values: enough to parse.
@@ -807,7 +846,7 @@ _REQUIRED_FLAGS = {
     "full": [],
 }
 _UNREAD_FLAGS = [
-    ("metrics", "--updates"), ("train-student", "--eval-every"),
+    ("metrics", "--updates"), ("train-student", "--eval-every"), ("train-student", "--epochs"),
     *[(command, "--seed") for command in ("score", "select", "metrics", "report")],
     *[("select", flag) for flag in ("--k", "--t0", "--t1", "--updates", "--fixed-threshold")],
     ("train-student", "--fixed-threshold"), ("full", "--fixed-threshold"),

@@ -1,8 +1,11 @@
-"""Static checks over the package source, with the standard library only."""
+"""Checks over the package source and its wiring, with the standard library only."""
 
+import argparse
 import ast
 import importlib
 import pathlib
+
+from selkd import cli
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "selkd"
@@ -96,6 +99,16 @@ def test_benchmark_traced_functions_exist():
     assert "decode_positional" in traced["nat"]
     missing = [f"selkd.{module}.{name}" for module, names in traced.items() for name in names
                if not callable(getattr(importlib.import_module(f"selkd.{module}"), name, None))]
+    assert missing == []
+
+
+def test_every_subcommand_has_its_runner():
+    # ``main`` and ``full`` run a subcommand by the function named after it.
+    subs = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    commands = set(subs.choices) | {row.command for row in cli.RUN_GRAPH}
+    assert len(commands) == 8
+    missing = [command for command in sorted(commands)
+               if not callable(getattr(cli, "run_" + command.replace("-", "_"), None))]
     assert missing == []
 
 
