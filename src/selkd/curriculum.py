@@ -139,7 +139,7 @@ def train_student(corpus: Corpus, table: ScoreTable, schedule: ThresholdSchedule
                 f"({ {f: getattr(init_cfg, f) for f in arch} } vs { {f: getattr(config, f) for f in arch} })"
             )
         # The student's settings, not the init checkpoint's, go with its parameters.
-        model = replace(init_model.copy(), config=config)
+        model = replace(init_model, config=config)  # a copy: the model gets its own vector
     else:
         model = NatModel.initialize(config, corpus.src_vocab, corpus.tgt_vocab)
     scores = _scores(table)  # compared with T_k batch by batch, as ``keeps_raw`` would

@@ -21,7 +21,9 @@ semiring, falling back to the log semiring for the rare lattice whose
 path mass float64 cannot hold (``_ctc_packed``), and Viterbi alignment in
 log space. The deliberately tiny architecture keeps a full
 train/score/select cycle in seconds while leaving every quantity exact
-enough for finite-difference and enumeration checks.
+enough for finite-difference and enumeration checks. Its parameters are
+named views into one float64 vector, in ``PARAM_NAMES`` order, so that
+an SGD update and its finiteness check are one call each.
 
 Training is one SGD loop, ``sgd``, over a ``PairTable`` built once per
 run. A batch runs as a few groups, not pair by pair: its feasible pairs
@@ -66,7 +68,7 @@ import hashlib
 import itertools
 import json
 import operator
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -161,7 +163,8 @@ def param_shapes(config: ModelConfig, src_vocab_size: int, tgt_vocab_size: int) 
 @dataclass(frozen=True, eq=False)
 class NatModel:
     """Parameter container; forward passes are pure functions of it. Two
-    models are equal only if they are the same object."""
+    models are equal only if they are the same object. A model copies the
+    given ``params`` into a vector of its own, ``flat``, and keeps views."""
 
     config: ModelConfig
     params: dict[str, np.ndarray]
@@ -169,25 +172,34 @@ class NatModel:
     tgt_vocab_size: int
     src_vocab_hash: str
     tgt_vocab_hash: str
+    flat: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        flat = np.concatenate([np.ravel(self.params[name]) for name in PARAM_NAMES], dtype=np.float64)
+        object.__setattr__(self, "flat", flat)
+        object.__setattr__(self, "params", _views(flat, self.params))
 
     @classmethod
     def initialize(cls, config: ModelConfig, src_vocab: Vocabulary, tgt_vocab: Vocabulary) -> "NatModel":
         rng = Rng(config.seed)
         vs, vt = len(src_vocab), len(tgt_vocab)
-        params = {}
-        for name, shape in param_shapes(config, vs, vt).items():
-            if name.startswith("b"):
-                params[name] = np.zeros(shape, dtype=np.float64)
-                continue
-            fan_in = shape[0]
-            fan_out = shape[1]
-            bound = np.sqrt(6.0 / (fan_in + fan_out))
-            flat = np.array([rng.uniform(-bound, bound) for _ in range(fan_in * fan_out)], dtype=np.float64)
-            params[name] = flat.reshape(shape)
-        return cls(config, params, vs, vt, src_vocab.content_hash(), tgt_vocab.content_hash())
+        zeros = {name: np.zeros(shape) for name, shape in param_shapes(config, vs, vt).items()}
+        model = cls(config, zeros, vs, vt, src_vocab.content_hash(), tgt_vocab.content_hash())
+        for name, p in model.params.items():
+            if not name.startswith("b"):
+                bound = np.sqrt(6.0 / (p.shape[0] + p.shape[1]))  # fan in + fan out
+                p[...] = np.reshape([rng.uniform(-bound, bound) for _ in range(p.size)], p.shape)
+        return model
 
     def copy(self) -> "NatModel":
-        return replace(self, params={k: v.copy() for k, v in self.params.items()})
+        return replace(self)  # with a vector of its own
+
+
+def _views(flat: np.ndarray, like: dict) -> dict[str, np.ndarray]:
+    """Views of ``flat`` shaped like the arrays of ``like``, which it holds
+    back to back in ``PARAM_NAMES`` order."""
+    parts = np.split(flat, np.cumsum([np.size(like[name]) for name in PARAM_NAMES])[:-1])
+    return {name: part.reshape(np.shape(like[name])) for name, part in zip(PARAM_NAMES, parts)}
 
 
 def _padded(seqs: list[Sentence], lengths: np.ndarray, fill: int) -> np.ndarray:
@@ -827,7 +839,7 @@ def batch_step(model: NatModel, slots: np.ndarray, table: PairTable,
     """
     feasible = np.flatnonzero(table.feasible[slots])
     losses = np.full(len(slots), np.inf)
-    total = {name: np.zeros_like(p) for name, p in model.params.items()}
+    total = np.zeros_like(model.flat)
     for group in _length_groups(table.frames[slots[feasible]], table.states[slots[feasible]]):
         group = feasible[group]
         picked = slots[group].tolist()
@@ -836,23 +848,20 @@ def batch_step(model: NatModel, slots: np.ndarray, table: PairTable,
         group_losses, dlogp = _ctc_packed(cache["logp"], frames, [table.pairs[j][1] for j in picked])
         losses[group] = group_losses
         grads = _backprop_packed(model, cache, dlogp)
-        for name in total:
-            total[name] += grads[name]
+        total += np.concatenate([grads[name].ravel() for name in PARAM_NAMES])
     kept = losses != np.inf
     counted = int(kept.sum())
     skipped = len(slots) - counted
     if counted == 0:
         return None, skipped
-    norm_sq = 0.0
-    for name in total:
-        total[name] /= counted
-        norm_sq += float(np.sum(total[name] ** 2))
-    norm = np.sqrt(norm_sq)
+    total /= counted
+    # summed per parameter in PARAM_NAMES order, so that the clip scale keeps its bits
+    norm = np.sqrt(sum(float(np.sum(g ** 2)) for g in _views(total, model.params).values()))
     scale = clip_norm / norm if norm > clip_norm else 1.0
-    for name, p in model.params.items():
-        p -= learning_rate * scale * total[name]
-        if not np.all(np.isfinite(p)):
-            raise TrainingError(f"parameter {name} became non-finite during an update")
+    np.subtract(model.flat, learning_rate * scale * total, out=model.flat)
+    if not np.isfinite(model.flat).all():
+        name = next(name for name, p in model.params.items() if not np.isfinite(p).all())
+        raise TrainingError(f"parameter {name} became non-finite during an update")
     return float(losses[kept].sum()) / counted, skipped
 
 
@@ -930,10 +939,9 @@ def serialize_model(model: NatModel) -> list[str]:
     lines.append("config\t" + json.dumps(cfg, sort_keys=True, allow_nan=False))
     lines.append(f"src_vocab\t{model.src_vocab_hash}\t{model.src_vocab_size}")
     lines.append(f"tgt_vocab\t{model.tgt_vocab_hash}\t{model.tgt_vocab_size}")
-    for name in PARAM_NAMES:
-        arr = model.params[name]
+    for name, arr in model.params.items():
         shape = ",".join(str(d) for d in arr.shape)
-        values = " ".join(float(v).hex() for v in arr.ravel())
+        values = " ".join(v.hex() for v in arr.ravel().tolist())
         lines.append(f"param\t{name}\t{shape}\t{values}")
     lines.append("end")
     return lines

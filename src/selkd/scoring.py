@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Bitext, Corpus, Sentence, ascii_int, read_rows, write_lines
+from .corpus import Bitext, Corpus, ascii_int, read_rows, write_lines
 from .nat import NatModel, PairTable, decode_pairs, model_digest
 
 VARIANTS = ("plain", "ctc")
@@ -65,36 +65,26 @@ class ScoreTable:
 def _score_pairs(model: NatModel, pairs: Bitext, variant: str,
                  normalize_by_reference: bool) -> list[ScoreRecord]:
     """Records for (source, reference) ``pairs``, each tagged with its
-    position. The feasible pairs are decoded by ``nat.decode_pairs``; a
-    pair's distance counts the frames where its decode differs from the
-    labels it wants, one ``bincount`` per pass. Each record depends only
-    on its own pair.
+    position. Every pair is decoded by ``nat.decode_pairs``; a pair's
+    distance counts the frames where its decode differs from the labels it
+    wants (all T where a ctc lattice holds no path: an infeasible pair),
+    one ``bincount`` per pass. Each record depends only on its own pair.
     """
     plain = variant == "plain"
     table = PairTable.of(pairs, model.config.upsample)
     ref_lens = table.states // 2  # states = 2 |reference| + 1
-    feasible = np.ones(len(pairs), dtype=bool) if plain else table.feasible
     records: list[ScoreRecord | None] = [None] * len(pairs)
-    for i in np.flatnonzero(~feasible).tolist():
-        records[i] = _infeasible_record(i, pairs[i][1], int(table.frames[i]))
-    for group, frames, decoded, wanted, found in decode_pairs(model, table, np.flatnonzero(feasible), plain):
+    for group, frames, decoded, wanted, found in decode_pairs(model, table, np.arange(len(pairs)), plain):
         lane = np.repeat(np.arange(len(group)), frames)
         distances = np.bincount(lane, weights=decoded != wanted, minlength=len(group)).astype(int)
+        distances = np.where(found, distances, frames)
         denoms = ref_lens[group] if plain or normalize_by_reference else frames
         for i, t_frames, denom, distance, ok in zip(group.tolist(), frames.tolist(), denoms.tolist(),
                                                     distances.tolist(), found.tolist()):
-            if not ok:
-                records[i] = _infeasible_record(i, pairs[i][1], t_frames)
-                continue
-            records[i] = ScoreRecord(index=i, score=min(1.0, max(0.0, 1.0 - distance / denom)),
+            records[i] = ScoreRecord(index=i, score=min(1.0, max(0.0, 1.0 - distance / denom)) if ok else 0.0,
                                      distance=distance, ref_len=len(pairs[i][1]),
-                                     frame_len=0 if plain else t_frames)
+                                     frame_len=0 if plain else t_frames, infeasible=not ok)
     return records
-
-
-def _infeasible_record(index: int, reference: Sentence, frames: int) -> ScoreRecord:
-    return ScoreRecord(index=index, score=0.0, distance=frames, ref_len=len(reference),
-                       frame_len=frames, infeasible=True)
 
 
 def score_corpus(model: NatModel, corpus: Corpus, variant: str = "ctc",

@@ -3,7 +3,7 @@ import pytest
 
 from selkd import synth
 from selkd.corpus import Corpus, TriExample, Vocabulary
-from selkd.nat import ModelConfig, train
+from selkd.nat import PARAM_NAMES, ModelConfig, train
 
 
 def random_lattice(rng: np.random.Generator, n_frames: int, vocab: int) -> np.ndarray:
@@ -27,6 +27,20 @@ def make_corpus(rows: list[tuple[str, str, str]]) -> Corpus:
         kd = tuple(tgt_vocab.add(t) for t in k.split())
         examples.append(TriExample(source=src, raw_target=raw, distilled_target=kd))
     return Corpus(examples=tuple(examples), src_vocab=src_vocab, tgt_vocab=tgt_vocab)
+
+
+def assert_flat_layout(model) -> None:
+    """Each of the model's parameters is a view into ``model.flat``, and
+    the views tile that float64 vector in ``PARAM_NAMES`` order."""
+    flat = model.flat
+    assert flat.dtype == np.float64 and flat.flags.owndata
+    assert list(model.params) == list(PARAM_NAMES)
+    offset = 0
+    for name, p in model.params.items():
+        assert p.base is flat and p.flags.c_contiguous and np.shares_memory(p, flat), name
+        assert p.ctypes.data == flat.ctypes.data + offset * flat.itemsize, name
+        offset += p.size
+    assert offset == flat.size
 
 
 def unzip_view(items: list) -> tuple[list, list]:

@@ -20,7 +20,7 @@ from selkd.curriculum import (
 from selkd.nat import ModelConfig
 from selkd.scoring import ScoreRecord, ScoreTable
 
-from conftest import make_corpus
+from conftest import assert_flat_layout, make_corpus
 
 
 def table_from_scores(scores) -> ScoreTable:
@@ -262,6 +262,20 @@ def test_student_init_model_used():
     res = train_student(corpus, table, sched, student_config(), init_model=warm.copy())
     cold = train_student(corpus, table, sched, student_config())
     assert not np.array_equal(res.model.params["b_out"], cold.model.params["b_out"])
+
+
+def test_warm_started_student_owns_its_parameter_vector():
+    corpus = two_target_corpus(4)
+    table = table_from_scores([0.2, 0.4, 0.6, 0.8])
+    from selkd.nat import NatModel
+
+    warm = NatModel.initialize(student_config(), corpus.src_vocab, corpus.tgt_vocab)
+    before = warm.flat.copy()
+    res = train_student(corpus, table, ThresholdSchedule(0.2, 0.9, 4), student_config(), init_model=warm)
+    assert_flat_layout(res.model)
+    assert not np.shares_memory(res.model.flat, warm.flat)
+    assert not np.array_equal(res.model.flat, before)
+    np.testing.assert_array_equal(warm.flat, before)  # training left the init model alone
 
 
 def test_student_init_architecture_mismatch_rejected():

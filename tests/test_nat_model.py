@@ -23,7 +23,7 @@ from selkd.nat import (
     train,
 )
 
-from conftest import random_lattice
+from conftest import assert_flat_layout, random_lattice
 from oracles import ctc_loss, sentence_loss_and_grads, validate_emissions
 
 
@@ -353,6 +353,46 @@ def test_checkpoint_round_trip(tiny_model, tmp_path):
     assert model_digest(loaded) == model_digest(model)
     # the digest a score table records is the checkpoint file's own sha256
     assert model_digest(model) == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_parameters_are_views_into_one_vector(tiny_model, tmp_path):
+    model, src, tgt = tiny_model
+    assert_flat_layout(model)
+    copied = model.copy()
+    assert_flat_layout(copied)
+    assert not np.shares_memory(copied.flat, model.flat)
+    assert copied.flat.tobytes() == model.flat.tobytes()
+    before = model.flat.copy()
+    pairs = [((2, 3), (2, 3)), ((4,), (5,))]
+    loss, _ = batch_step(copied, np.arange(len(pairs)), PairTable.of(pairs, 2),
+                         learning_rate=0.1, clip_norm=5.0)
+    assert loss is not None and not np.array_equal(copied.flat, before)
+    assert_flat_layout(copied)
+    np.testing.assert_array_equal(model.flat, before)  # the copy's step left the original alone
+    for saved in (model, copied):
+        path = tmp_path / "ckpt.txt"
+        save_checkpoint(saved, str(path))
+        loaded = load_checkpoint(str(path), src, tgt)
+        assert_flat_layout(loaded)
+        assert loaded.flat.tobytes() == saved.flat.tobytes()
+
+
+@pytest.mark.parametrize("poisoned, named", [(("w2",), "w2"), (("w2", "b_out"), "w2"), (("b_out",), "b_out")])
+def test_non_finite_update_names_its_first_parameter(tiny_model, monkeypatch, poisoned, named):
+    # The error names the first non-finite parameter in PARAM_NAMES order.
+    model, _, _ = tiny_model
+    real = nat._backprop_packed
+
+    def infinite(*args):
+        grads = real(*args)
+        for name in poisoned:
+            grads[name][0] = np.inf
+        return grads
+
+    monkeypatch.setattr(nat, "_backprop_packed", infinite)
+    with pytest.raises(TrainingError, match=f"parameter {named} became non-finite during an update"):
+        batch_step(model, np.arange(1), PairTable.of([((2, 3), (2, 3))], 2),
+                   learning_rate=0.1, clip_norm=np.inf)
 
 
 def test_checkpoint_rejects_vocab_mismatch(tiny_model, tmp_path):
