@@ -139,6 +139,13 @@ class Stage:
             self.inputs[p] = digest
 
     def path(self, name: str) -> str:
+        """Name an output file of the stage. The first call removes the old
+        manifest, after the stage checked its inputs against it and before
+        it writes anything, so a killed stage leaves no manifest vouching
+        for a mix of old and new files."""
+        manifest = os.path.join(self.out_dir, "manifest.json")
+        if not self.outputs and os.path.exists(manifest):
+            os.remove(manifest)
         p = os.path.join(self.out_dir, name)
         self.outputs.append(p)
         return p
@@ -342,15 +349,9 @@ def run_metrics(args) -> int:
         # Every view is a subset of the raw or the distilled pairs, so each
         # distinct pair is aligned and reduced to its record once, and the
         # views pick their records.
-        raw_links = metrics_mod.align_bitext(raw, model)
-        raw_stats = metrics_mod.pair_stats(raw, raw_links)
-        if args.tgt:
-            views = [("bitext", raw_stats)]
-        else:
-            distilled = corpus.pairs("distilled")
-            distilled_stats = metrics_mod.pair_stats(distilled,
-                                                     metrics_mod.align_bitext(distilled, model))
-            views = [("raw", raw_stats), ("distilled", distilled_stats)]
+        raw_stats = metrics_mod.pair_stats(raw, model)
+        distilled_stats = None if args.tgt else metrics_mod.pair_stats(corpus.pairs("distilled"), model)
+        views = [("bitext", raw_stats)] if args.tgt else [("raw", raw_stats), ("distilled", distilled_stats)]
 
         rows = ["view\tthreshold\traw_ratio\tsentences\tuncertainty\tshift\trepetition_per_mille"]
         for label, stats in views:
@@ -372,7 +373,7 @@ def run_metrics(args) -> int:
             corpus_mod.write_lines(stage.path("buckets.tsv"), metrics_mod.bucket_table(table, schedule))
 
         if args.dump_links:
-            align_mod.write_pharaoh(raw_links, stage.path("links.txt"))
+            align_mod.write_pharaoh([p.links for p in raw_stats], stage.path("links.txt"))
 
         stage.finish(config={"thresholds": thresholds, "t0": args.t0, "t1": args.t1,
                              "align_iterations": args.align_iterations,

@@ -14,10 +14,10 @@ corpus-level BLEU-4 for end-to-end quality checks.
 The metrics stage reports these over several overlapping views of one
 corpus, so ``pair_stats`` reduces each aligned pair to a ``PairStats``
 record once, and ``metric_report`` combines a view's records in view
-order, with the same bits as a walk over the view's links. Both
-``align_bitext`` and ``pair_stats`` work one (|src|, |tgt|) shape block
-at a time, on the id stacks of ``align.shape_blocks`` and the block's
-link array.
+order, with the same bits as a walk over the view's links. ``pair_stats``
+makes one pass over a view: one ``align_pair`` call per (|src|, |tgt|)
+shape block of ``align.shape_blocks``, whose link array it reduces to the
+block's records in the same loop.
 """
 
 from __future__ import annotations
@@ -65,16 +65,6 @@ class MetricReport:
     sentences: int
 
 
-def align_bitext(bitext: Bitext, model: AlignmentModel) -> list[AlignmentLinks]:
-    """Argmax links of every pair, in bitext order, from one ``align_pair``
-    call per (|src|, |tgt|) shape block."""
-    out: list[AlignmentLinks] = [()] * len(bitext)
-    for members, src, tgt in shape_blocks(bitext):
-        for k, pair_links in zip(members, align_pair(model, src, tgt).tolist()):
-            out[k] = tuple(pair_links)
-    return out
-
-
 def _repeats(sent: Sentence) -> int:
     return sum(map(operator.eq, sent, sent[1:]))
 
@@ -85,41 +75,47 @@ class PairStats:
     it once per distinct pair; a view only combines the records of its
     pairs."""
 
+    links: AlignmentLinks  # argmax link per target position (``align_pair``)
     type_links: tuple[tuple[int, int], ...]  # (source type, target type) per non-NULL link
     shift: float  # mean |i/|X| - j/|Y|| over the links, 1-based; NULL links count 0
     repeats: int  # target tokens equal to their predecessor
     tokens: int  # target length
 
 
-def pair_stats(bitext: Bitext, links: list[AlignmentLinks]) -> list[PairStats]:
-    """One ``PairStats`` per pair and its links, in bitext order, built per
-    (|src|, |tgt|) shape block from the block's link array.
+def pair_stats(bitext: Bitext, model: AlignmentModel) -> list[PairStats]:
+    """One ``PairStats`` per pair, in bitext order, from one ``align_pair``
+    call per (|src|, |tgt|) shape block."""
+    out: list = [None] * len(bitext)
+    for members, src, tgt in shape_blocks(bitext):
+        for k, stats in zip(members, _block_stats(bitext, members, tgt, align_pair(model, src, tgt))):
+            out[k] = stats
+    return out
+
+
+def _block_stats(bitext: Bitext, members: list[int], tgt_ids: np.ndarray,
+                 links: np.ndarray) -> list[PairStats]:
+    """The records of one shape block: the pairs ``members`` of ``bitext``,
+    their (B, |tgt|) target ids and links.
 
     A pair's shift terms are summed left to right over its target
     positions, as a walk over its links would sum them, then divided by
     |Y|."""
-    for (_, tgt), pair_links in zip(bitext, links, strict=True):
-        if len(pair_links) != len(tgt):
-            raise MetricsError(f"links cover {len(pair_links)} positions for a target of {len(tgt)}")
-    out: list = [None] * len(bitext)
-    for members, _, tgt_ids in shape_blocks(bitext):
-        tgt = [bitext[k][1] for k in members]
-        m = len(tgt[0])
-        # link i is source position i - 1; column 0 stands in for NULL_LINK.
-        # An object array gathers the corpus's own ints, which the views'
-        # link Counters then compare by identity.
-        src = np.array([(NULL_LINK, *bitext[k][0]) for k in members], dtype=object)
-        block_links = np.array([links[k] for k in members], dtype=np.intp)
-        linked = block_links != NULL_LINK
-        terms = np.abs(block_links / (src.shape[1] - 1) - np.arange(1, m + 1) / m)
-        terms[~linked] = 0.0
-        shifts = (np.cumsum(terms, axis=1)[:, -1] / m).tolist()
-        repeats = np.count_nonzero(tgt_ids[:, 1:] == tgt_ids[:, :-1], axis=1).tolist()
-        types = np.take_along_axis(src, block_links, axis=1).tolist()
-        for k, row_types, row_tgt, row_linked, shift, rep in zip(
-                members, types, tgt, linked.tolist(), shifts, repeats):
-            out[k] = PairStats(tuple(compress(zip(row_types, row_tgt), row_linked)), shift, rep, m)
-    return out
+    tgt = [bitext[k][1] for k in members]
+    m = len(tgt[0])
+    # link i is source position i - 1; column 0 stands in for NULL_LINK.
+    # An object array gathers the corpus's own ints, which the views'
+    # link Counters then compare by identity.
+    src = np.array([(NULL_LINK, *bitext[k][0]) for k in members], dtype=object)
+    linked = links != NULL_LINK
+    terms = np.abs(links / (src.shape[1] - 1) - np.arange(1, m + 1) / m)
+    terms[~linked] = 0.0
+    shifts = (np.cumsum(terms, axis=1)[:, -1] / m).tolist()
+    repeats = np.count_nonzero(tgt_ids[:, 1:] == tgt_ids[:, :-1], axis=1).tolist()
+    types = np.take_along_axis(src, links, axis=1).tolist()
+    return [PairStats(tuple(row_links), tuple(compress(zip(row_types, row_tgt), row_linked)),
+                      shift, rep, m)
+            for row_links, row_types, row_tgt, row_linked, shift, rep in zip(
+                links.tolist(), types, tgt, linked.tolist(), shifts, repeats)]
 
 
 def _uncertainty(stats: Sequence[PairStats]) -> float:

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from selkd import synth
+from selkd.align import shape_blocks
 from selkd.corpus import Corpus, TriExample, Vocabulary
+from selkd.metrics import _block_stats
 from selkd.nat import PARAM_NAMES, ModelConfig, train
 
 
@@ -41,6 +43,18 @@ def assert_flat_layout(model) -> None:
         assert p.ctypes.data == flat.ctypes.data + offset * flat.itemsize, name
         offset += p.size
     assert offset == flat.size
+
+
+def stats_of_links(bitext: list, links: list) -> list:
+    """The ``PairStats`` records of ``bitext`` under hand-made ``links``, one
+    tuple per pair: each ``shape_blocks`` block's links, stacked, go through
+    the record builder that ``metrics.pair_stats`` runs on aligned blocks."""
+    out = [None] * len(bitext)
+    for members, _, tgt in shape_blocks(bitext):
+        block = np.array([links[k] for k in members], dtype=np.intp)
+        for k, stats in zip(members, _block_stats(bitext, members, tgt, block)):
+            out[k] = stats
+    return out
 
 
 def unzip_view(items: list) -> tuple[list, list]:

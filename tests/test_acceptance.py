@@ -25,7 +25,6 @@ from selkd.curriculum import (
     train_student,
 )
 from selkd.metrics import (
-    align_bitext,
     metric_report,
     pair_stats,
     repetition_ratio,
@@ -184,8 +183,8 @@ def _selection_complexity_seed(seed):
     ratio = raw_ratio(table, threshold)
     raw_pairs, distilled_pairs = corpus.pairs("raw"), corpus.pairs("distilled")
     align_model = em_train(raw_pairs, iterations=4)
-    raw = pair_stats(raw_pairs, align_bitext(raw_pairs, align_model))
-    distilled = pair_stats(distilled_pairs, align_bitext(distilled_pairs, align_model))
+    raw = pair_stats(raw_pairs, align_model)
+    distilled = pair_stats(distilled_pairs, align_model)
     reports = {label: metric_report(stats, label)
                for label, stats in threshold_views(corpus, table, threshold, raw, distilled)}
     selected, replaced = reports["selected"], reports["replaced"]

@@ -20,7 +20,7 @@ from selkd.align import (
     write_pharaoh,
 )
 from selkd.corpus import MAX_SENTENCE_LEN
-from selkd.metrics import align_bitext
+from selkd.metrics import pair_stats
 from selkd.rng import Rng
 
 
@@ -271,7 +271,7 @@ def test_stacked_alignment_matches_reference_per_pair(case):
     null_row = model.trans.shape[0] - 1
     table = {NULL_TOKEN if x == null_row else x: {y: p for y, p in enumerate(row) if p}
              for x, row in enumerate(model.trans.tolist())}
-    links = align_bitext(bitext, model)
+    links = [p.links for p in pair_stats(bitext, model)]
     for (src, tgt), pair_links in zip(bitext, links, strict=True):
         assert pair_links == align_reference(table, src, tgt, tension, null_prob,
                                              null_key=NULL_TOKEN)

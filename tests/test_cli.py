@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from selkd import align as align_mod
 from selkd import cli
 from selkd import metrics as metrics_mod
 from selkd.align import em_train, write_pharaoh
@@ -238,6 +239,18 @@ def test_interrupted_stage_leaves_incomplete_and_no_manifest(tmp_path, synth_dir
     assert not (out / "manifest.json").exists()
 
 
+def test_stage_removes_the_old_manifest_at_its_first_output(tmp_path):
+    # A stage killed before ``finish`` then leaves no manifest vouching for
+    # a mix of old and new files.
+    out = tmp_path / "stage"
+    out.mkdir()
+    (out / "manifest.json").write_text('{"outputs": {"a.txt": "0"}}\n')
+    stage = cli.Stage(str(out), "synth")
+    assert (out / "manifest.json").exists()  # inputs in the directory are still checked against it
+    stage.path("a.txt")
+    assert not (out / "manifest.json").exists()
+
+
 def test_score_plain_with_normalize_by_reference_is_config_error(tmp_path, synth_dir, capsys):
     # plain already divides by the reference length, so the flag would change nothing
     out = tmp_path / "scores"
@@ -292,8 +305,7 @@ def test_metrics_aligns_each_distinct_pair_once(tmp_path, synth_dir, monkeypatch
 
     def row(label, view, t=None):
         try:
-            rep = metrics_mod.metric_report(
-                metrics_mod.pair_stats(view, metrics_mod.align_bitext(view, model)), label)
+            rep = metrics_mod.metric_report(metrics_mod.pair_stats(view, model), label)
         except metrics_mod.MetricsError:
             rep = None
         return _report_row(label, t, None if t is None else raw_ratio(table, t), rep)
@@ -306,8 +318,31 @@ def test_metrics_aligns_each_distinct_pair_once(tmp_path, synth_dir, monkeypatch
                      row("mix", [p if k else d for p, d, k in zip(raw, distilled, keep)], t)]
     assert (out / "report.tsv").read_text().splitlines()[1:] == expected
     assert "\t-\t" in expected[3] and "\t-\t" in expected[-3]  # empty replaced, empty selected
-    write_pharaoh(metrics_mod.align_bitext(raw, model), str(tmp_path / "links.txt"))
+    write_pharaoh([p.links for p in metrics_mod.pair_stats(raw, model)], str(tmp_path / "links.txt"))
     assert read_bytes(out / "links.txt") == read_bytes(tmp_path / "links.txt")
+
+
+def test_metrics_groups_each_view_by_shape_once(tmp_path, synth_dir, monkeypatch):
+    # em_train groups the raw view, and pair_stats each view it aligns.
+    grouped = []  # the size of each bitext grouped by shape
+    real_shape_blocks = align_mod.shape_blocks
+
+    def counting_shape_blocks(bitext):
+        grouped.append(len(bitext))
+        return real_shape_blocks(bitext)
+
+    monkeypatch.setattr(align_mod, "shape_blocks", counting_shape_blocks)
+    monkeypatch.setattr(metrics_mod, "shape_blocks", counting_shape_blocks)
+    n = 40
+    scores = write_scores(tmp_path / "scores.tsv", synth_dir, [(i % 5) / 4 for i in range(n)])
+    assert main(["metrics", "--out", str(tmp_path / "m"), *corpus_flags(synth_dir),
+                 "--scores", str(scores), "--thresholds", "0.4,0.7,0.9", "--align-iterations", "2",
+                 "--dump-links"]) == EXIT_OK
+    assert grouped == [n] * 3  # EM's raw view, then the raw and the distilled view
+    grouped.clear()
+    assert main(["metrics", "--out", str(tmp_path / "t"), "--src", str(synth_dir / "src.txt"),
+                 "--tgt", str(synth_dir / "raw.txt"), "--align-iterations", "2"]) == EXIT_OK
+    assert grouped == [n] * 2
 
 
 def test_metrics_threshold_sweep(tmp_path, synth_dir):

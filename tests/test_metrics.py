@@ -10,7 +10,6 @@ from selkd.curriculum import ThresholdSchedule
 from selkd.metrics import (
     MetricReport,
     MetricsError,
-    align_bitext,
     corpus_bleu,
     length_buckets,
     metric_report,
@@ -21,35 +20,39 @@ from selkd.metrics import (
 from selkd import synth
 from selkd.scoring import ScoreRecord, ScoreTable, ScoringError
 
-from conftest import make_corpus, unzip_view
+from conftest import make_corpus, stats_of_links, unzip_view
 from oracles import alignment_shift_links, metric_report_links
 from test_align import bijective_bitext, dense_table
 
 
-def report(bitext, links):
+def report(bitext, model):
     """The metrics stage's report of one view."""
-    return metric_report(pair_stats(bitext, links), "view")
+    return metric_report(pair_stats(bitext, model), "view")
+
+
+def links_of(bitext, model):
+    """The argmax links of every pair of ``bitext``, in bitext order."""
+    return [p.links for p in pair_stats(bitext, model)]
 
 
 def test_uncertainty_zero_for_deterministic_mapping():
     bitext = bijective_bitext(300, seed=9)
     model = em_train(bitext, iterations=4)
-    assert report(bitext, align_bitext(bitext, model)).uncertainty == 0.0
+    assert report(bitext, model).uncertainty == 0.0
 
 
 def test_uncertainty_fifty_fifty_is_ln2():
     # One source type aligned to two target types with equal counts.
     model = AlignmentModel(trans=dense_table({NULL_TOKEN: {8: 0.01, 9: 0.01}, 5: {8: 0.5, 9: 0.5}}))
     bitext = [((5,), (8,))] * 50 + [((5,), (9,))] * 50
-    links = align_bitext(bitext, model)
-    assert report(bitext, links).uncertainty == pytest.approx(math.log(2), rel=1e-12)
+    assert report(bitext, model).uncertainty == pytest.approx(math.log(2), rel=1e-12)
 
 
 def test_uncertainty_errors_when_everything_null():
     model = AlignmentModel(trans=dense_table({NULL_TOKEN: {8: 1.0}, 5: {}}))
     bitext = [((5,), (8,))]
     with pytest.raises(MetricsError):
-        report(bitext, align_bitext(bitext, model))
+        report(bitext, model)
 
 
 def test_multimodal_raw_more_uncertain_than_distilled():
@@ -60,13 +63,12 @@ def test_multimodal_raw_more_uncertain_than_distilled():
     raw = sc.corpus.pairs("raw")
     kd = sc.corpus.pairs("distilled")
     model = em_train(raw, iterations=4)
-    assert report(raw, align_bitext(raw, model)).uncertainty > \
-        report(kd, align_bitext(kd, model)).uncertainty
+    assert report(raw, model).uncertainty > report(kd, model).uncertainty
 
 
 def shift_of(src, tgt, links):
-    """The shift ``pair_stats`` records for one pair and its links."""
-    return pair_stats([(src, tgt)], [links])[0].shift
+    """The shift of one pair's ``PairStats`` record under hand-made links."""
+    return stats_of_links([(src, tgt)], [links])[0].shift
 
 
 def test_shift_pair_cases():
@@ -76,11 +78,6 @@ def test_shift_pair_cases():
     assert shift_of((4, 5), (7, 8), (2, 1)) == pytest.approx(0.5)
     # NULL links contribute nothing
     assert shift_of((4, 5), (7, 8), (NULL_LINK, NULL_LINK)) == 0.0
-
-
-def test_shift_pair_rejects_partial_links():
-    with pytest.raises(MetricsError):
-        shift_of((4, 5), (7, 8), (1,))
 
 
 def test_pair_shift_sums_left_to_right_bit_for_bit():
@@ -93,7 +90,7 @@ def test_pair_shift_sums_left_to_right_bit_for_bit():
         bitext.append((tuple(rng.randrange(9) for _ in range(n)),
                        tuple(rng.randrange(9) for _ in range(m))))
         links.append(tuple(rng.choice((NULL_LINK, rng.randint(1, n))) for _ in range(m)))
-    shifts = [p.shift for p in pair_stats(bitext, links)]
+    shifts = [p.shift for p in stats_of_links(bitext, links)]
     assert shifts == [alignment_shift_links([pair], [pair_links])
                       for pair, pair_links in zip(bitext, links)]
 
@@ -102,7 +99,7 @@ def test_shift_corpus_mean():
     model = AlignmentModel(trans=dense_table({NULL_TOKEN: {}, 1: {7: 1.0}, 2: {8: 1.0}}))
     # monotone pair tau=0 plus crossed pair tau=0.5 -> mean 0.25
     bitext = [((1, 2), (7, 8)), ((2, 1), (7, 8))]
-    assert report(bitext, align_bitext(bitext, model)).shift == pytest.approx(0.25)
+    assert report(bitext, model).shift == pytest.approx(0.25)
 
 
 def test_reversed_modes_shift_more():
@@ -114,8 +111,7 @@ def test_reversed_modes_shift_more():
     canonical = [(ex.source, ex.raw_target) for ex, m in pairs if m == 0]
     reversed_ = [(ex.source, ex.raw_target) for ex, m in pairs if m == 1]
     model = em_train(sc.corpus.pairs("raw"), iterations=4)
-    assert report(reversed_, align_bitext(reversed_, model)).shift > \
-        report(canonical, align_bitext(canonical, model)).shift
+    assert report(reversed_, model).shift > report(canonical, model).shift
 
 
 def test_repetition_examples():
@@ -199,7 +195,7 @@ def test_metric_report_single_mode_distilled_has_zero_uncertainty():
     sc = synth.generate(spec, n=400)
     kd = sc.corpus.pairs("distilled")
     model = em_train(kd, iterations=4)
-    rep = metric_report(pair_stats(kd, align_bitext(kd, model)), "distilled")
+    rep = metric_report(pair_stats(kd, model), "distilled")
     assert rep.uncertainty == 0.0
     assert rep.sentences == 400
     assert rep.label == "distilled"
@@ -208,7 +204,7 @@ def test_metric_report_single_mode_distilled_has_zero_uncertainty():
 def test_metric_report_empty_view_errors():
     model = AlignmentModel(trans=dense_table({NULL_TOKEN: {}}))
     with pytest.raises(MetricsError, match="empty"):
-        metric_report(pair_stats([], align_bitext([], model)), "empty-view")
+        metric_report(pair_stats([], model), "empty-view")
 
 
 def test_views_partition_corpus(memorized_setup):
@@ -219,14 +215,14 @@ def test_views_partition_corpus(memorized_setup):
     raw, distilled = corpus.pairs("raw"), corpus.pairs("distilled")
     model = em_train(raw, iterations=2)
     views = {label: unzip_view(items) for label, items in threshold_views(
-        corpus, table, 0.5, list(zip(raw, align_bitext(raw, model))),
-        list(zip(distilled, align_bitext(distilled, model))))}
+        corpus, table, 0.5, list(zip(raw, links_of(raw, model))),
+        list(zip(distilled, links_of(distilled, model))))}
     selected, replaced, mix = (views[label][0] for label in ("selected", "replaced", "mix"))
     assert len(selected) + len(replaced) == len(corpus)
     assert len(mix) == len(corpus)
     # links picked by index are the links of each view aligned on its own
     for view, links in views.values():
-        assert links == align_bitext(view, model)
+        assert links == links_of(view, model)
 
 
 def test_threshold_views_reject_short_table():
@@ -269,7 +265,7 @@ def _views_against_oracle(corpus, table, thresholds, raw_links, distilled_links)
     its records and from the per-link oracle over its pairs and links; the
     two must be equal with ``==``. Returns the label -> result of each view."""
     def items(view, links):
-        return list(zip(view, links, pair_stats(view, links)))
+        return list(zip(view, links, stats_of_links(view, links)))
 
     raw = items(corpus.pairs("raw"), raw_links)
     distilled = items(corpus.pairs("distilled"), distilled_links)
@@ -319,9 +315,12 @@ def test_metric_report_matches_link_walk_on_aligned_synth_corpus():
     model = em_train(corpus.pairs("raw"), iterations=2)
     rng = random.Random(12)
     table = _score_table([rng.choice((0.25, 0.5, 0.75, 1.0)) for _ in range(len(corpus))])
-    results = _views_against_oracle(corpus, table, (0.4, 0.7, 0.9),
-                                    align_bitext(corpus.pairs("raw"), model),
-                                    align_bitext(corpus.pairs("distilled"), model))
+    raw, distilled = pair_stats(corpus.pairs("raw"), model), pair_stats(corpus.pairs("distilled"), model)
+    raw_links, distilled_links = [p.links for p in raw], [p.links for p in distilled]
+    # the aligned records are the records of their links
+    assert stats_of_links(corpus.pairs("raw"), raw_links) == raw
+    assert stats_of_links(corpus.pairs("distilled"), distilled_links) == distilled
+    results = _views_against_oracle(corpus, table, (0.4, 0.7, 0.9), raw_links, distilled_links)
     assert len(results) == 11
     assert all(isinstance(r, MetricReport) for r in results.values())
 

@@ -90,6 +90,40 @@ def test_no_module_reads_another_modules_private_names():
     assert {name: names for name, names in found.items() if names} == {}
 
 
+def unread_definitions(sources: dict[str, str]) -> list[str]:
+    """``module.name`` of every top-level function and class of ``sources``
+    (module name -> source) whose name no top-level statement but its own
+    definition reads, as a ``Name`` load or an attribute, in any of them."""
+    defined, reads = [], []  # (module, name, statement), (statement, names read)
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((module, stmt.name, stmt))
+            reads.append((stmt, {node.id for node in ast.walk(stmt)
+                                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+                          | {node.attr for node in ast.walk(stmt) if isinstance(node, ast.Attribute)}))
+    return [f"{module}.{name}" for module, name, own in defined
+            if not any(name in names for stmt, names in reads if stmt is not own)]
+
+
+def test_unread_definitions_ignores_a_definitions_own_reads():
+    sources = {"a": "def f(n):\n    return f(n - 1)\ndef g():\n    return b.h()\nclass C:\n    pass\n",
+               "b": "def h():\n    return C\n"}
+    assert unread_definitions(sources) == ["a.f", "a.g"]
+
+
+def test_only_tests_and_perfbench_call_these_package_functions():
+    # ``cli._runner`` looks each ``run_*`` up by name. A new function or
+    # class that nothing in the package reads fails here: give it a caller,
+    # or move it out of the package.
+    found = unread_definitions({path.stem: path.read_text(encoding="utf-8")
+                                for path in sorted(SRC.glob("*.py"))})
+    assert [name for name in found if not name.startswith("cli.run_")] == [
+        "metrics.repetition_ratio", "metrics.corpus_bleu", "nat.forward", "nat.viterbi_align",
+        "nat.decode_greedy", "nat.decode_positional", "nat.sentence_loss_and_grads",
+        "synth.oracle_report", "synth.read_sidecar"]
+
+
 def test_benchmark_traced_functions_exist():
     # perfbench/tracing.py skips a traced name that no longer exists, so a
     # rename would silently drop its per-layer metrics.
